@@ -15,19 +15,17 @@ from typing import Sequence
 
 import numpy as np
 
-from .grounding import BagOfWords, Experience, bag_of_words, corpus_vocabulary
-from .inference import StateTable, default_cells
+from .grounding import BagOfWords, Experience, _nonblank_lines, bag_of_words, corpus_vocabulary
+from .inference import CANONICAL_CELL_ORDER, StateTable, default_cells
 from .network import (
     Network,
     affordance_variables,
-    encode_columns,
     family_counts,
     fit_cpts,
     make_network,
     score_from_counts,
-    word_variable,
 )
-from .structure import K2Config, train_model
+from .structure import K2Config, _attach_words, train_model
 
 Cell = tuple[str, str, str, str]  # (action, color, size, shape)
 
@@ -74,30 +72,31 @@ class EvalResult:
 # -- scoring -------------------------------------------------------------------
 
 
-def _cell_arrays(network: Network):
+def _scored(network: Network, instructions: Sequence[Instruction]):
+    """Per instruction: (instruction, posterior mass on its compatible cells,
+    whether its best cell is compatible, whether the posterior is all-zero).
+
+    The mass is summed over a mask of the cell grid, in grid order, so it
+    does not depend on the iteration order of the compatible set. np.argmax
+    returns the first maximum in row-major order, which makes the best-cell
+    tie-break deterministic: earlier values of earlier variables win.
+    """
+    table = StateTable(network)
     cells = default_cells(network)
     cell_vars = [network.variable(c) for c in cells]
-    return cells, cell_vars
+    for ins in instructions:
+        post = table.cell_posterior(ins.bag, cells)
+        mask = np.zeros(post.shape, dtype=bool)
+        for cell in ins.compatible:
+            mask[tuple(v.index_of(value) for v, value in zip(cell_vars, cell))] = True
+        best_ok = bool(mask.flat[int(np.argmax(post))])
+        yield ins, float(post[mask].sum()), best_ok, float(post.sum()) == 0.0
 
 
 def soft_accuracy(network: Network, instruction: Instruction) -> float:
     """Posterior mass on the instruction's compatible cells."""
-    table = StateTable(network)
-    cells, cell_vars = _cell_arrays(network)
-    post = table.cell_posterior(instruction.bag, cells)
-    total = 0.0
-    for cell in instruction.compatible:
-        idx = tuple(v.index_of(value) for v, value in zip(cell_vars, cell))
-        total += float(post[idx])
-    return total
-
-
-def _argmax_cell(post: np.ndarray, cell_vars) -> Cell:
-    # np.argmax returns the first maximum in row-major order, which makes
-    # the tie-break deterministic: earlier values of earlier variables win.
-    flat = int(np.argmax(post))
-    idx = np.unravel_index(flat, post.shape)
-    return tuple(v.values[i] for v, i in zip(cell_vars, idx))
+    _, soft, _, _ = next(_scored(network, [instruction]))
+    return soft
 
 
 def hard_accuracy(network: Network, instruction_set: Sequence[Instruction]) -> float:
@@ -105,45 +104,28 @@ def hard_accuracy(network: Network, instruction_set: Sequence[Instruction]) -> f
 
     Impossible requests are skipped; the remaining set must be nonempty.
     """
-    table = StateTable(network)
-    cells, cell_vars = _cell_arrays(network)
-    hits = 0
-    n = 0
-    for ins in instruction_set:
-        if ins.impossible:
-            continue
-        post = table.cell_posterior(ins.bag, cells)
-        if _argmax_cell(post, cell_vars) in ins.compatible:
-            hits += 1
-        n += 1
-    if n == 0:
+    possible = [ins for ins in instruction_set if not ins.impossible]
+    if not possible:
         raise ValueError("instruction set has no possible instructions to score")
-    return hits / n
+    hits = sum(best_ok for _, _, best_ok, _ in _scored(network, possible))
+    return hits / len(possible)
 
 
 def evaluate_instructions(
     network: Network, instructions: Sequence[Instruction]
 ) -> EvalResult:
     """Soft and hard accuracy plus impossible-request detection rate."""
-    table = StateTable(network)
-    cells, cell_vars = _cell_arrays(network)
     softs: list[float] = []
     hards: list[float] = []
     detected = 0
     n_impossible = 0
-    for ins in instructions:
-        post = table.cell_posterior(ins.bag, cells)
+    for ins, soft, best_ok, all_zero in _scored(network, instructions):
         if ins.impossible:
             n_impossible += 1
-            if float(post.sum()) == 0.0:
-                detected += 1
+            detected += all_zero
             continue
-        s = 0.0
-        for cell in ins.compatible:
-            idx = tuple(v.index_of(value) for v, value in zip(cell_vars, cell))
-            s += float(post[idx])
-        softs.append(s)
-        hards.append(1.0 if _argmax_cell(post, cell_vars) in ins.compatible else 0.0)
+        softs.append(soft)
+        hards.append(1.0 if best_ok else 0.0)
     if not softs:
         raise ValueError("instruction set has no possible instructions to score")
     return EvalResult(
@@ -172,41 +154,18 @@ def build_baseline_network(
     """
     variables = affordance_variables()
     aff = make_network(variables, {v.name: () for v in variables})
-    states = [e.state for e in dataset]
-    aff = fit_cpts(aff, states, pseudocount)
-
+    aff = fit_cpts(aff, [e.state for e in dataset], pseudocount)
     vocab = sorted(set(vocabulary if vocabulary is not None else corpus_vocabulary(dataset)))
-    columns = encode_columns(list(variables), states)
-    word_vars = []
-    word_parents = {}
-    word_cpts = {}
-    for word in vocab:
-        wvar = word_variable(word)
-        presence = np.fromiter(
-            (1 if word in e.description else 0 for e in dataset),
-            dtype=np.int64,
-            count=len(dataset),
+
+    def best_single_parent(wvar, candidates, columns):
+        # max keeps the first of equal scores: declaration order breaks ties
+        best = max(
+            candidates,
+            key=lambda c: score_from_counts(family_counts(wvar, [c], columns), alpha),
         )
-        columns[word] = presence
-        best_parent = None
-        best_score = -np.inf
-        for cand in variables:
-            s = score_from_counts(family_counts(wvar, [cand], columns), alpha)
-            if s > best_score:
-                best_parent, best_score = cand, s
-        counts = family_counts(wvar, [best_parent], columns).astype(float)
-        totals = counts.sum(axis=1, keepdims=True)
-        if pseudocount > 0:
-            table = (counts + pseudocount) / (totals + pseudocount * 2)
-        else:
-            with np.errstate(invalid="ignore"):
-                table = counts / totals
-            table[np.isnan(table)] = 0.5
-        word_vars.append(wvar)
-        word_parents[word] = (best_parent.name,)
-        word_cpts[word] = table
-        del columns[word]
-    return aff.with_word_layer(word_vars, word_parents, word_cpts)
+        return (best.name,)
+
+    return _attach_words(aff, vocab, dataset, best_single_parent)
 
 
 # -- staged learning ---------------------------------------------------------------
@@ -268,7 +227,7 @@ def curve_to_csv(points: Sequence[CurvePoint]) -> str:
 
 def _cell_domains() -> list[tuple[str, tuple[str, ...]]]:
     by_name = {v.name: v for v in affordance_variables()}
-    return [(n, by_name[n].values) for n in ("Action", "Color", "Size", "Shape")]
+    return [(n, by_name[n].values) for n in CANONICAL_CELL_ORDER]
 
 
 def parse_instruction_line(line: str, lineno: int | None = None) -> Instruction:
@@ -287,9 +246,9 @@ def parse_instruction_line(line: str, lineno: int | None = None) -> Instruction:
     cells: set[Cell] = set()
     for chunk in cells_field.split(";"):
         values = chunk.strip().split(",")
-        if len(values) != 4:
+        if len(values) != len(domains):
             raise ValueError(
-                f"malformed instruction{where}: cell {chunk!r} needs 4 fields"
+                f"malformed instruction{where}: cell {chunk!r} needs {len(domains)} fields"
             )
         expanded: list[tuple[str, ...]] = [()]
         for value, (name, domain) in zip(values, domains):
@@ -305,25 +264,15 @@ def parse_instruction_line(line: str, lineno: int | None = None) -> Instruction:
 
 
 def load_instructions(path) -> list[Instruction]:
-    instructions = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            instructions.append(parse_instruction_line(line, lineno))
-    return instructions
+    return [
+        parse_instruction_line(line, lineno)
+        for lineno, line in _nonblank_lines(path)
+        if not line.lstrip().startswith("#")
+    ]
 
 
 def default_instructions() -> list[Instruction]:
     """The 54-sentence judged instruction set shipped with the package."""
-    text = (
-        resources.files("wordground")
-        .joinpath("data/instructions.txt")
-        .read_text(encoding="utf-8")
-    )
-    instructions = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        instructions.append(parse_instruction_line(line, lineno))
-    return instructions
+    shipped = resources.files("wordground").joinpath("data/instructions.txt")
+    with resources.as_file(shipped) as path:
+        return load_instructions(path)

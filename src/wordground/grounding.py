@@ -9,10 +9,11 @@ for exactly the words in the bag.
 from __future__ import annotations
 
 import logging
+import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .network import ABSENT, PRESENT, Assignment, Network
+from .network import _FILE_FIELDS, ABSENT, PRESENT, Assignment, Network
 
 logger = logging.getLogger(__name__)
 
@@ -94,18 +95,34 @@ def description_likelihood(
 # One record per line:
 #   action|color,size,shape|objvel,handvel,objhandvel,contact|w1 w2 ...
 
-_STATE_FIELDS = (
-    ("Action",),
-    ("Color", "Size", "Shape"),
-    ("ObjVel", "HandVel", "ObjHandVel", "Contact"),
+# A line the reader gives back unchanged: nonempty values without separators
+# or whitespace, and words that `bag_of_words` leaves as they are.
+_VALUE = r"[^|,\s]+"
+_WORD = rf"[^|,\s]*[^|,\s{re.escape(_TERMINAL_PUNCTUATION)}]"
+_READABLE_LINE = re.compile(
+    r"\|".join(",".join([_VALUE] * len(group)) for group in _FILE_FIELDS)
+    + rf"\|(?:{_WORD}(?: {_WORD})*)?"
 )
 
 
 def format_experience(experience: Experience) -> str:
+    """One corpus line. Raises ValueError for a state value or word that
+    `parse_experience` would not read back unchanged."""
     state = experience.state
-    parts = [",".join(state[name] for name in group) for group in _STATE_FIELDS]
-    parts.append(" ".join(sorted(experience.description)))
-    return "|".join(parts)
+    words = sorted(experience.description)
+    parts = [",".join(state[name] for name in group) for group in _FILE_FIELDS]
+    parts.append(" ".join(words))
+    line = "|".join(parts)
+    # The token count catches words that are empty or contain a space.
+    text = parts[-1]
+    readable = _READABLE_LINE.fullmatch(line) and len(text.split()) == len(words)
+    if not readable or text != text.lower():
+        raise ValueError(
+            f"cannot write record {line!r}: values and words must be nonempty, "
+            "without '|', ',' or whitespace, and words lowercase without "
+            f"trailing {_TERMINAL_PUNCTUATION!r}"
+        )
+    return line
 
 
 def parse_experience(line: str, lineno: int | None = None) -> Experience:
@@ -114,7 +131,7 @@ def parse_experience(line: str, lineno: int | None = None) -> Experience:
     if len(fields) != 4:
         raise ValueError(f"malformed experience record{where}: expected 4 '|' fields")
     state: dict[str, str] = {}
-    for group, field in zip(_STATE_FIELDS, fields):
+    for group, field in zip(_FILE_FIELDS, fields):
         values = field.split(",") if field else []
         if len(values) != len(group):
             raise ValueError(
@@ -126,19 +143,20 @@ def parse_experience(line: str, lineno: int | None = None) -> Experience:
 
 
 def save_corpus(experiences: Sequence[Experience], path) -> None:
+    """Write one line per experience; nothing is written if any is refused."""
+    text = "".join(format_experience(exp) + "\n" for exp in experiences)
     with open(path, "w", encoding="utf-8") as fh:
-        for exp in experiences:
-            fh.write(format_experience(exp) + "\n")
+        fh.write(text)
+
+
+def _nonblank_lines(path) -> list[tuple[int, str]]:
+    """(line number, line) for each nonblank line of a UTF-8 text file."""
+    with open(path, encoding="utf-8") as fh:
+        return [(lineno, line) for lineno, line in enumerate(fh, start=1) if line.strip()]
 
 
 def load_corpus(path) -> list[Experience]:
-    experiences = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            experiences.append(parse_experience(line, lineno))
-    return experiences
+    return [parse_experience(line, lineno) for lineno, line in _nonblank_lines(path)]
 
 
 def corpus_vocabulary(experiences: Iterable[Experience]) -> list[str]:

@@ -19,14 +19,14 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .grounding import bag_of_words
-from .network import PRESENT, Network
+from .grounding import _nonblank_lines, bag_of_words
+from .network import _FILE_FIELDS, PRESENT, Network
 
 logger = logging.getLogger(__name__)
 
 # Preferred cell-tuple order for the default domain; matches the
 # `action,color,size,shape` order used by the scene and instruction files.
-CANONICAL_CELL_ORDER = ("Action", "Color", "Size", "Shape")
+CANONICAL_CELL_ORDER = _FILE_FIELDS[0] + _FILE_FIELDS[1]
 
 
 def default_cells(network: Network) -> tuple[str, ...]:
@@ -58,8 +58,8 @@ class NBestList:
         if not self.hypotheses:
             raise ValueError("N-best list must be nonempty")
         for tokens, p in self.hypotheses:
-            if p <= 0:
-                raise ValueError(f"acoustic probability must be positive, got {p}")
+            if not 0 < p < np.inf:
+                raise ValueError(f"acoustic probability must be finite and positive, got {p}")
 
 
 @dataclass(frozen=True)
@@ -183,19 +183,39 @@ def predict_compatible_set(
     return out
 
 
-def _object_cell_index(
-    table: StateTable, cells: Sequence[str], action: str, obj: SceneObject
-) -> tuple[int, ...]:
-    idx = []
-    for name in cells:
-        v = table.network.variable(name)
-        if v.kind == "action":
-            idx.append(v.index_of(action))
-        else:
-            if name not in obj.features:
-                raise ValueError(f"scene object {obj.id!r} does not bind {name!r}")
-            idx.append(v.index_of(obj.features[name]))
-    return tuple(idx)
+def _scene_scorer(network: Network, scene: Sequence[SceneObject]):
+    """Check the scene and index its (action, object) pairs in the cell grid.
+
+    Returns the pairs, action-major in action value order then scene order,
+    and a function giving p(bag | action, object) for each pair, with the
+    effects summed out under the state model.
+    """
+    if not scene:
+        raise ValueError("scene must contain at least one object")
+    ids = [obj.id for obj in scene]
+    for i, obj_id in enumerate(ids):
+        if obj_id in ids[:i]:
+            raise ValueError(f"duplicate scene object id {obj_id!r}")
+    table = StateTable(network)
+    cells = default_cells(network)
+    cell_vars = [network.variable(c) for c in cells]
+    action_var = next(v for v in cell_vars if v.kind == "action")
+    for obj in scene:
+        for v in cell_vars:
+            if v is not action_var and v.name not in obj.features:
+                raise ValueError(f"scene object {obj.id!r} does not bind {v.name!r}")
+    pairs, index = [], []
+    for action in action_var.values:
+        for obj in scene:
+            values = {**obj.features, action_var.name: action}
+            pairs.append((action, obj))
+            index.append(tuple(v.index_of(values[v.name]) for v in cell_vars))
+
+    def pair_scores(bag: Iterable[str]) -> list[float]:
+        scores, _ = table.conditional_word_scores(bag, cells)
+        return [float(scores[idx]) for idx in index]
+
+    return pairs, pair_scores
 
 
 def select_action_object(
@@ -210,28 +230,13 @@ def select_action_object(
     a non-informative prior over the grid. Ties break deterministically by
     action order then object order.
     """
-    if not scene:
-        raise ValueError("scene must contain at least one object")
-    table = StateTable(network)
-    cells = default_cells(network)
-    scores, _ = table.conditional_word_scores(bag, cells)
-    action_var = next(v for v in table.variables if v.kind == "action")
-
-    raw: list[tuple[str, str, float]] = []
-    for action in action_var.values:
-        for obj in scene:
-            idx = _object_cell_index(table, cells, action, obj)
-            raw.append((action, obj.id, float(scores[idx])))
+    pairs, pair_scores = _scene_scorer(network, scene)
+    raw = [(action, obj.id, s) for (action, obj), s in zip(pairs, pair_scores(bag))]
     total = sum(s for _, _, s in raw)
     if total > 0:
         raw = [(a, o, s / total) for a, o, s in raw]
-    order = {
-        (a, o): i
-        for i, (a, o) in enumerate(
-            (a, obj.id) for a in action_var.values for obj in scene
-        )
-    }
-    entries = sorted(raw, key=lambda e: (-e[2], order[(e[0], e[1])]))
+    # A stable sort keeps equal scores in pair order.
+    entries = sorted(raw, key=lambda e: -e[2])
     return ActionObjectRanking(entries=tuple(entries), impossible=total == 0.0)
 
 
@@ -257,24 +262,17 @@ def rescore_nbest(
     the sum of the per-object scores. Sorted best first; uniform scaling of
     the acoustic probabilities cannot change the order.
     """
-    if not scene:
-        raise ValueError("scene must contain at least one object")
     if action_aggregate not in ("max", "sum"):
         raise ValueError("action_aggregate must be 'max' or 'sum'")
-    table = StateTable(network)
-    cells = default_cells(network)
-    action_var = next(v for v in table.variables if v.kind == "action")
+    _, pair_scores = _scene_scorer(network, scene)
+    n_objects = len(scene)
 
     results = []
     for tokens, acoustic in nbest.hypotheses:
-        bag = bag_of_words(tokens)
-        scores, _ = table.conditional_word_scores(bag, cells)
+        scores = pair_scores(bag_of_words(tokens))
         per_object: dict[str, float] = {}
-        for obj in scene:
-            by_action = [
-                float(scores[_object_cell_index(table, cells, a, obj)])
-                for a in action_var.values
-            ]
+        for j, obj in enumerate(scene):
+            by_action = scores[j::n_objects]
             per_object[obj.id] = (
                 max(by_action) if action_aggregate == "max" else sum(by_action)
             )
@@ -293,7 +291,7 @@ def rescore_nbest(
 
 # -- scene and N-best files ---------------------------------------------------
 
-_SCENE_FIELDS = ("Color", "Size", "Shape")
+_SCENE_FIELDS = _FILE_FIELDS[1]
 
 
 def parse_scene_line(line: str, lineno: int | None = None) -> SceneObject:
@@ -303,17 +301,14 @@ def parse_scene_line(line: str, lineno: int | None = None) -> SceneObject:
         raise ValueError(f"malformed scene record{where}: expected 'id|color,size,shape'")
     values = parts[1].split(",")
     if len(values) != len(_SCENE_FIELDS):
-        raise ValueError(f"malformed scene record{where}: expected 3 feature values")
+        raise ValueError(
+            f"malformed scene record{where}: expected {len(_SCENE_FIELDS)} feature values"
+        )
     return SceneObject(id=parts[0], features=dict(zip(_SCENE_FIELDS, values)))
 
 
 def load_scene(path) -> list[SceneObject]:
-    scene = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if line.strip():
-                scene.append(parse_scene_line(line, lineno))
-    return scene
+    return [parse_scene_line(line, lineno) for lineno, line in _nonblank_lines(path)]
 
 
 def parse_nbest_line(line: str, lineno: int | None = None) -> tuple[tuple[str, ...], float]:
@@ -329,12 +324,8 @@ def parse_nbest_line(line: str, lineno: int | None = None) -> tuple[tuple[str, .
 
 
 def load_nbest(path) -> NBestList:
-    hyps = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if line.strip():
-                hyps.append(parse_nbest_line(line, lineno))
-    return NBestList(hypotheses=tuple(hyps))
+    lines = _nonblank_lines(path)
+    return NBestList(hypotheses=tuple(parse_nbest_line(line, n) for n, line in lines))
 
 
 def table_scene() -> list[SceneObject]:

@@ -85,6 +85,17 @@ def affordance_variables() -> tuple[Variable, ...]:
     )
 
 
+# The action, feature and effect fields of the default domain in the order
+# of the corpus, scene and instruction files. Size precedes Shape here,
+# unlike in the declaration order above, which the model file and the
+# structure-search tie-breaks depend on.
+_FILE_FIELDS = (
+    ("Action",),
+    ("Color", "Size", "Shape"),
+    ("ObjVel", "HandVel", "ObjHandVel", "Contact"),
+)
+
+
 def default_affordance_parents() -> dict[str, tuple[str, ...]]:
     """Default edge set: every effect conditioned on action and object
     geometry, color isolated."""
@@ -303,34 +314,50 @@ def family_counts(
     return counts.reshape(n_configs, variable.cardinality)
 
 
-def fit_cpts(
-    network: Network, dataset: Sequence[Assignment], pseudocount: float = 1.0
-) -> Network:
-    """Refit every CPT from complete records.
+def _fit_family(
+    variable: Variable,
+    parent_set: Sequence[Variable],
+    columns: Mapping[str, np.ndarray],
+    pseudocount: float,
+) -> np.ndarray:
+    """CPT of `variable` given `parent_set` from encoded columns.
 
-    Each CPT entry becomes ``(count + a) / (row_total + a * cardinality)``.
-    With ``pseudocount == 0`` the fit is the plain maximum-likelihood
-    frequency table (entries may be exactly zero, which is what makes
-    impossible-input detection possible); rows for parent configurations
-    never observed fall back to uniform so that every row still sums to 1.
+    Each entry is ``(count + a) / (row_total + a * cardinality)``. With
+    ``a == 0`` this is the plain maximum-likelihood frequency table (entries
+    may be exactly zero, which is what makes impossible-input detection
+    possible), and rows for parent configurations never observed fall back
+    to uniform so that every row still sums to 1.
     """
     a = float(pseudocount)
     if a < 0:
         raise ValueError("pseudocount must be >= 0")
-    columns = {v.name: _encode_column(v, dataset) for v in network.variables}
-    cpts = {}
-    for v in network.variables:
-        parent_vars = [network.variable(p) for p in network.parents[v.name]]
-        counts = family_counts(v, parent_vars, columns).astype(float)
-        totals = counts.sum(axis=1, keepdims=True)
-        if a > 0:
-            table = (counts + a) / (totals + a * v.cardinality)
-        else:
-            with np.errstate(invalid="ignore"):
-                table = counts / totals
-            table[np.isnan(table)] = 1.0 / v.cardinality
-        cpts[v.name] = table
-    return Network(network.variables, network.parents, cpts, a)
+    counts = family_counts(variable, parent_set, columns).astype(float)
+    totals = counts.sum(axis=1, keepdims=True)
+    if a > 0:
+        return (counts + a) / (totals + a * variable.cardinality)
+    with np.errstate(invalid="ignore"):
+        table = counts / totals
+    table[np.isnan(table)] = 1.0 / variable.cardinality
+    return table
+
+
+def fit_cpts(
+    network: Network, dataset: Sequence[Assignment], pseudocount: float = 1.0
+) -> Network:
+    """Refit every CPT from complete records, keeping the structure.
+
+    Each CPT entry becomes ``(count + a) / (row_total + a * cardinality)``
+    with ``a = pseudocount``; with ``a == 0``, rows for parent configurations
+    never observed are uniform (see `_fit_family`).
+    """
+    columns = encode_columns(network.variables, dataset)
+    cpts = {
+        v.name: _fit_family(
+            v, [network.variable(p) for p in network.parents[v.name]], columns, pseudocount
+        )
+        for v in network.variables
+    }
+    return Network(network.variables, network.parents, cpts, float(pseudocount))
 
 
 # -- inference --------------------------------------------------------------
@@ -449,8 +476,7 @@ def family_log_score(
     Decomposable: depends only on the family's counts, so structure search
     can score candidate parent sets independently per node.
     """
-    names = [variable] + list(parent_set)
-    columns = {v.name: _encode_column(v, dataset) for v in names}
+    columns = encode_columns([variable] + list(parent_set), dataset)
     return score_from_counts(family_counts(variable, parent_set, columns), alpha)
 
 
@@ -494,13 +520,26 @@ def network_to_json(network: Network) -> str:
 
 
 def network_from_json(text: str) -> Network:
+    """Network from a model file's text. Raises ValueError for a missing
+    key, or a CPT row with non-finite or negative entries or a sum more
+    than 1e-9 away from 1."""
     obj = json.loads(text)
-    variables = [
-        Variable(d["name"], tuple(d["values"]), d["kind"]) for d in obj["variables"]
-    ]
-    parents = {name: tuple(ps) for name, ps in obj["parents"].items()}
-    cpts = {name: np.asarray(rows, dtype=float) for name, rows in obj["cpts"].items()}
-    return Network(variables, parents, cpts, float(obj["pseudocount"]))
+    try:
+        variables = [
+            Variable(d["name"], tuple(d["values"]), d["kind"]) for d in obj["variables"]
+        ]
+        parents = {v.name: tuple(obj["parents"][v.name]) for v in variables}
+        cpts = {v.name: np.asarray(obj["cpts"][v.name], dtype=float) for v in variables}
+        pseudocount = float(obj["pseudocount"])
+    except KeyError as exc:
+        raise ValueError(f"model file is missing key {exc}") from None
+    network = Network(variables, parents, cpts, pseudocount)
+    for name, table in network.cpts.items():
+        if not np.all(np.isfinite(table) & (table >= 0)):
+            raise ValueError(f"CPT for {name!r} has non-finite or negative entries")
+        if np.any(np.abs(table.sum(axis=1) - 1.0) > 1e-9):
+            raise ValueError(f"CPT for {name!r} has a row that does not sum to 1")
+    return network
 
 
 def save_network(network: Network, path) -> None:

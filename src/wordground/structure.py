@@ -11,8 +11,8 @@ learn the affordance structure itself.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from dataclasses import dataclass, replace
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from .network import (
     Assignment,
     Network,
     Variable,
+    _fit_family,
     affordance_variables,
     default_affordance_parents,
     encode_columns,
@@ -140,7 +141,6 @@ def learn_word_layer(
     vocab = sorted(set(vocabulary))
     vocab_set = set(vocab)
     aff_names = affordance_network.affordance_names()
-    aff_vars = [affordance_network.variable(n) for n in aff_names]
 
     unknown: set[str] = set()
     for exp in dataset:
@@ -152,47 +152,49 @@ def learn_word_layer(
             ", ".join(sorted(unknown)),
         )
 
-    columns = encode_columns(aff_vars, [exp.state for exp in dataset])
-    fit_a = affordance_network.pseudocount
+    search_config = config
+    if not config.candidate_ordering:
+        search_config = replace(config, candidate_ordering=aff_names)
 
+    def k2_parents(wvar, candidates, columns):
+        if int(columns[wvar.name].sum()) < config.min_word_occurrences:
+            return ()
+        return _k2_encoded(wvar, candidates, columns, search_config)[0]
+
+    return _attach_words(affordance_network, vocab, dataset, k2_parents)
+
+
+def _attach_words(
+    affordance_network: Network,
+    vocabulary: Sequence[str],
+    dataset: Sequence,
+    choose_parents: Callable[..., tuple[str, ...]],
+) -> Network:
+    """Add one presence node per vocabulary word to the affordance network.
+
+    `choose_parents(word_variable, affordance_variables, columns)` picks each
+    word's parents; `columns` holds the encoded states plus the word's
+    presence column. The word's CPT is then fitted with the affordance
+    network's pseudocount.
+    """
+    aff_vars = [affordance_network.variable(n) for n in affordance_network.affordance_names()]
+    columns = encode_columns(aff_vars, [exp.state for exp in dataset])
     word_vars: list[Variable] = []
     word_parents: dict[str, tuple[str, ...]] = {}
     word_cpts: dict[str, np.ndarray] = {}
-    search_config = config
-    if not config.candidate_ordering:
-        search_config = K2Config(
-            max_parents=config.max_parents,
-            candidate_ordering=tuple(aff_names),
-            alpha=config.alpha,
-            min_word_occurrences=config.min_word_occurrences,
-        )
-
-    for word in vocab:
+    for word in vocabulary:
         wvar = word_variable(word)
-        presence = np.fromiter(
+        columns[word] = np.fromiter(
             (1 if word in exp.description else 0 for exp in dataset),
             dtype=np.int64,
             count=len(dataset),
         )
-        columns[word] = presence
-        if int(presence.sum()) < config.min_word_occurrences:
-            parents: tuple[str, ...] = ()
-        else:
-            parents, _ = _k2_encoded(wvar, aff_vars, columns, search_config)
+        parents = choose_parents(wvar, aff_vars, columns)
         parent_vars = [affordance_network.variable(p) for p in parents]
-        counts = family_counts(wvar, parent_vars, columns).astype(float)
-        totals = counts.sum(axis=1, keepdims=True)
-        if fit_a > 0:
-            table = (counts + fit_a) / (totals + fit_a * 2)
-        else:
-            with np.errstate(invalid="ignore"):
-                table = counts / totals
-            table[np.isnan(table)] = 0.5
         word_vars.append(wvar)
         word_parents[word] = parents
-        word_cpts[word] = table
+        word_cpts[word] = _fit_family(wvar, parent_vars, columns, affordance_network.pseudocount)
         del columns[word]
-
     return affordance_network.with_word_layer(word_vars, word_parents, word_cpts)
 
 
@@ -213,12 +215,7 @@ def learn_affordance_structure(
         if not candidates:
             parent_map[var.name] = ()
             continue
-        node_config = K2Config(
-            max_parents=config.max_parents,
-            candidate_ordering=tuple(v.name for v in candidates),
-            alpha=config.alpha,
-            min_word_occurrences=config.min_word_occurrences,
-        )
+        node_config = replace(config, candidate_ordering=tuple(v.name for v in candidates))
         parents, _ = _k2_encoded(var, candidates, columns, node_config)
         parent_map[var.name] = parents
     return parent_map

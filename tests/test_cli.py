@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from wordground.cli import main
@@ -173,3 +175,45 @@ def test_eval_writes_learning_curve(trained, capsys):
     lines = out_csv.read_text().splitlines()
     assert lines[0] == "size,repetition,soft,hard"
     assert len(lines) == 1 + 2 * 2
+
+
+def test_rescore_rejects_non_finite_acoustic_probability(trained, workdir, capsys):
+    root, _, model_path, scene_path = trained
+    nbest = workdir / "nbest.txt"
+    nbest.write_text("nan|tap the ball\n0.5|touch the box\n", encoding="utf-8")
+    code = run(
+        "rescore", "--model", str(model_path), "--scene", str(scene_path),
+        "--nbest", str(nbest),
+    )
+    assert code == 2
+    assert "acoustic probability" in capsys.readouterr().err
+
+
+def test_instruct_rejects_duplicate_scene_ids(trained, workdir, capsys):
+    root, _, model_path, _ = trained
+    scene = workdir / "scene.txt"
+    scene.write_text("a|yellow,small,sphere\na|blue,big,box\n", encoding="utf-8")
+    code = run(
+        "instruct", "--model", str(model_path), "--scene", str(scene),
+        "--words", "tap the ball",
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "duplicate scene object id" in captured.err
+    assert captured.out == ""
+
+
+def test_instruct_rejects_model_with_invalid_cpt(trained, workdir, capsys):
+    root, _, model_path, scene_path = trained
+    model = json.loads(model_path.read_text(encoding="utf-8"))
+    model["cpts"]["Action"] = [[float("nan"), -0.5, 2.0]]
+    bad = workdir / "bad.json"
+    bad.write_text(json.dumps(model), encoding="utf-8")
+    code = run(
+        "instruct", "--model", str(bad), "--scene", str(scene_path),
+        "--words", "tap the ball",
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "Action" in captured.err
+    assert "IMPOSSIBLE" not in captured.out

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -211,3 +216,30 @@ def test_curve_csv_format():
     assert lines[0] == "size,repetition,soft,hard"
     assert lines[1] == "10,0,0.5,1"
     assert lines[2] == "10,1,0.25,0.75"
+
+
+CURVE_SCRIPT = """
+import sys
+from wordground.datagen import build_corpus, default_lexicon, default_world
+from wordground.evaluation import curve_to_csv, default_instructions, staged_learning
+corpus = build_corpus(default_world(), default_lexicon(), 254, 5, seed=3).experiences
+points = staged_learning(corpus, default_instructions(), sizes=(100, 300), repetitions=4, seed=3)
+sys.stdout.write(curve_to_csv(points))
+"""
+
+
+def test_curve_csv_is_identical_under_any_string_hash_seed():
+    # Soft accuracy must not depend on the iteration order of the frozenset
+    # of compatible cells, which follows the per-process string hash seed.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outputs = []
+    for hash_seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", CURVE_SCRIPT],
+            env=env, capture_output=True, text=True, timeout=300, check=True,
+        )
+        outputs.append(proc.stdout)
+    assert outputs[0].startswith("size,repetition,soft,hard\n")
+    assert outputs[0] == outputs[1]

@@ -223,3 +223,44 @@ def test_corpus_vocabulary_sorted_union():
         Experience(state=dict(FULL_STATE), description=frozenset({"c", "a"})),
     ]
     assert corpus_vocabulary(exps) == ["a", "b", "c"]
+
+
+STATE_NAMES = tuple(FULL_STATE)
+# Text with and without the characters the corpus format reserves.
+ANY_TEXT = st.text(alphabet="abZé.!|, \t\n", max_size=4)
+SAFE_TEXT = st.text(alphabet="abZé.!", min_size=1, max_size=4)
+
+
+@given(
+    st.fixed_dictionaries({name: SAFE_TEXT for name in STATE_NAMES}),
+    st.frozensets(ANY_TEXT, max_size=3),
+    st.none() | st.tuples(st.sampled_from(STATE_NAMES), ANY_TEXT),
+)
+def test_corpus_writer_refuses_what_the_reader_cannot_read_back(
+    tmp_path_factory, state, words, replaced
+):
+    if replaced is not None:
+        name, value = replaced
+        state[name] = value
+    exp = Experience(state=state, description=words)
+    path = tmp_path_factory.mktemp("corpus") / "corpus.txt"
+    try:
+        save_corpus([exp, exp], path)
+    except ValueError:
+        assert not path.exists()
+        return
+    assert load_corpus(path) == [exp, exp]
+
+
+@pytest.mark.parametrize("word", ["a|b", "a,b", "a b", "", "Ball", "ball."])
+def test_format_experience_refuses_unreadable_words(word):
+    exp = Experience(state=dict(FULL_STATE), description=frozenset({"the", word}))
+    with pytest.raises(ValueError, match="cannot write"):
+        format_experience(exp)
+
+
+@pytest.mark.parametrize("value", ["a|b", "a,b", "a b", ""])
+def test_format_experience_refuses_unreadable_state_values(value):
+    exp = Experience(state={**FULL_STATE, "Color": value}, description=frozenset({"the"}))
+    with pytest.raises(ValueError, match="cannot write"):
+        format_experience(exp)

@@ -249,6 +249,21 @@ def test_nbest_validation():
         NBestList(hypotheses=((("a",), 0.0),))
 
 
+@pytest.mark.parametrize("p", [float("nan"), float("inf")])
+def test_nbest_rejects_non_finite_probabilities(p):
+    with pytest.raises(ValueError, match="acoustic probability"):
+        NBestList(hypotheses=((("a",), 0.5), (("b",), p)))
+
+
+def test_select_and_rescore_reject_duplicate_object_ids():
+    twin = SceneObject(id="s", features={"Shape": "box"})
+    with pytest.raises(ValueError, match="duplicate scene object id 's'"):
+        select_action_object(toy_net(), ["ball"], [SPHERE, BOX, twin])
+    nbest = NBestList(hypotheses=((("ball",), 1.0),))
+    with pytest.raises(ValueError, match="duplicate scene object id 's'"):
+        rescore_nbest(toy_net(), nbest, [SPHERE, twin])
+
+
 # -- files -------------------------------------------------------------------------
 
 

@@ -1,3 +1,4 @@
+import json
 from itertools import product
 
 import numpy as np
@@ -346,3 +347,55 @@ def test_model_file_roundtrip_fitted_domain_net():
     )
     text = network_to_json(net)
     assert network_to_json(network_from_json(text)) == text
+
+
+def fitted_domain_json():
+    net = fit_cpts(
+        make_network(affordance_variables(), default_affordance_parents()), [], 1.0
+    )
+    return json.loads(network_to_json(net))
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ([float("nan"), 0.5, 0.5], "non-finite or negative"),
+        ([float("inf"), 0.0, 0.0], "non-finite or negative"),
+        ([1.5, -0.5, 0.0], "non-finite or negative"),
+        ([0.5, 0.5, 0.5], "sum to 1"),
+        ([0.3, 0.3, 0.3], "sum to 1"),
+    ],
+)
+def test_model_file_rejects_invalid_cpt_rows(row, message):
+    obj = fitted_domain_json()
+    obj["cpts"]["Action"] = [row]
+    with pytest.raises(ValueError, match=message):
+        network_from_json(json.dumps(obj))
+
+
+def test_model_file_accepts_rows_within_tolerance():
+    obj = fitted_domain_json()
+    obj["cpts"]["Action"] = [[0.5, 0.25, 0.25 + 1e-12]]
+    assert network_from_json(json.dumps(obj)).cpts["Action"][0][2] == 0.25 + 1e-12
+
+
+@pytest.mark.parametrize(
+    "drop",
+    [
+        ("variables",),
+        ("parents",),
+        ("cpts",),
+        ("pseudocount",),
+        ("parents", "Contact"),
+        ("cpts", "Contact"),
+        ("variables", 0, "kind"),
+    ],
+)
+def test_model_file_rejects_missing_keys(drop):
+    obj = fitted_domain_json()
+    parent = obj
+    for key in drop[:-1]:
+        parent = parent[key]
+    del parent[drop[-1]]
+    with pytest.raises(ValueError, match="missing"):
+        network_from_json(json.dumps(obj))

@@ -37,10 +37,8 @@ from .grounding import (
     BagOfWords,
     Experience,
     bag_of_words,
-    description_likelihood,
     load_corpus,
     save_corpus,
-    word_likelihood,
 )
 from .inference import (
     ActionObjectRanking,
@@ -98,7 +96,6 @@ __all__ = [
     "default_lexicon",
     "default_noise_profile",
     "default_world",
-    "description_likelihood",
     "evaluate_instructions",
     "family_log_score",
     "fit_cpts",
@@ -123,5 +120,4 @@ __all__ = [
     "staged_learning",
     "structure_report",
     "train_model",
-    "word_likelihood",
 ]

@@ -238,11 +238,27 @@ def save_lexicon(lexicon: Lexicon, path) -> None:
 
 
 def load_lexicon(path) -> Lexicon:
+    """Lexicon from a JSON file. Raises ValueError unless the file is an
+    object whose `concepts` maps to lists of strings and whose
+    `filler_words` maps to numeric rates."""
     with open(path, encoding="utf-8") as fh:
         obj = json.load(fh)
+    sections = []
+    for key in ("concepts", "filler_words"):
+        section = obj.get(key) if isinstance(obj, dict) else None
+        if not isinstance(section, dict):
+            raise ValueError(f"lexicon file needs a {key!r} object")
+        sections.append(section)
+    concepts, fillers = sections
+    for key, synonyms in concepts.items():
+        if not (isinstance(synonyms, list) and all(isinstance(w, str) for w in synonyms)):
+            raise ValueError(f"lexicon concept {key!r} needs a list of words")
+    for word, rate in fillers.items():
+        if isinstance(rate, bool) or not isinstance(rate, (int, float)):
+            raise ValueError(f"lexicon filler {word!r} needs a numeric rate, got {rate!r}")
     return Lexicon(
-        concepts={k: tuple(v) for k, v in obj["concepts"].items()},
-        filler_words={k: float(v) for k, v in obj["filler_words"].items()},
+        concepts={k: tuple(v) for k, v in concepts.items()},
+        filler_words={k: float(v) for k, v in fillers.items()},
     )
 
 

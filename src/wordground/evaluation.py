@@ -16,9 +16,10 @@ from typing import Sequence
 import numpy as np
 
 from .grounding import BagOfWords, Experience, _nonblank_lines, bag_of_words, corpus_vocabulary
-from .inference import CANONICAL_CELL_ORDER, StateTable, default_cells
+from .inference import CANONICAL_CELL_ORDER, _bag_evidence, default_cells
 from .network import (
     Network,
+    StateTable,
     affordance_variables,
     family_counts,
     fit_cpts,
@@ -85,7 +86,7 @@ def _scored(network: Network, instructions: Sequence[Instruction]):
     cells = default_cells(network)
     cell_vars = [network.variable(c) for c in cells]
     for ins in instructions:
-        post = table.cell_posterior(ins.bag, cells)
+        post = table.posterior(_bag_evidence(network, ins.bag), cells)
         mask = np.zeros(post.shape, dtype=bool)
         for cell in ins.compatible:
             mask[tuple(v.index_of(value) for v, value in zip(cell_vars, cell))] = True
@@ -185,10 +186,15 @@ def staged_learning(
     At the full corpus size there is only one possible subset, so exactly
     one repetition runs and the point has zero variance by construction.
     """
-    points = []
+    if repetitions < 1:
+        raise ValueError(f"repetitions must be at least 1, got {repetitions}")
     for size in sizes:
+        if size < 1:
+            raise ValueError(f"training size must be at least 1, got {size}")
         if size > len(corpus):
             raise ValueError(f"training size {size} exceeds corpus size {len(corpus)}")
+    points = []
+    for size in sizes:
         reps = 1 if size == len(corpus) else repetitions
         scores = []
         for rep in range(reps):

@@ -1,21 +1,18 @@
-"""Bag-of-words utterances and their likelihood under a fitted network.
+"""Bag-of-words utterances, experiences and the corpus file.
 
 An utterance is reduced to the set of distinct lowercase words; order,
 repetition, and grammar are discarded. The likelihood of a description
 given a world state is the product of the per-word presence probabilities
-for exactly the words in the bag.
+for exactly the words in the bag; `network.StateTable` computes it.
 """
 
 from __future__ import annotations
 
-import logging
 import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .network import _FILE_FIELDS, ABSENT, PRESENT, Assignment, Network
-
-logger = logging.getLogger(__name__)
+from .network import _FILE_FIELDS
 
 BagOfWords = frozenset[str]
 
@@ -46,48 +43,6 @@ class Experience:
 
     state: dict[str, str]
     description: BagOfWords
-
-
-def word_likelihood(network: Network, word: str, state: Assignment) -> float:
-    """p(word present | state), a CPT lookup on the word's parents."""
-    variable = network.variable(word)
-    if variable.kind != "word":
-        raise ValueError(f"{word!r} is not a word variable")
-    row = network.cpt_row(word, state)
-    return float(row[variable.values.index(PRESENT)])
-
-
-def description_likelihood(
-    network: Network,
-    bag: Iterable[str],
-    state: Assignment,
-    include_absent_words: bool = False,
-) -> float:
-    """Probability of a word bag given a full affordance state.
-
-    Multiplies presence probabilities over the words in the bag only; words
-    the network never learned are skipped with a warning rather than raised,
-    since instructions may contain words outside the training vocabulary.
-    With `include_absent_words` the remaining vocabulary contributes its
-    absence probabilities too (off by default).
-    """
-    bag = frozenset(bag)
-    known = network.word_names()
-    unknown = sorted(w for w in bag if w not in network)
-    if unknown:
-        logger.warning("skipping unknown words: %s", ", ".join(unknown))
-    p = 1.0
-    for word in bag:
-        if word in unknown:
-            continue
-        p *= word_likelihood(network, word, state)
-    if include_absent_words:
-        for word in known:
-            if word not in bag:
-                variable = network.variable(word)
-                row = network.cpt_row(word, state)
-                p *= float(row[variable.values.index(ABSENT)])
-    return p
 
 
 # -- experience dataset file -------------------------------------------------

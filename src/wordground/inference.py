@@ -1,11 +1,12 @@
 """Using the learned network: instruction following, impossibility
 detection, and N-best rescoring.
 
-All three queries share one mechanism: enumerate every configuration of the
-non-word variables, weight each by the state model and by the presence
-probability of every word in the utterance, and aggregate. Words whose
-parents include effect variables are handled automatically, because effects
-are part of the enumerated space and are summed out under the state model.
+All three queries run on the network's one exact-inference engine,
+`StateTable`: every configuration of the non-word variables is weighted by
+the state model and by the presence probability of every known word in the
+utterance, then summed onto the action and object cells. Words whose
+parents include effect variables are handled automatically, because
+effects are part of the table and are summed out under the state model.
 
 Impossibility is a result state, not an error: a query whose every
 configuration has probability zero returns an all-zero result.
@@ -20,7 +21,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .grounding import _nonblank_lines, bag_of_words
-from .network import _FILE_FIELDS, PRESENT, Network
+from .network import _FILE_FIELDS, PRESENT, Network, StateTable, marginal
 
 logger = logging.getLogger(__name__)
 
@@ -74,92 +75,15 @@ class ActionObjectRanking:
         return self.entries[0]
 
 
-class StateTable:
-    """Dense view of the network's non-word block.
-
-    Rows are the full cartesian product of the affordance variables; the
-    table carries the joint probability of each row and can project any
-    word's presence probability onto the rows. Built once per network and
-    reused across queries.
-    """
-
-    def __init__(self, network: Network):
-        self.network = network
-        self.variables = [network.variable(n) for n in network.affordance_names()]
-        self.names = [v.name for v in self.variables]
-        self.shape = tuple(v.cardinality for v in self.variables)
-        self.n_states = int(np.prod(self.shape))
-        grids = np.indices(self.shape).reshape(len(self.shape), -1)
-        self.columns = {v.name: grids[i] for i, v in enumerate(self.variables)}
-        self.p_x = np.ones(self.n_states)
-        for v in self.variables:
-            rows = self._config_codes(network.parents[v.name])
-            self.p_x *= network.cpts[v.name][rows, self.columns[v.name]]
-
-    def _config_codes(self, parent_names: Sequence[str]) -> np.ndarray:
-        code = np.zeros(self.n_states, dtype=np.int64)
-        for p in parent_names:
-            code = code * self.network.variable(p).cardinality + self.columns[p]
-        return code
-
-    def word_vector(self, word: str) -> np.ndarray:
-        """p(word present | state) for every row."""
-        v = self.network.variable(word)
-        rows = self._config_codes(self.network.parents[word])
-        return self.network.cpts[word][rows, v.values.index(PRESENT)]
-
-    def known_bag(self, bag: Iterable[str]) -> list[str]:
-        words = sorted(set(bag))
-        known, unknown = [], []
-        for w in words:
-            if w in self.network and self.network.variable(w).kind == "word":
-                known.append(w)
-            else:
-                unknown.append(w)
-        if unknown:
-            logger.warning("skipping unknown words: %s", ", ".join(unknown))
-        return known
-
-    def bag_mass(self, bag: Iterable[str]) -> np.ndarray:
-        """Unnormalized joint of state and all bag words present."""
-        mass = self.p_x.copy()
-        for word in self.known_bag(bag):
-            mass *= self.word_vector(word)
-        return mass
-
-    def project(self, vec: np.ndarray, cells: Sequence[str]) -> np.ndarray:
-        """Sum a state-indexed vector onto the cell variables, in cell order."""
-        axes_keep = [self.names.index(c) for c in cells]
-        other = tuple(i for i in range(len(self.names)) if i not in axes_keep)
-        t = vec.reshape(self.shape)
-        if other:
-            t = t.sum(axis=other)
-        kept_sorted = sorted(axes_keep)
-        return t.transpose([kept_sorted.index(a) for a in axes_keep])
-
-    def cell_posterior(
-        self, bag: Iterable[str], cells: Sequence[str]
-    ) -> np.ndarray:
-        """Posterior over the given cell variables; all-zero if impossible."""
-        table = self.project(self.bag_mass(bag), cells)
-        total = table.sum()
-        if total > 0:
-            table = table / total
-        return table
-
-    def conditional_word_scores(
-        self, bag: Iterable[str], cells: Sequence[str]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Per-cell p(bag | cell) with the remaining variables summed out
-        under the state model, plus the per-cell prior mass.
-
-        Cells whose prior mass is zero score zero.
-        """
-        joint_cells = self.project(self.bag_mass(bag), cells)
-        prior_cells = self.project(self.p_x, cells)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            scores = np.where(prior_cells > 0, joint_cells / prior_cells, 0.0)
-        return scores, prior_cells
+def _bag_evidence(network: Network, bag: Iterable[str]) -> dict[str, str]:
+    """The bag's known words, each bound to present. Unknown words are
+    skipped with one warning, since instructions may contain words outside
+    the training vocabulary."""
+    words = sorted(set(bag))
+    unknown = [w for w in words if w not in network or network.variable(w).kind != "word"]
+    if unknown:
+        logger.warning("skipping unknown words: %s", ", ".join(unknown))
+    return {w: PRESENT for w in words if w not in unknown}
 
 
 def predict_compatible_set(
@@ -172,15 +96,8 @@ def predict_compatible_set(
     Normalized when any cell has mass; the all-zero table marks an
     impossible request.
     """
-    table = StateTable(network)
     cells = tuple(cells) if cells is not None else default_cells(network)
-    posterior = table.cell_posterior(bag, cells)
-    cell_vars = [network.variable(c) for c in cells]
-    out: dict[tuple[str, ...], float] = {}
-    for idx in np.ndindex(posterior.shape):
-        key = tuple(v.values[i] for v, i in zip(cell_vars, idx))
-        out[key] = float(posterior[idx])
-    return out
+    return marginal(network, cells, _bag_evidence(network, bag))
 
 
 def _scene_scorer(network: Network, scene: Sequence[SceneObject]):
@@ -211,8 +128,12 @@ def _scene_scorer(network: Network, scene: Sequence[SceneObject]):
             pairs.append((action, obj))
             index.append(tuple(v.index_of(values[v.name]) for v in cell_vars))
 
+    prior = table.joint({}, cells)
+
     def pair_scores(bag: Iterable[str]) -> list[float]:
-        scores, _ = table.conditional_word_scores(bag, cells)
+        joint = table.joint(_bag_evidence(network, bag), cells)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            scores = np.where(prior > 0, joint / prior, 0.0)
         return [float(scores[idx]) for idx in index]
 
     return pairs, pair_scores

@@ -2,8 +2,9 @@
 
 Representation of named discrete variables and a DAG of conditional
 probability tables, maximum-a-posteriori parameter fitting with symmetric
-Dirichlet smoothing, exact inference by enumeration, and the decomposable
-Bayesian-Dirichlet family score used by structure search.
+Dirichlet smoothing, exact inference on a dense table of the non-word
+states (`StateTable`, the one engine behind every query), and the
+decomposable Bayesian-Dirichlet family score used by structure search.
 
 Networks are immutable after construction: fitting returns a new network,
 and all query operations are read-only.
@@ -13,8 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import product
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 from scipy.special import gammaln
@@ -152,10 +152,8 @@ class Network:
             for p in ps:
                 if p not in self._by_name:
                     raise ValueError(f"unknown variable name {p!r} in parents of {v.name!r}")
-                if v.kind == "word" and self._by_name[p].kind == "word":
-                    raise ValueError(
-                        f"word variable {v.name!r} cannot have word parent {p!r}"
-                    )
+                if self._by_name[p].kind == "word":
+                    raise ValueError(f"variable {v.name!r} cannot have word parent {p!r}")
             if len(set(ps)) != len(ps):
                 raise ValueError(f"duplicate parent in parents of {v.name!r}")
             self.parents[v.name] = ps
@@ -207,11 +205,6 @@ class Network:
 
     def cpt_row(self, name: str, assignment: Assignment) -> np.ndarray:
         return self.cpts[name][self.parent_config_index(name, assignment)]
-
-    def prob(self, name: str, assignment: Assignment) -> float:
-        """p(name = assignment[name] | parents as bound in assignment)."""
-        v = self._by_name[name]
-        return float(self.cpt_row(name, assignment)[v.index_of(assignment[name])])
 
     def word_names(self) -> tuple[str, ...]:
         return tuple(v.name for v in self.variables if v.kind == "word")
@@ -363,34 +356,74 @@ def fit_cpts(
 # -- inference --------------------------------------------------------------
 
 
+class StateTable:
+    """Exact inference on a dense joint table of the non-word variables.
+
+    Rows are the full cartesian product of the non-word variables, and
+    `p_x` holds the joint probability of each row. A query multiplies in one
+    factor per bound variable: an indicator for a non-word variable, and for
+    a word its CPT column at the bound value. Words are leaves, so every
+    unbound word sums out to one and only the bound ones enter. Summing the
+    product onto the query variables gives their exact joint with the
+    evidence.
+    """
+
+    def __init__(self, network: Network):
+        self.network = network
+        self.variables = [network.variable(n) for n in network.affordance_names()]
+        self.names = [v.name for v in self.variables]
+        self.shape = tuple(v.cardinality for v in self.variables)
+        self.n_states = int(np.prod(self.shape))
+        grids = np.indices(self.shape).reshape(len(self.shape), -1)
+        self.columns = {v.name: grids[i] for i, v in enumerate(self.variables)}
+        self.p_x = np.ones(self.n_states)
+        for v in self.variables:
+            rows = self._config_codes(network.parents[v.name])
+            self.p_x *= network.cpts[v.name][rows, self.columns[v.name]]
+
+    def _config_codes(self, parent_names: Sequence[str]) -> np.ndarray:
+        code = np.zeros(self.n_states, dtype=np.int64)
+        for p in parent_names:
+            code = code * self.network.variable(p).cardinality + self.columns[p]
+        return code
+
+    def joint(self, evidence: Assignment, cells: Sequence[str]) -> np.ndarray:
+        """p(cells, evidence) as an array over the cell variables' values,
+        in cell order. Word factors multiply in sorted word order, so the
+        result does not depend on the order of the evidence."""
+        mass = self.p_x.copy()
+        words = []
+        for name, value in evidence.items():
+            v = self.network.variable(name)
+            i = v.index_of(value)
+            if v.kind == "word":
+                words.append((name, i))
+            else:
+                mass *= self.columns[name] == i
+        for name, i in sorted(words):
+            mass *= self.network.cpts[name][self._config_codes(self.network.parents[name]), i]
+        keep = [self.names.index(c) for c in cells]
+        table = mass.reshape(self.shape).sum(
+            axis=tuple(i for i in range(len(self.names)) if i not in keep)
+        )
+        kept_sorted = sorted(keep)
+        return table.transpose([kept_sorted.index(a) for a in keep])
+
+    def posterior(self, evidence: Assignment, cells: Sequence[str]) -> np.ndarray:
+        """`joint` normalised over the cells; the all-zero table when the
+        evidence has probability zero."""
+        table = self.joint(evidence, cells)
+        total = table.sum()
+        return table / total if total > 0 else table
+
+
 def joint_probability(network: Network, assignment: Assignment) -> float:
     """Probability of one full configuration: the product of CPT lookups."""
     missing = [v.name for v in network.variables if v.name not in assignment]
     if missing:
         raise ValueError(f"assignment is partial, missing {missing}")
-    p = 1.0
-    for v in network.variables:
-        p *= network.prob(v.name, assignment)
-    return p
-
-
-def _relevant_variables(
-    network: Network, targets: Iterable[str]
-) -> list[str]:
-    """Targets plus all their ancestors, in network declaration order.
-
-    Variables outside this set are barren for the query: summing them out
-    contributes a factor of exactly one, so enumeration can skip them.
-    """
-    needed: set[str] = set()
-    stack = list(targets)
-    while stack:
-        name = stack.pop()
-        if name in needed:
-            continue
-        needed.add(name)
-        stack.extend(network.parents[name])
-    return [v.name for v in network.variables if v.name in needed]
+    full = {v.name: assignment[v.name] for v in network.variables}
+    return float(StateTable(network).joint(full, ()))
 
 
 def marginal(
@@ -398,9 +431,9 @@ def marginal(
     query_variables: Sequence[str],
     evidence: Assignment | None = None,
 ) -> dict[tuple[str, ...], float]:
-    """Exact conditional distribution over joint query values.
+    """Exact conditional distribution over joint values of non-word query
+    variables.
 
-    Enumerates every configuration of the non-barren unbound variables.
     If the evidence has probability zero the result is the designated
     all-zero table rather than an error, so callers can detect impossible
     inputs.
@@ -412,36 +445,15 @@ def marginal(
     overlap = set(query) & set(evidence)
     if overlap:
         raise ValueError(f"query and evidence overlap on {sorted(overlap)}")
-    for name in query:
-        network.variable(name)
-    for name, value in evidence.items():
-        network.variable(name).index_of(value)
-
-    relevant = _relevant_variables(network, list(query) + list(evidence))
-    hidden = [n for n in relevant if n not in evidence and n not in query]
     query_vars = [network.variable(n) for n in query]
-
-    result: dict[tuple[str, ...], float] = {
-        cell: 0.0 for cell in product(*(v.values for v in query_vars))
+    words = [v.name for v in query_vars if v.kind == "word"]
+    if words:
+        raise ValueError(f"cannot query word variables {words}")
+    posterior = StateTable(network).posterior(evidence, query)
+    return {
+        tuple(v.values[i] for v, i in zip(query_vars, idx)): float(posterior[idx])
+        for idx in np.ndindex(posterior.shape)
     }
-    assignment = dict(evidence)
-    for cell in result:
-        assignment.update(zip(query, cell))
-        total = 0.0
-        for hvals in product(*(network.variable(h).values for h in hidden)):
-            assignment.update(zip(hidden, hvals))
-            p = 1.0
-            for name in relevant:
-                p *= network.prob(name, assignment)
-                if p == 0.0:
-                    break
-            total += p
-        result[cell] = total
-
-    z = sum(result.values())
-    if z == 0.0:
-        return result
-    return {cell: p / z for cell, p in result.items()}
 
 
 # -- Bayesian-Dirichlet family score ----------------------------------------

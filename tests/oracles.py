@@ -82,6 +82,21 @@ def random_binary_net(rng: np.random.Generator, n_nodes: int):
     return values_map, parents_map, cpt_map
 
 
+def with_one_hot_rows(rng: np.random.Generator, cpt_map, rate: float = 0.4):
+    """Copy of `cpt_map` with each row, at the given rate, replaced by a
+    random one-hot row, so the net has exact zeros and some evidence is
+    impossible."""
+    out = {}
+    for name, rows in cpt_map.items():
+        out[name] = []
+        for row in rows:
+            if rng.random() < rate:
+                hot = rng.integers(len(row))
+                row = [float(i == hot) for i in range(len(row))]
+            out[name].append(row)
+    return out
+
+
 def to_network(values_map, parents_map, cpt_map):
     """Build the library's network object from a raw net."""
     from wordground.network import Network, Variable

@@ -217,3 +217,30 @@ def test_instruct_rejects_model_with_invalid_cpt(trained, workdir, capsys):
     captured = capsys.readouterr()
     assert "Action" in captured.err
     assert "IMPOSSIBLE" not in captured.out
+
+
+def test_generate_rejects_malformed_lexicon(workdir, capsys):
+    lexicon = workdir / "lexicon.json"
+    for obj in ({"concepts": {}}, {"words": 5}):
+        lexicon.write_text(json.dumps(obj), encoding="utf-8")
+        code = run(
+            "generate", "--out", str(workdir / "data"), "--seed", "0",
+            "--lexicon", str(lexicon),
+        )
+        assert code == 2
+        assert "lexicon" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [(("--sizes", "50", "--reps", "0"), "repetitions"), (("--sizes", "0"), "training size")],
+)
+def test_eval_rejects_non_positive_counts(trained, capsys, extra, message):
+    root, corpus_path, _, _ = trained
+    out_csv = root / "rejected.csv"
+    code = run(
+        "eval", "--corpus", str(corpus_path), "--out", str(out_csv), "--seed", "3", *extra
+    )
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out_csv.exists()

@@ -1,3 +1,4 @@
+import json
 from collections import Counter
 
 import numpy as np
@@ -206,6 +207,40 @@ def test_lexicon_file_roundtrip(tmp_path):
     path = tmp_path / "lexicon.json"
     save_lexicon(LEXICON, path)
     assert load_lexicon(path) == LEXICON
+
+
+def test_lexicon_file_roundtrip_custom_lexicon(tmp_path):
+    lexicon = Lexicon(
+        concepts={"subject": ("robot",), "shape=sphere": ("ball", "orb")},
+        filler_words={"the": 1.0, "just": 0.125, "um": 0.0},
+    )
+    path = tmp_path / "lexicon.json"
+    save_lexicon(lexicon, path)
+    assert load_lexicon(path) == lexicon
+    save_lexicon(load_lexicon(path), tmp_path / "again.json")
+    assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        ({"concepts": {}}, "filler_words"),
+        ({"words": 5}, "concepts"),
+        ([], "object"),
+        ({"concepts": [], "filler_words": {}}, "concepts"),
+        ({"concepts": {}, "filler_words": ["the"]}, "filler_words"),
+        ({"concepts": {"subject": "he"}, "filler_words": {}}, "subject"),
+        ({"concepts": {"subject": ["he", 3]}, "filler_words": {}}, "subject"),
+        ({"concepts": {}, "filler_words": {"the": "often"}}, "the"),
+        ({"concepts": {}, "filler_words": {"the": None}}, "the"),
+        ({"concepts": {}, "filler_words": {"the": True}}, "the"),
+    ],
+)
+def test_load_lexicon_rejects_malformed_file(tmp_path, obj, message):
+    path = tmp_path / "lexicon.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    with pytest.raises(ValueError, match=message):
+        load_lexicon(path)
 
 
 # -- noise channel -----------------------------------------------------------------

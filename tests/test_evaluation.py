@@ -203,6 +203,20 @@ def test_staged_learning_rejects_oversized_request(corpus):
         staged_learning(corpus, default_instructions(), sizes=(len(corpus) + 1,))
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        (dict(sizes=(40,), repetitions=0), "repetitions"),
+        (dict(sizes=(40,), repetitions=-1), "repetitions"),
+        (dict(sizes=(0,)), "training size"),
+        (dict(sizes=(40, -5)), "training size"),
+    ],
+)
+def test_staged_learning_rejects_non_positive_counts(corpus, kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        staged_learning(corpus, default_instructions(), **kwargs)
+
+
 def test_default_sizes_match_protocol():
     assert DEFAULT_SIZES == (100, 300, 500, 700, 900, 1100, 1270)
 

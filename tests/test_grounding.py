@@ -7,15 +7,16 @@ from wordground.grounding import (
     Experience,
     bag_of_words,
     corpus_vocabulary,
-    description_likelihood,
     format_experience,
     load_corpus,
     parse_experience,
     save_corpus,
-    word_likelihood,
 )
+from wordground.inference import predict_compatible_set
 from wordground.network import (
+    PRESENT,
     Network,
+    StateTable,
     Variable,
     fit_cpts,
     make_network,
@@ -53,15 +54,11 @@ def test_bag_order_and_repetition_invariant(tokens):
     assert bag_of_words(tokens) == bag_of_words(list(reversed(tokens)) + tokens)
 
 
-# -- word likelihood ------------------------------------------------------------
+# -- word likelihood: p(word present | state), one row of the word's CPT --------
 
 
-def word_net(parents, rows, word="w"):
-    """Tiny net: ternary Action root plus one word node."""
-    action = Variable("Action", ("grasp", "tap", "touch"), "action")
-    w = word_variable(word)
-    cpts = {"Action": np.array([[1 / 3, 1 / 3, 1 / 3]]), word: np.array(rows, dtype=float)}
-    return Network([action, w], {"Action": (), word: tuple(parents)}, cpts)
+def word_likelihood(net, word, state):
+    return net.cpt_row(word, state)[net.variable(word).index_of(PRESENT)]
 
 
 def test_word_likelihood_matches_laplace_frequency():
@@ -101,13 +98,15 @@ def test_word_likelihood_deterministic_indicator_approaches_one():
     assert word_likelihood(tiny, "w", {"Action": "grasp"}) > 1 - 1e-6
 
 
-def test_word_likelihood_rejects_non_word():
-    net = word_net([], [[0.5, 0.5]])
-    with pytest.raises(ValueError):
-        word_likelihood(net, "Action", {})
+# -- description likelihood: p(bag | state) from the state table -----------------
 
 
-# -- description likelihood -------------------------------------------------------
+def description_likelihood(net, bag, state):
+    """The engine's joint of the state and the bag words present, divided
+    by the state's prior mass."""
+    table = StateTable(net)
+    bound = {**state, **{w: PRESENT for w in bag}}
+    return float(table.joint(bound, ()) / table.joint(state, ()))
 
 
 def two_word_net(p, q):
@@ -121,51 +120,8 @@ def two_word_net(p, q):
     return Network([action, w1, w2], {"Action": (), "w1": (), "w2": ()}, cpts)
 
 
-STATE = {"Action": "tap"}
-
-
-def test_description_likelihood_empty_bag_is_one():
-    net = two_word_net(0.3, 0.6)
-    assert description_likelihood(net, [], STATE) == 1.0
-
-
-def test_description_likelihood_single_word_equals_word_likelihood():
-    net = two_word_net(0.3, 0.6)
-    assert description_likelihood(net, ["w1"], STATE) == word_likelihood(net, "w1", STATE)
-
-
-def test_description_likelihood_independent_words_multiply():
-    # fitted frequencies 30/100 and 52/100 with alpha=1
-    p = (30 + 1) / 102
-    q = (52 + 1) / 102
-    net = two_word_net(p, q)
-    assert abs(description_likelihood(net, ["w1", "w2"], STATE) - p * q) < 1e-15
-
-
-def test_description_likelihood_skips_unknown_words(caplog):
-    net = two_word_net(0.3, 0.6)
-    with caplog.at_level("WARNING"):
-        got = description_likelihood(net, ["w1", "zebra"], STATE)
-    assert got == word_likelihood(net, "w1", STATE)
-    assert "zebra" in caplog.text
-
-
-def test_description_likelihood_absent_word_flag():
-    net = two_word_net(0.3, 0.6)
-    got = description_likelihood(net, ["w1"], STATE, include_absent_words=True)
-    assert abs(got - 0.3 * 0.4) < 1e-15
-
-
-@given(st.permutations(["w1", "w2", "w1", "w2"]))
-def test_description_likelihood_order_and_repetition_invariant(tokens):
-    net = two_word_net(0.3, 0.6)
-    assert description_likelihood(net, tokens, STATE) == description_likelihood(
-        net, ["w1", "w2"], STATE
-    )
-
-
-def test_description_likelihood_in_unit_interval_with_smoothing():
-    rng = np.random.default_rng(6)
+def smoothed_net(seed=6):
+    rng = np.random.default_rng(seed)
     net = make_network(
         [Variable("Action", ("grasp", "tap", "touch"), "action"), word_variable("w1"), word_variable("w2")],
         {"Action": (), "w1": ("Action",), "w2": ()},
@@ -178,7 +134,57 @@ def test_description_likelihood_in_unit_interval_with_smoothing():
         }
         for _ in range(50)
     ]
-    fitted = fit_cpts(net, records, 1.0)
+    return fit_cpts(net, records, 1.0)
+
+
+STATE = {"Action": "tap"}
+
+
+def test_description_likelihood_empty_bag_is_one():
+    net = two_word_net(0.3, 0.6)
+    assert description_likelihood(net, [], STATE) == 1.0
+
+
+def test_description_likelihood_single_word_equals_word_likelihood():
+    net = smoothed_net()
+    for action in ("grasp", "tap", "touch"):
+        state = {"Action": action}
+        got = description_likelihood(net, ["w1"], state)
+        assert abs(got - word_likelihood(net, "w1", state)) < 1e-15
+
+
+def test_description_likelihood_independent_words_multiply():
+    # fitted frequencies 30/100 and 52/100 with alpha=1
+    p = (30 + 1) / 102
+    q = (52 + 1) / 102
+    net = two_word_net(p, q)
+    assert abs(description_likelihood(net, ["w1", "w2"], STATE) - p * q) < 1e-15
+
+
+def test_description_likelihood_skips_unknown_words(caplog):
+    net = smoothed_net()
+    with caplog.at_level("WARNING"):
+        got = predict_compatible_set(net, ["w1", "zebra"])
+    assert got == predict_compatible_set(net, ["w1"])
+    assert got != predict_compatible_set(net, [])
+    assert "skipping unknown words: zebra" in caplog.text
+
+
+@given(st.permutations(["w1", "w2", "Action"]))
+def test_description_likelihood_order_and_repetition_invariant(names):
+    # The engine multiplies word factors in sorted order, whatever the
+    # order of the evidence; a query's bag deduplicates repeated words.
+    net = smoothed_net()
+    table = StateTable(net)
+    values = {"w1": PRESENT, "w2": PRESENT, "Action": "tap"}
+    bound = {name: values[name] for name in names}
+    assert table.joint(bound, ()) == table.joint(values, ())
+    words = [name for name in names if name != "Action"]
+    assert predict_compatible_set(net, words * 2) == predict_compatible_set(net, ["w1", "w2"])
+
+
+def test_description_likelihood_in_unit_interval_with_smoothing():
+    fitted = smoothed_net()
     for action in ("grasp", "tap", "touch"):
         p = description_likelihood(fitted, ["w1", "w2"], {"Action": action})
         assert 0.0 < p <= 1.0

@@ -104,6 +104,24 @@ def test_predict_compatible_set_matches_bruteforce_oracle():
             assert abs(got[key] - value) < 1e-12
 
 
+def test_marginal_with_absent_word_evidence_matches_bruteforce_oracle():
+    net = toy_net()
+    values_map, parents_map, cpt_map = raw_toy()
+    for evidence in (
+        {"ball": "absent"},
+        {"ball": "absent", "moving": "present"},
+        {"moving": "absent", "Shape": "sphere"},
+        {"ball": "present", "Shape": "box"},  # "ball" is never said of a box
+    ):
+        query = [n for n in ("Action", "Shape", "Motion") if n not in evidence]
+        got = marginal(net, query, evidence)
+        expected = oracle_marginal(values_map, parents_map, cpt_map, query, evidence)
+        assert got.keys() == expected.keys()
+        for key, value in expected.items():
+            assert abs(got[key] - value) < 1e-12
+    assert set(marginal(net, ["Action"], {"ball": "present", "Shape": "box"}).values()) == {0.0}
+
+
 def test_predict_compatible_set_equals_marginal_on_trained_model():
     corpus = build_corpus(default_world(), default_lexicon(), 120, 3, seed=2).experiences
     net = train_model(corpus)

@@ -21,9 +21,11 @@ from wordground.network import (
 
 from oracles import (
     oracle_family_score,
+    oracle_joint,
     oracle_marginal,
     random_binary_net,
     to_network,
+    with_one_hot_rows,
 )
 
 
@@ -58,6 +60,12 @@ def test_make_network_rejects_word_parent_of_word():
         make_network(
             [word_variable("w1"), word_variable("w2")], {"w1": ["w2"], "w2": []}
         )
+
+
+def test_make_network_rejects_word_parent_of_state_variable():
+    # Words are leaves: the state-table engine sums every unbound word out.
+    with pytest.raises(ValueError, match="word parent"):
+        make_network([binary("A"), word_variable("w")], {"A": ["w"], "w": []})
 
 
 def test_make_network_rejects_unknown_name():
@@ -220,6 +228,48 @@ def test_marginal_matches_bruteforce_on_random_nets():
         expected = oracle_marginal(values_map, parents_map, cpt_map, query, evidence)
         for key, value in expected.items():
             assert abs(got[key] - value) < 1e-12
+
+
+def test_marginal_and_joint_match_bruteforce_on_nets_with_exact_zeros():
+    worst = 0.0
+    all_zero_cases = 0
+    for trial in range(300):
+        rng = np.random.default_rng(1000 + trial)
+        n_nodes = int(rng.integers(2, 7))
+        values_map, parents_map, cpt_map = random_binary_net(rng, n_nodes)
+        cpt_map = with_one_hot_rows(rng, cpt_map)
+        net = to_network(values_map, parents_map, cpt_map)
+        names = list(values_map)
+
+        assignment = {n: ("f", "t")[rng.integers(2)] for n in names}
+        got = joint_probability(net, assignment)
+        worst = max(worst, abs(got - oracle_joint(values_map, parents_map, cpt_map, assignment)))
+
+        order = list(rng.permutation(names))
+        k = int(rng.integers(1, min(3, n_nodes) + 1))
+        query = order[:k]
+        evidence = {n: ("f", "t")[rng.integers(2)] for n in order[k : k + 2]}
+        got_dist = marginal(net, query, evidence)
+        want_dist = oracle_marginal(values_map, parents_map, cpt_map, query, evidence)
+        if sum(want_dist.values()) == 0.0:
+            all_zero_cases += 1
+            assert all(value == 0.0 for value in got_dist.values())
+        for key, value in want_dist.items():
+            worst = max(worst, abs(got_dist[key] - value))
+    assert worst < 1e-12
+    assert all_zero_cases >= 10
+
+
+def test_marginal_rejects_word_query():
+    net = Network(
+        [binary("A"), word_variable("w")],
+        {"A": (), "w": ("A",)},
+        {"A": np.array([[0.5, 0.5]]), "w": np.array([[0.9, 0.1], [0.2, 0.8]])},
+    )
+    with pytest.raises(ValueError, match="word"):
+        marginal(net, ["w"])
+    with pytest.raises(ValueError, match="word"):
+        marginal(net, ["A", "w"], {})
 
 
 def test_joint_summed_over_completions_matches_marginal():

@@ -15,18 +15,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .grounding import BagOfWords, Experience, _nonblank_lines, bag_of_words, corpus_vocabulary
+from .grounding import BagOfWords, Experience, _nonblank_lines, bag_of_words
 from .inference import CANONICAL_CELL_ORDER, _bag_evidence, default_cells
-from .network import (
-    Network,
-    StateTable,
-    affordance_variables,
-    family_counts,
-    fit_cpts,
-    make_network,
-    score_from_counts,
+from .network import Network, StateTable, affordance_variables, fit_cpts, make_network
+from .structure import (
+    EncodedCorpus,
+    K2Config,
+    _attach_words,
+    _best_single_parents,
+    train_model,
 )
-from .structure import K2Config, _attach_words, train_model
 
 Cell = tuple[str, str, str, str]  # (action, color, size, shape)
 
@@ -154,19 +152,14 @@ def build_baseline_network(
     would have scored better.
     """
     variables = affordance_variables()
+    corpus = EncodedCorpus.encode(dataset, variables)
     aff = make_network(variables, {v.name: () for v in variables})
-    aff = fit_cpts(aff, [e.state for e in dataset], pseudocount)
-    vocab = sorted(set(vocabulary if vocabulary is not None else corpus_vocabulary(dataset)))
-
-    def best_single_parent(wvar, candidates, columns):
-        # max keeps the first of equal scores: declaration order breaks ties
-        best = max(
-            candidates,
-            key=lambda c: score_from_counts(family_counts(wvar, [c], columns), alpha),
-        )
-        return (best.name,)
-
-    return _attach_words(aff, vocab, dataset, best_single_parent)
+    aff = fit_cpts(aff, corpus.columns, pseudocount)
+    vocab = sorted(set(vocabulary)) if vocabulary is not None else list(corpus.words)
+    presence = corpus.word_presence(vocab)
+    best = _best_single_parents(presence, 2, variables, corpus.columns, alpha)
+    parents = {word: (parent,) for word, parent in zip(vocab, best)}
+    return _attach_words(aff, vocab, presence, corpus.columns, parents)
 
 
 # -- staged learning ---------------------------------------------------------------
@@ -185,6 +178,8 @@ def staged_learning(
 
     At the full corpus size there is only one possible subset, so exactly
     one repetition runs and the point has zero variance by construction.
+    The corpus is encoded once; each model trains on an index subset of the
+    encoding, with the words that occur in the subset as its vocabulary.
     """
     if repetitions < 1:
         raise ValueError(f"repetitions must be at least 1, got {repetitions}")
@@ -193,19 +188,19 @@ def staged_learning(
             raise ValueError(f"training size must be at least 1, got {size}")
         if size > len(corpus):
             raise ValueError(f"training size {size} exceeds corpus size {len(corpus)}")
+    encoded = EncodedCorpus.encode(corpus)
     points = []
     for size in sizes:
         reps = 1 if size == len(corpus) else repetitions
         scores = []
         for rep in range(reps):
             if size == len(corpus):
-                subset = list(corpus)
+                subset = encoded
             else:
                 rng = np.random.default_rng(
                     np.random.SeedSequence(entropy=seed, spawn_key=(size, rep))
                 )
-                idx = rng.choice(len(corpus), size=size, replace=False)
-                subset = [corpus[i] for i in idx]
+                subset = encoded.subset(rng.choice(len(corpus), size=size, replace=False))
             net = train_model(subset, pseudocount=pseudocount, config=config)
             result = evaluate_instructions(net, instructions)
             scores.append((result.soft, result.hard))

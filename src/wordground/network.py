@@ -5,6 +5,10 @@ probability tables, maximum-a-posteriori parameter fitting with symmetric
 Dirichlet smoothing, exact inference on a dense table of the non-word
 states (`StateTable`, the one engine behind every query), and the
 decomposable Bayesian-Dirichlet family score used by structure search.
+The score's log-gamma terms come from a table built once per search with
+`math.lgamma` (`_score_terms`), indexed by counts and row totals, and each
+family's terms are added in ascending order (`_observed_scores`), so that
+parent sets with the same counts score exactly alike.
 
 Networks are immutable after construction: fitting returns a new network,
 and all query operations are read-only.
@@ -13,11 +17,11 @@ and all query operations are read-only.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.special import gammaln
 
 KINDS = ("action", "feature", "effect", "word")
 
@@ -322,8 +326,8 @@ def _fit_family(
     to uniform so that every row still sums to 1.
     """
     a = float(pseudocount)
-    if a < 0:
-        raise ValueError("pseudocount must be >= 0")
+    if not (math.isfinite(a) and a >= 0):
+        raise ValueError(f"pseudocount must be a finite number >= 0, got {pseudocount!r}")
     counts = family_counts(variable, parent_set, columns).astype(float)
     totals = counts.sum(axis=1, keepdims=True)
     if a > 0:
@@ -334,16 +338,30 @@ def _fit_family(
     return table
 
 
+def _as_columns(
+    variables: Sequence[Variable],
+    dataset: Sequence[Assignment] | Mapping[str, np.ndarray],
+) -> Mapping[str, np.ndarray]:
+    """Value-index columns of `dataset`: records are encoded, and a mapping
+    of columns, as `encode_columns` returns it, is already encoded."""
+    if isinstance(dataset, Mapping):
+        return dataset
+    return encode_columns(variables, dataset)
+
+
 def fit_cpts(
-    network: Network, dataset: Sequence[Assignment], pseudocount: float = 1.0
+    network: Network,
+    dataset: Sequence[Assignment] | Mapping[str, np.ndarray],
+    pseudocount: float = 1.0,
 ) -> Network:
-    """Refit every CPT from complete records, keeping the structure.
+    """Refit every CPT from complete records, or from their encoded
+    columns, keeping the structure.
 
     Each CPT entry becomes ``(count + a) / (row_total + a * cardinality)``
     with ``a = pseudocount``; with ``a == 0``, rows for parent configurations
     never observed are uniform (see `_fit_family`).
     """
-    columns = encode_columns(network.variables, dataset)
+    columns = _as_columns(network.variables, dataset)
     cpts = {
         v.name: _fit_family(
             v, [network.variable(p) for p in network.parents[v.name]], columns, pseudocount
@@ -459,22 +477,51 @@ def marginal(
 # -- Bayesian-Dirichlet family score ----------------------------------------
 
 
+def _score_terms(alpha: float, r: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The family score's terms for a variable with `r` values, tabulated
+    for counts and row totals 0..n: ``lgamma(alpha + c) - lgamma(alpha)``
+    per count c, and ``lgamma(r * alpha) - lgamma(r * alpha + t)`` per row
+    total t."""
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise ValueError(f"alpha must be a finite number > 0, got {alpha!r}")
+    grid = np.arange(n + 1, dtype=float)
+    cell = np.fromiter(map(math.lgamma, alpha + grid), float, n + 1) - math.lgamma(alpha)
+    row = math.lgamma(r * alpha) - np.fromiter(map(math.lgamma, r * alpha + grid), float, n + 1)
+    return cell, row
+
+
+def _observed_scores(
+    counts: np.ndarray, totals: np.ndarray, terms: tuple[np.ndarray, np.ndarray]
+) -> np.ndarray:
+    """Family scores of a batch of variables over the same observed parent
+    configurations.
+
+    `counts` has shape (variables, configurations, r) and holds only the
+    configurations whose row total, the same for every variable, is
+    nonzero; `totals` holds those row totals and `terms` comes from
+    `_score_terms`. Each variable's terms are added in ascending order, so
+    two parent sets with the same multiset of count rows score exactly
+    alike whatever the order of their configurations: a parent that splits
+    no configuration is no improvement, and of two parents that split the
+    records alike the earlier candidate wins.
+    """
+    cell, row = terms
+    n_vars, n_rows, r = counts.shape
+    cell_terms = np.sort(cell[counts].reshape(n_vars, n_rows * r), axis=1)
+    return np.sum(np.sort(row[totals])) + cell_terms.sum(axis=1)
+
+
 def score_from_counts(counts: np.ndarray, alpha: float) -> float:
-    """Log Dirichlet-multinomial marginal likelihood of a count matrix.
+    """Log Dirichlet-multinomial marginal likelihood of an integer count
+    matrix.
 
     Rows are parent configurations; unobserved rows contribute nothing.
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be > 0")
-    counts = np.asarray(counts, dtype=float)
-    counts = counts[counts.sum(axis=1) > 0]
-    if counts.size == 0:
-        return 0.0
-    r = counts.shape[1]
-    row_totals = counts.sum(axis=1)
-    score = np.sum(gammaln(r * alpha) - gammaln(r * alpha + row_totals))
-    score += np.sum(gammaln(alpha + counts) - gammaln(alpha))
-    return float(score)
+    counts = np.asarray(counts, dtype=np.int64)
+    totals = counts.sum(axis=1)
+    observed = totals > 0
+    terms = _score_terms(alpha, counts.shape[1], int(totals.max(initial=0)))
+    return float(_observed_scores(counts[None, observed], totals[observed], terms)[0])
 
 
 def family_log_score(

@@ -6,13 +6,27 @@ single candidate that increases the score most, stop when nothing improves
 or the parent limit is reached. Applied per word node this produces the
 word-meaning association graph; applied under a causal ordering it can also
 learn the affordance structure itself.
+
+One search (`_k2_search`) serves a batch of targets at once. At each greedy
+step the targets still searching are grouped by their current parent set;
+for each (group, candidate) pair a single matrix product of the records'
+one-hot parent configurations with the targets' one-hot values gives every
+target's family counts, and the scores are sums over a table of log-gamma
+terms built once per search (`network._score_terms`). Each score adds its
+terms in ascending order, so parent sets that split the records alike tie
+exactly and the tie-break order, not rounding, decides. The records are
+encoded once (`EncodedCorpus`): value-index columns of the affordance
+variables plus a records x vocabulary 0/1 presence matrix, the one
+word-presence encoding, which the search and the word CPT fit share. A
+learning curve encodes its corpus once and trains on index subsets.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
-from typing import Callable, Mapping, Sequence
+import math
+from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -21,14 +35,15 @@ from .network import (
     Assignment,
     Network,
     Variable,
+    _as_columns,
     _fit_family,
+    _observed_scores,
+    _score_terms,
     affordance_variables,
     default_affordance_parents,
     encode_columns,
-    family_counts,
     fit_cpts,
     make_network,
-    score_from_counts,
     word_variable,
 )
 
@@ -54,8 +69,54 @@ class K2Config:
     def __post_init__(self) -> None:
         if self.max_parents < 0:
             raise ValueError("max_parents must be >= 0")
-        if self.alpha <= 0:
-            raise ValueError("alpha must be > 0")
+        if not (math.isfinite(self.alpha) and self.alpha > 0):
+            raise ValueError(f"alpha must be a finite number > 0, got {self.alpha!r}")
+
+
+@dataclass(frozen=True, eq=False)
+class EncodedCorpus:
+    """Experiences encoded once for training.
+
+    `columns` holds each affordance variable's value index per record,
+    `words` the sorted words that occur in the descriptions and `presence`
+    the records x words 0/1 matrix of which words each description holds.
+    `train_model` and `learn_word_layer` take it in place of the
+    experiences, and `subset` selects records without re-encoding them.
+    """
+
+    columns: Mapping[str, np.ndarray]
+    words: tuple[str, ...]
+    presence: np.ndarray
+
+    @classmethod
+    def encode(
+        cls, experiences: Sequence, variables: Sequence[Variable] = affordance_variables()
+    ) -> "EncodedCorpus":
+        columns = encode_columns(variables, [exp.state for exp in experiences])
+        words = tuple(corpus_vocabulary(experiences))
+        index = {w: j for j, w in enumerate(words)}
+        presence = np.zeros((len(experiences), len(words)), dtype=np.int64)
+        rows = [i for i, exp in enumerate(experiences) for _ in exp.description]
+        presence[rows, [index[w] for exp in experiences for w in exp.description]] = 1
+        return cls(columns, words, presence)
+
+    def subset(self, indices: np.ndarray) -> "EncodedCorpus":
+        """The records at `indices`; the words are those that occur in them."""
+        presence = self.presence[indices]
+        seen = presence.any(axis=0)
+        return EncodedCorpus(
+            {name: col[indices] for name, col in self.columns.items()},
+            tuple(w for w, s in zip(self.words, seen) if s),
+            presence[:, seen],
+        )
+
+    def word_presence(self, vocabulary: Sequence[str]) -> np.ndarray:
+        """Presence columns of `vocabulary`, all-zero for words that never occur."""
+        if tuple(vocabulary) == self.words:
+            return self.presence
+        index = {w: j for j, w in enumerate(self.words)}
+        padded = np.hstack([self.presence, np.zeros((len(self.presence), 1), dtype=np.int64)])
+        return padded[:, [index.get(w, -1) for w in vocabulary]]
 
 
 def _ordered_candidates(
@@ -71,36 +132,100 @@ def _ordered_candidates(
     return [by_name[name] for name in config.candidate_ordering]
 
 
-def _k2_encoded(
-    target: Variable,
+def _family_scores(
+    values: np.ndarray,
+    parents: Sequence[Variable],
+    columns: Mapping[str, np.ndarray],
+    terms: tuple[np.ndarray, np.ndarray],
+) -> np.ndarray:
+    """Family score of every target given `parents`.
+
+    `values` is the (records, targets, r - 1) one-hot encoding of the
+    targets' values 1..r-1; value 0 is what the others leave of each row
+    total. Parent configurations are indexed row-major over `parents`, and
+    one matrix product of the observed configurations' one-hot rows with
+    `values` counts every target's family at once.
+    """
+    n_records, n_targets, r_rest = values.shape
+    code = np.zeros(n_records, dtype=np.int64)
+    n_configs = 1
+    for p in parents:
+        code = code * p.cardinality + columns[p.name]
+        n_configs *= p.cardinality
+    totals = np.bincount(code, minlength=n_configs)
+    observed = totals > 0
+    totals = totals[observed]
+    one_hot = np.zeros((len(totals), n_records))
+    one_hot[(np.cumsum(observed) - 1)[code], np.arange(n_records)] = 1.0
+    rest = (one_hot @ values.reshape(n_records, n_targets * r_rest)).astype(np.int64)
+    rest = rest.reshape(len(totals), n_targets, r_rest)
+    first = totals[:, None, None] - rest.sum(axis=2, keepdims=True)
+    counts = np.concatenate([first, rest], axis=2).transpose(1, 0, 2)
+    return _observed_scores(counts, totals, terms)
+
+
+def _k2_search(
+    codes: np.ndarray,
+    r: int,
     candidates: Sequence[Variable],
     columns: Mapping[str, np.ndarray],
     config: K2Config,
-) -> tuple[tuple[str, ...], list[float]]:
-    """Greedy search over encoded columns; returns (parents, score trace)."""
-    ordered = _ordered_candidates(candidates, config)
-    position = {v.name: i for i, v in enumerate(ordered)}
-    chosen: list[Variable] = []
-    score = score_from_counts(family_counts(target, [], columns), config.alpha)
-    trace = [score]
-    while len(chosen) < config.max_parents:
-        best: Variable | None = None
-        best_score = score
-        for cand in ordered:
-            if any(cand.name == c.name for c in chosen):
-                continue
-            s = score_from_counts(
-                family_counts(target, chosen + [cand], columns), config.alpha
-            )
-            if s > best_score:
-                best, best_score = cand, s
-        if best is None:
-            break
-        chosen.append(best)
-        score = best_score
-        trace.append(score)
-    names = sorted((c.name for c in chosen), key=position.__getitem__)
-    return tuple(names), trace
+) -> list[tuple[tuple[str, ...], list[float]]]:
+    """Greedy K2 search for a batch of targets with `r` values each.
+
+    `codes` holds the targets' value indices, shape (records, targets), and
+    `candidates` the parents to draw from in tie-break order. Each step adds,
+    per target, the first candidate with the highest score if that score is
+    strictly above the current one. Returns per target its parents, in
+    candidate order, and its score after each step, starting with no parents.
+    """
+    values = np.eye(r)[codes][..., 1:]
+    terms = _score_terms(config.alpha, r, len(codes))
+    chosen: list[list[int]] = [[] for _ in range(values.shape[1])]
+    traces = [[s] for s in _family_scores(values, [], columns, terms).tolist()]
+    searching = list(range(len(chosen)))
+    for _ in range(config.max_parents):
+        groups: dict[tuple[int, ...], list[int]] = {}
+        for t in searching:
+            groups.setdefault(tuple(chosen[t]), []).append(t)
+        searching = []
+        for key, members in groups.items():
+            group_values = np.ascontiguousarray(values[:, members])
+            parents = [candidates[i] for i in key]
+            best = np.full(len(members), -1)
+            best_score = np.array([traces[t][-1] for t in members])
+            for i, cand in enumerate(candidates):
+                if i in key:
+                    continue
+                score = _family_scores(group_values, parents + [cand], columns, terms)
+                better = score > best_score
+                best[better] = i
+                best_score[better] = score[better]
+            for t, i, s in zip(members, best.tolist(), best_score.tolist()):
+                if i >= 0:
+                    chosen[t].append(i)
+                    traces[t].append(s)
+                    searching.append(t)
+    return [
+        (tuple(candidates[i].name for i in sorted(c)), trace)
+        for c, trace in zip(chosen, traces)
+    ]
+
+
+def _best_single_parents(
+    codes: np.ndarray,
+    r: int,
+    candidates: Sequence[Variable],
+    columns: Mapping[str, np.ndarray],
+    alpha: float,
+) -> list[str]:
+    """Per target, the candidate whose one-parent family scores highest,
+    even if no parent at all scores higher; the earlier candidate wins a
+    tie. `codes` and `candidates` are as in `_k2_search`."""
+    values = np.eye(r)[codes][..., 1:]
+    terms = _score_terms(alpha, r, len(codes))
+    scores = [_family_scores(values, [c], columns, terms) for c in candidates]
+    return [candidates[i].name for i in np.argmax(scores, axis=0)]
 
 
 def k2_select_parents(
@@ -117,14 +242,20 @@ def k2_select_parents(
     if any(c.name == target_variable.name for c in candidates):
         raise ValueError("target variable cannot be its own candidate parent")
     columns = encode_columns([target_variable] + list(candidates), dataset)
-    parents, _ = _k2_encoded(target_variable, candidates, columns, config)
+    [(parents, _)] = _k2_search(
+        columns[target_variable.name][:, None],
+        target_variable.cardinality,
+        _ordered_candidates(candidates, config),
+        columns,
+        config,
+    )
     return parents
 
 
 def learn_word_layer(
     affordance_network: Network,
     vocabulary: Sequence[str],
-    dataset: Sequence,
+    dataset: Sequence | EncodedCorpus,
     config: K2Config = K2Config(),
 ) -> Network:
     """Attach one binary presence node per vocabulary word.
@@ -135,94 +266,83 @@ def learn_word_layer(
     model does not depend on what was said about it.
 
     `dataset` is a sequence of experiences, each with a full affordance
-    `state` assignment and a `description` bag of words. Words appearing in
-    descriptions but missing from the vocabulary are reported and ignored.
+    `state` assignment and a `description` bag of words, or their
+    `EncodedCorpus`. Words appearing in descriptions but missing from the
+    vocabulary are reported and ignored.
     """
+    aff_vars = [affordance_network.variable(n) for n in affordance_network.affordance_names()]
+    corpus = (
+        dataset if isinstance(dataset, EncodedCorpus) else EncodedCorpus.encode(dataset, aff_vars)
+    )
     vocab = sorted(set(vocabulary))
-    vocab_set = set(vocab)
-    aff_names = affordance_network.affordance_names()
-
-    unknown: set[str] = set()
-    for exp in dataset:
-        unknown.update(w for w in exp.description if w not in vocab_set)
+    unknown = sorted(set(corpus.words).difference(vocab))
     if unknown:
         logger.warning(
             "ignoring %d words outside the vocabulary: %s",
             len(unknown),
-            ", ".join(sorted(unknown)),
+            ", ".join(unknown),
         )
-
-    search_config = config
-    if not config.candidate_ordering:
-        search_config = replace(config, candidate_ordering=aff_names)
-
-    def k2_parents(wvar, candidates, columns):
-        if int(columns[wvar.name].sum()) < config.min_word_occurrences:
-            return ()
-        return _k2_encoded(wvar, candidates, columns, search_config)[0]
-
-    return _attach_words(affordance_network, vocab, dataset, k2_parents)
+    candidates = _ordered_candidates(aff_vars, config)
+    presence = corpus.word_presence(vocab)
+    searched = np.flatnonzero(presence.sum(axis=0) >= config.min_word_occurrences)
+    found = _k2_search(presence[:, searched], 2, candidates, corpus.columns, config)
+    parents = {word: () for word in vocab}
+    for j, (word_parents, _) in zip(searched.tolist(), found):
+        parents[vocab[j]] = word_parents
+    return _attach_words(affordance_network, vocab, presence, corpus.columns, parents)
 
 
 def _attach_words(
     affordance_network: Network,
     vocabulary: Sequence[str],
-    dataset: Sequence,
-    choose_parents: Callable[..., tuple[str, ...]],
+    presence: np.ndarray,
+    columns: Mapping[str, np.ndarray],
+    word_parents: Mapping[str, tuple[str, ...]],
 ) -> Network:
     """Add one presence node per vocabulary word to the affordance network.
 
-    `choose_parents(word_variable, affordance_variables, columns)` picks each
-    word's parents; `columns` holds the encoded states plus the word's
-    presence column. The word's CPT is then fitted with the affordance
-    network's pseudocount.
+    `presence` holds the words' presence columns in vocabulary order and
+    `columns` the encoded affordance states. Each word's CPT given its
+    parents is fitted with the affordance network's pseudocount.
     """
-    aff_vars = [affordance_network.variable(n) for n in affordance_network.affordance_names()]
-    columns = encode_columns(aff_vars, [exp.state for exp in dataset])
-    word_vars: list[Variable] = []
-    word_parents: dict[str, tuple[str, ...]] = {}
+    word_vars = [word_variable(word) for word in vocabulary]
     word_cpts: dict[str, np.ndarray] = {}
-    for word in vocabulary:
-        wvar = word_variable(word)
-        columns[word] = np.fromiter(
-            (1 if word in exp.description else 0 for exp in dataset),
-            dtype=np.int64,
-            count=len(dataset),
+    for j, wvar in enumerate(word_vars):
+        parent_vars = [affordance_network.variable(p) for p in word_parents[wvar.name]]
+        family = {**columns, wvar.name: presence[:, j]}
+        word_cpts[wvar.name] = _fit_family(
+            wvar, parent_vars, family, affordance_network.pseudocount
         )
-        parents = choose_parents(wvar, aff_vars, columns)
-        parent_vars = [affordance_network.variable(p) for p in parents]
-        word_vars.append(wvar)
-        word_parents[word] = parents
-        word_cpts[word] = _fit_family(wvar, parent_vars, columns, affordance_network.pseudocount)
-        del columns[word]
     return affordance_network.with_word_layer(word_vars, word_parents, word_cpts)
 
 
 def learn_affordance_structure(
-    dataset: Sequence[Assignment],
+    dataset: Sequence[Assignment] | Mapping[str, np.ndarray],
     ordering: Sequence[Variable],
     config: K2Config = K2Config(),
 ) -> dict[str, tuple[str, ...]]:
     """Parent map over the affordance variables under a fixed ordering.
 
     Each node may only draw parents from the variables before it, so pass
-    actions before features before effects.
+    actions before features before effects. `dataset` is complete records
+    or their encoded columns.
     """
-    columns = encode_columns(list(ordering), dataset)
+    columns = _as_columns(ordering, dataset)
     parent_map: dict[str, tuple[str, ...]] = {}
     for i, var in enumerate(ordering):
         candidates = list(ordering[:i])
         if not candidates:
             parent_map[var.name] = ()
             continue
-        node_config = replace(config, candidate_ordering=tuple(v.name for v in candidates))
-        parents, _ = _k2_encoded(var, candidates, columns, node_config)
+        [(parents, _)] = _k2_search(
+            columns[var.name][:, None], var.cardinality, candidates, columns, config
+        )
         parent_map[var.name] = parents
     return parent_map
 
 
 def train_model(
-    experiences: Sequence,
+    experiences: Sequence | EncodedCorpus,
     vocabulary: Sequence[str] | None = None,
     pseudocount: float = 1.0,
     config: K2Config = K2Config(),
@@ -232,18 +352,23 @@ def train_model(
 
     The affordance structure defaults to the fixed edge set (effects
     conditioned on action and object geometry); with `learn_structure` it is
-    instead searched by K2 under the canonical variable ordering.
+    instead searched by K2 under the canonical variable ordering. The
+    vocabulary defaults to the words that occur in the experiences.
     """
-    states = [exp.state for exp in experiences]
     variables = affordance_variables()
+    corpus = (
+        experiences
+        if isinstance(experiences, EncodedCorpus)
+        else EncodedCorpus.encode(experiences, variables)
+    )
     if learn_structure:
-        parent_map = learn_affordance_structure(states, variables, config)
+        parent_map = learn_affordance_structure(corpus.columns, variables, config)
     else:
         parent_map = default_affordance_parents()
-    affordance_net = fit_cpts(make_network(variables, parent_map), states, pseudocount)
+    affordance_net = fit_cpts(make_network(variables, parent_map), corpus.columns, pseudocount)
     if vocabulary is None:
-        vocabulary = corpus_vocabulary(experiences)
-    return learn_word_layer(affordance_net, vocabulary, experiences, config)
+        vocabulary = corpus.words
+    return learn_word_layer(affordance_net, vocabulary, corpus, config)
 
 
 def structure_report(network: Network, config: K2Config = K2Config()) -> str:

@@ -8,6 +8,7 @@ match is evidence rather than tautology.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -60,6 +61,53 @@ def oracle_family_score(records, target, target_values, parent_names, alpha):
         score += math.lgamma(r * alpha) - math.lgamma(r * alpha + n)
         score += sum(math.lgamma(alpha + c) - math.lgamma(alpha) for c in counts)
     return score
+
+
+def oracle_k2_parents(records, target, target_values, candidates, max_parents):
+    """Greedy K2 at alpha = 1 for one target, in exact arithmetic.
+
+    `candidates` lists the candidate names in tie-break order. A parent
+    set's score is its exact marginal likelihood, the product over observed
+    parent configurations with n records of (r-1)! * prod(c!) / (n+r-1)!
+    over the counts c: the log-factorial sum, exponentiated and kept as a
+    Fraction. Only strict improvements are taken, and the earlier candidate
+    wins a tie.
+
+    Returns the parents in candidate order, and whether some comparison met
+    an exact tie between parent sets whose counts and row totals differ as
+    multisets. Summed in floating point, such scores need not come out
+    equal, so which side wins there is not defined.
+    """
+    r = len(target_values)
+
+    def score(parents):
+        groups: dict[tuple, list[int]] = {}
+        for record in records:
+            counts = groups.setdefault(tuple(record[p] for p in parents), [0] * r)
+            counts[target_values.index(record[target])] += 1
+        value = Fraction(1)
+        for counts in groups.values():
+            numerator = math.factorial(r - 1) * math.prod(map(math.factorial, counts))
+            value *= Fraction(numerator, math.factorial(sum(counts) + r - 1))
+        rows = groups.values()
+        return value, (sorted(c for counts in rows for c in counts), sorted(map(sum, rows)))
+
+    ambiguous = False
+    chosen: list[str] = []
+    current = score(chosen)
+    while len(chosen) < max_parents:
+        best, best_score = None, current
+        for name in candidates:
+            if name not in chosen:
+                s = score(chosen + [name])
+                ambiguous |= s[0] == best_score[0] and s[1] != best_score[1]
+                if s[0] > best_score[0]:
+                    best, best_score = name, s
+        if best is None:
+            break
+        chosen.append(best)
+        current = best_score
+    return tuple(name for name in candidates if name in chosen), ambiguous
 
 
 def random_binary_net(rng: np.random.Generator, n_nodes: int):

@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import wordground
 
 from wordground.cli import main
 from wordground.datagen import build_corpus, default_lexicon, default_world
@@ -244,3 +250,41 @@ def test_eval_rejects_non_positive_counts(trained, capsys, extra, message):
     assert code == 2
     assert message in capsys.readouterr().err
     assert not out_csv.exists()
+
+
+@pytest.mark.parametrize("alpha", ["nan", "inf"])
+def test_train_rejects_non_finite_alpha(trained, capsys, alpha):
+    root, corpus_path, _, _ = trained
+    model_path = root / f"alpha-{alpha}.json"
+    code = run(
+        "train", "--corpus", str(corpus_path), "--model", str(model_path), "--alpha", alpha
+    )
+    assert code == 2
+    assert "pseudocount must be a finite number" in capsys.readouterr().err
+    assert not model_path.exists()
+
+
+@pytest.mark.parametrize("alpha", ["nan", "inf"])
+def test_eval_rejects_non_finite_alpha(trained, capsys, alpha):
+    root, corpus_path, _, _ = trained
+    out_csv = root / f"alpha-{alpha}.csv"
+    code = run(
+        "eval", "--corpus", str(corpus_path), "--out", str(out_csv), "--seed", "3",
+        "--sizes", "50", "--reps", "1", "--alpha", alpha,
+    )
+    assert code == 2
+    assert "pseudocount must be a finite number" in capsys.readouterr().err
+    assert not out_csv.exists()
+
+
+def test_cli_import_does_not_load_scipy():
+    src = str(Path(wordground.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = (
+        "import sys, wordground.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == "[]"

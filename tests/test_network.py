@@ -141,6 +141,13 @@ def test_fit_rejects_bad_records():
         fit_cpts(net, [{"A": "zebra"}], 1.0)
 
 
+@pytest.mark.parametrize("pseudocount", [float("nan"), float("inf"), -1.0])
+def test_fit_rejects_non_finite_or_negative_pseudocount(pseudocount):
+    net = make_network([binary("A"), binary("B")], {"A": [], "B": ["A"]})
+    with pytest.raises(ValueError, match="pseudocount must be a finite number >= 0"):
+        fit_cpts(net, [{"A": "f", "B": "t"}], pseudocount)
+
+
 # -- joint probability -------------------------------------------------------------
 
 

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wordground.datagen import (
     build_corpus,
@@ -10,20 +14,25 @@ from wordground.datagen import (
 )
 from wordground.grounding import Experience
 from wordground.network import (
+    Variable,
     affordance_variables,
     encode_columns,
     family_log_score,
+    fit_cpts,
+    make_network,
     word_variable,
 )
 from wordground.structure import (
     K2Config,
-    _k2_encoded,
+    _k2_search,
     k2_select_parents,
     learn_affordance_structure,
     learn_word_layer,
     structure_report,
     train_model,
 )
+
+from oracles import oracle_k2_parents
 
 WORLD = default_world()
 LEXICON = default_lexicon()
@@ -101,8 +110,132 @@ def test_k2_score_trace_strictly_increasing():
     dataset = indicator_dataset(states, "Contact", "long")
     w = word_variable("w")
     columns = encode_columns([w] + list(VARIABLES), dataset)
-    _, trace = _k2_encoded(w, list(VARIABLES), columns, K2Config())
+    [(_, trace)] = _k2_search(columns["w"][:, None], 2, list(VARIABLES), columns, K2Config())
     assert all(b > a for a, b in zip(trace, trace[1:]))
+
+
+def test_k2_does_not_add_a_parent_that_splits_no_configuration():
+    # Echo is a deterministic function of Action: once Action is a parent,
+    # adding Echo splits no parent configuration and ties the score exactly,
+    # which is not an improvement
+    action = VARIABLES[0]
+    echo = Variable("Echo", ("lo", "hi"))
+    rate = {"grasp": 0.9, "tap": 0.1, "touch": 0.5}
+    for seed in range(30):
+        rng = np.random.default_rng(seed)
+        records = []
+        for _ in range(int(rng.integers(60, 400))):
+            a = action.values[rng.integers(3)]
+            records.append({
+                "Action": a,
+                "Echo": "hi" if a == "grasp" else "lo",
+                "w": "present" if rng.random() < rate[a] else "absent",
+            })
+        for candidates in ([action, echo], [echo, action]):
+            assert k2_select_parents(word_variable("w"), candidates, records) == ("Action",)
+
+
+def test_k2_exact_tie_between_candidates_goes_to_the_earlier_one():
+    # Copy is Action under a relabelling of its values: both split the
+    # records identically, only the order of the parent configurations
+    # differs, so the two scores are exactly equal and the tie-break order
+    # decides
+    action = VARIABLES[0]
+    copy = Variable("Copy", ("c", "a", "b"))
+    relabel = dict(zip(action.values, ("a", "b", "c")))
+    rate = {"grasp": 0.8, "tap": 0.1, "touch": 0.3}
+    linked = 0
+    for seed in range(30):
+        rng = np.random.default_rng(seed)
+        records = []
+        for _ in range(int(rng.integers(20, 200))):
+            a = action.values[rng.integers(3)]
+            word = "present" if rng.random() < rate[a] else "absent"
+            records.append({"Action": a, "Copy": relabel[a], "w": word})
+        w = word_variable("w")
+        first = k2_select_parents(w, [action, copy], records)
+        assert first in ((), ("Action",))
+        assert k2_select_parents(w, [copy, action], records) == ("Copy",) * len(first)
+        linked += len(first)
+    assert linked >= 25
+
+
+def test_family_score_closed_form_for_binary_family_at_alpha_one():
+    # with alpha = 1 each observed parent configuration with a and b
+    # records of the two values contributes log(a! b! / (a + b + 1)!)
+    states = sample_experiences(WORLD, 700, 29)
+    rng = np.random.default_rng(29)
+    records = [dict(s, w="present" if rng.random() < 0.3 else "absent") for s in states]
+    parents = [v for v in VARIABLES if v.name in ("Action", "Size")]
+    rows: dict[tuple, list[int]] = {}
+    for rec in records:
+        row = rows.setdefault((rec["Action"], rec["Size"]), [0, 0])
+        row[rec["w"] == "present"] += 1
+    expected = sum(
+        math.log(math.factorial(a) * math.factorial(b)) - math.log(math.factorial(a + b + 1))
+        for a, b in rows.values()
+    )
+    score = family_log_score(word_variable("w"), parents, records, 1.0)
+    assert score == pytest.approx(expected, rel=1e-13)
+
+
+_ORACLE_VARIABLES = (
+    Variable("A", ("a0", "a1", "a2"), "action"),
+    Variable("B", ("b0", "b1"), "feature"),
+    Variable("C", ("c0", "c1", "c2", "c3"), "feature"),
+    Variable("D", ("d0", "d1"), "effect"),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_records=st.integers(1, 60),
+    n_words=st.integers(1, 6),
+    max_parents=st.integers(0, 3),
+)
+def test_batched_word_search_matches_per_word_greedy_reference(
+    seed, n_records, n_words, max_parents
+):
+    # each word is present with a probability set by a random subset of the
+    # variables; D sometimes copies B, so exact ties between candidates and
+    # parents that split nothing both occur. Words whose search meets an
+    # exact tie between different counts are not compared (see the oracle).
+    rng = np.random.default_rng(seed)
+    states = []
+    for _ in range(n_records):
+        state = {v.name: v.values[rng.integers(v.cardinality)] for v in _ORACLE_VARIABLES}
+        if seed % 2:
+            state["D"] = "d" + state["B"][1]
+        states.append(state)
+    words = [f"w{i}" for i in range(n_words)]
+    rules = []
+    for _ in words:
+        drivers = [v.name for v in _ORACLE_VARIABLES if rng.random() < 0.4]
+        rates = {}
+        rules.append((drivers, rates))
+    experiences = []
+    for state in states:
+        bag = set()
+        for word, (drivers, rates) in zip(words, rules):
+            key = tuple(state[d] for d in drivers)
+            if rng.random() < rates.setdefault(key, rng.random()):
+                bag.add(word)
+        experiences.append(Experience(state=state, description=frozenset(bag)))
+    config = K2Config(max_parents=max_parents, min_word_occurrences=0)
+    affordance = fit_cpts(make_network(_ORACLE_VARIABLES, {}), states, 1.0)
+    net = learn_word_layer(affordance, words, experiences, config)
+    names = [v.name for v in _ORACLE_VARIABLES]
+    for word in words:
+        records = [
+            dict(e.state, w="present" if word in e.description else "absent")
+            for e in experiences
+        ]
+        expected, ambiguous = oracle_k2_parents(
+            records, "w", ["absent", "present"], names, max_parents
+        )
+        if not ambiguous:
+            assert net.parents[word] == expected
 
 
 def test_config_validation():
@@ -119,6 +252,12 @@ def test_config_validation():
             dataset,
             K2Config(candidate_ordering=("Action",)),
         )
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+def test_config_rejects_non_finite_alpha(alpha):
+    with pytest.raises(ValueError, match="finite"):
+        K2Config(alpha=alpha)
 
 
 # -- word layer ---------------------------------------------------------------------

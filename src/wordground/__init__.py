@@ -29,8 +29,6 @@ from .evaluation import (
     build_baseline_network,
     default_instructions,
     evaluate_instructions,
-    hard_accuracy,
-    soft_accuracy,
     staged_learning,
 )
 from .grounding import (
@@ -100,7 +98,6 @@ __all__ = [
     "family_log_score",
     "fit_cpts",
     "generate_description",
-    "hard_accuracy",
     "joint_probability",
     "k2_select_parents",
     "learn_affordance_structure",
@@ -116,7 +113,6 @@ __all__ = [
     "save_corpus",
     "save_network",
     "select_action_object",
-    "soft_accuracy",
     "staged_learning",
     "structure_report",
     "train_model",

@@ -92,24 +92,6 @@ def _scored(network: Network, instructions: Sequence[Instruction]):
         yield ins, float(post[mask].sum()), best_ok, float(post.sum()) == 0.0
 
 
-def soft_accuracy(network: Network, instruction: Instruction) -> float:
-    """Posterior mass on the instruction's compatible cells."""
-    _, soft, _, _ = next(_scored(network, [instruction]))
-    return soft
-
-
-def hard_accuracy(network: Network, instruction_set: Sequence[Instruction]) -> float:
-    """Fraction of instructions whose best predicted cell is judged right.
-
-    Impossible requests are skipped; the remaining set must be nonempty.
-    """
-    possible = [ins for ins in instruction_set if not ins.impossible]
-    if not possible:
-        raise ValueError("instruction set has no possible instructions to score")
-    hits = sum(best_ok for _, _, best_ok, _ in _scored(network, possible))
-    return hits / len(possible)
-
-
 def evaluate_instructions(
     network: Network, instructions: Sequence[Instruction]
 ) -> EvalResult:
@@ -141,7 +123,6 @@ def evaluate_instructions(
 
 def build_baseline_network(
     dataset: Sequence[Experience],
-    vocabulary: Sequence[str] | None = None,
     pseudocount: float = 1.0,
     alpha: float = 1.0,
 ) -> Network:
@@ -149,17 +130,16 @@ def build_baseline_network(
 
     Every affordance node is parentless and every word gets exactly one
     affordance parent, the single best by family score, even when no parent
-    would have scored better.
+    would have scored better. The word layer holds the words that occur in
+    the dataset.
     """
     variables = affordance_variables()
     corpus = EncodedCorpus.encode(dataset, variables)
     aff = make_network(variables, {v.name: () for v in variables})
     aff = fit_cpts(aff, corpus.columns, pseudocount)
-    vocab = sorted(set(vocabulary)) if vocabulary is not None else list(corpus.words)
-    presence = corpus.word_presence(vocab)
-    best = _best_single_parents(presence, 2, variables, corpus.columns, alpha)
-    parents = {word: (parent,) for word, parent in zip(vocab, best)}
-    return _attach_words(aff, vocab, presence, corpus.columns, parents)
+    best = _best_single_parents(corpus.presence, 2, variables, corpus.columns, alpha)
+    parents = {word: (parent,) for word, parent in zip(corpus.words, best)}
+    return _attach_words(aff, corpus, parents)
 
 
 # -- staged learning ---------------------------------------------------------------

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from importlib import resources
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -87,17 +88,15 @@ def _bag_evidence(network: Network, bag: Iterable[str]) -> dict[str, str]:
 
 
 def predict_compatible_set(
-    network: Network,
-    bag: Iterable[str],
-    cells: Sequence[str] | None = None,
+    network: Network, bag: Iterable[str]
 ) -> dict[tuple[str, ...], float]:
-    """Joint posterior over action and object-feature cells given the bag.
+    """Joint posterior over the action and object-feature cells
+    (`default_cells`) given the bag.
 
     Normalized when any cell has mass; the all-zero table marks an
     impossible request.
     """
-    cells = tuple(cells) if cells is not None else default_cells(network)
-    return marginal(network, cells, _bag_evidence(network, bag))
+    return marginal(network, default_cells(network), _bag_evidence(network, bag))
 
 
 def _scene_scorer(network: Network, scene: Sequence[SceneObject]):
@@ -250,19 +249,8 @@ def load_nbest(path) -> NBestList:
 
 
 def table_scene() -> list[SceneObject]:
-    """The six-object demonstration scene used throughout the docs.
-
-    Also shipped as ``data/scene.txt`` for the command line.
-    """
-    rows = [
-        ("lightgreen big sphere", "lightgreen", "big", "sphere"),
-        ("yellow medium sphere", "yellow", "medium", "sphere"),
-        ("darkgreen small box", "darkgreen", "small", "box"),
-        ("blue medium box", "blue", "medium", "box"),
-        ("blue big box", "blue", "big", "box"),
-        ("darkgreen small sphere", "darkgreen", "small", "sphere"),
-    ]
-    return [
-        SceneObject(id=name, features={"Color": c, "Size": s, "Shape": sh})
-        for name, c, s, sh in rows
-    ]
+    """The six-object demonstration scene used throughout the docs, shipped
+    with the package as ``data/scene.txt``."""
+    shipped = resources.files("wordground").joinpath("data/scene.txt")
+    with resources.as_file(shipped) as path:
+        return load_scene(path)

@@ -2,9 +2,10 @@
 
 Representation of named discrete variables and a DAG of conditional
 probability tables, maximum-a-posteriori parameter fitting with symmetric
-Dirichlet smoothing, exact inference on a dense table of the non-word
-states (`StateTable`, the one engine behind every query), and the
-decomposable Bayesian-Dirichlet family score used by structure search.
+Dirichlet smoothing from encoded value-index columns (`encode_columns`
+turns complete records into them once), exact inference on a dense table of
+the non-word states (`StateTable`, the one engine behind every query), and
+the decomposable Bayesian-Dirichlet family score used by structure search.
 The score's log-gamma terms come from a table built once per search with
 `math.lgamma` (`_score_terms`), indexed by counts and row totals, and each
 family's terms are added in ascending order (`_observed_scores`), so that
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -234,15 +236,6 @@ class Network:
             cpts[w.name] = word_cpts[w.name]
         return Network(variables, parents, cpts, self.pseudocount)
 
-    def without_words(self) -> "Network":
-        keep = [v for v in self.variables if v.kind != "word"]
-        return Network(
-            keep,
-            {v.name: self.parents[v.name] for v in keep},
-            {v.name: self.cpts[v.name] for v in keep},
-            self.pseudocount,
-        )
-
 
 # -- construction and fitting ---------------------------------------------
 
@@ -338,30 +331,18 @@ def _fit_family(
     return table
 
 
-def _as_columns(
-    variables: Sequence[Variable],
-    dataset: Sequence[Assignment] | Mapping[str, np.ndarray],
-) -> Mapping[str, np.ndarray]:
-    """Value-index columns of `dataset`: records are encoded, and a mapping
-    of columns, as `encode_columns` returns it, is already encoded."""
-    if isinstance(dataset, Mapping):
-        return dataset
-    return encode_columns(variables, dataset)
-
-
 def fit_cpts(
     network: Network,
-    dataset: Sequence[Assignment] | Mapping[str, np.ndarray],
+    columns: Mapping[str, np.ndarray],
     pseudocount: float = 1.0,
 ) -> Network:
-    """Refit every CPT from complete records, or from their encoded
-    columns, keeping the structure.
+    """Refit every CPT from encoded columns of complete records, as
+    `encode_columns` returns them, keeping the structure.
 
     Each CPT entry becomes ``(count + a) / (row_total + a * cardinality)``
     with ``a = pseudocount``; with ``a == 0``, rows for parent configurations
     never observed are uniform (see `_fit_family`).
     """
-    columns = _as_columns(network.variables, dataset)
     cpts = {
         v.name: _fit_family(
             v, [network.variable(p) for p in network.parents[v.name]], columns, pseudocount
@@ -511,32 +492,25 @@ def _observed_scores(
     return np.sum(np.sort(row[totals])) + cell_terms.sum(axis=1)
 
 
-def score_from_counts(counts: np.ndarray, alpha: float) -> float:
-    """Log Dirichlet-multinomial marginal likelihood of an integer count
-    matrix.
-
-    Rows are parent configurations; unobserved rows contribute nothing.
-    """
-    counts = np.asarray(counts, dtype=np.int64)
-    totals = counts.sum(axis=1)
-    observed = totals > 0
-    terms = _score_terms(alpha, counts.shape[1], int(totals.max(initial=0)))
-    return float(_observed_scores(counts[None, observed], totals[observed], terms)[0])
-
-
 def family_log_score(
     variable: Variable,
     parent_set: Sequence[Variable],
     dataset: Sequence[Assignment],
     alpha: float = 1.0,
 ) -> float:
-    """Log marginal likelihood of `variable`'s column given its parents.
+    """Log Dirichlet-multinomial marginal likelihood of `variable`'s column
+    given its parents, from complete records.
 
     Decomposable: depends only on the family's counts, so structure search
-    can score candidate parent sets independently per node.
+    can score candidate parent sets independently per node. Parent
+    configurations that never occur contribute nothing.
     """
     columns = encode_columns([variable] + list(parent_set), dataset)
-    return score_from_counts(family_counts(variable, parent_set, columns), alpha)
+    counts = family_counts(variable, parent_set, columns)
+    totals = counts.sum(axis=1)
+    observed = totals > 0
+    terms = _score_terms(alpha, variable.cardinality, int(totals.max(initial=0)))
+    return float(_observed_scores(counts[None, observed], totals[observed], terms)[0])
 
 
 # -- model file -------------------------------------------------------------
@@ -578,20 +552,57 @@ def network_to_json(network: Network) -> str:
     return "\n".join(out) + "\n"
 
 
+def _json_object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"model file: {what} must be an object")
+    return value
+
+
+def _json_strings(value, what: str) -> tuple[str, ...]:
+    if not (isinstance(value, list) and all(isinstance(x, str) for x in value)):
+        raise ValueError(f"model file: {what} must be a list of strings")
+    return tuple(value)
+
+
+def _json_variable(spec) -> Variable:
+    name = _json_object(spec, "each entry of variables")["name"]
+    if not isinstance(name, str):
+        raise ValueError(f"model file: variable name {name!r} is not a string")
+    return Variable(name, _json_strings(spec["values"], f"values of {name!r}"), spec["kind"])
+
+
+def _json_table(value, name: str) -> np.ndarray:
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"model file: CPT for {name!r} is not a table of numbers") from None
+
+
 def network_from_json(text: str) -> Network:
     """Network from a model file's text. Raises ValueError for a missing
-    key, or a CPT row with non-finite or negative entries or a sum more
-    than 1e-9 away from 1."""
-    obj = json.loads(text)
+    key, a field of the wrong JSON type, a pseudocount that is not a finite
+    number >= 0, or a CPT row with non-finite or negative entries or a sum
+    more than 1e-9 away from 1."""
+    obj = _json_object(json.loads(text), "the top level")
     try:
-        variables = [
-            Variable(d["name"], tuple(d["values"]), d["kind"]) for d in obj["variables"]
-        ]
-        parents = {v.name: tuple(obj["parents"][v.name]) for v in variables}
-        cpts = {v.name: np.asarray(obj["cpts"][v.name], dtype=float) for v in variables}
-        pseudocount = float(obj["pseudocount"])
+        if not isinstance(obj["variables"], list):
+            raise ValueError("model file: variables must be a list of objects")
+        variables = [_json_variable(spec) for spec in obj["variables"]]
+        parents_obj = _json_object(obj["parents"], "parents")
+        parents = {
+            v.name: _json_strings(parents_obj[v.name], f"parents of {v.name!r}")
+            for v in variables
+        }
+        cpts_obj = _json_object(obj["cpts"], "cpts")
+        cpts = {v.name: _json_table(cpts_obj[v.name], v.name) for v in variables}
+        pseudocount = obj["pseudocount"]
     except KeyError as exc:
         raise ValueError(f"model file is missing key {exc}") from None
+    is_number = isinstance(pseudocount, (int, float)) and not isinstance(pseudocount, bool)
+    if not (is_number and 0 <= pseudocount <= sys.float_info.max):
+        raise ValueError(
+            f"model file: pseudocount must be a finite number >= 0, got {pseudocount!r}"
+        )
     network = Network(variables, parents, cpts, pseudocount)
     for name, table in network.cpts.items():
         if not np.all(np.isfinite(table) & (table >= 0)):

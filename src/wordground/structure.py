@@ -14,16 +14,18 @@ one-hot parent configurations with the targets' one-hot values gives every
 target's family counts, and the scores are sums over a table of log-gamma
 terms built once per search (`network._score_terms`). Each score adds its
 terms in ascending order, so parent sets that split the records alike tie
-exactly and the tie-break order, not rounding, decides. The records are
-encoded once (`EncodedCorpus`): value-index columns of the affordance
-variables plus a records x vocabulary 0/1 presence matrix, the one
-word-presence encoding, which the search and the word CPT fit share. A
-learning curve encodes its corpus once and trains on index subsets.
+exactly and the tie-break, not rounding, decides: candidates are searched in
+the order given, the declaration order of the affordance variables, and of
+two equal scores the earlier candidate wins. The records are encoded once
+(`EncodedCorpus`): value-index columns of the affordance variables plus a
+records x words 0/1 presence matrix, the one word-presence encoding, which
+the search and the word CPT fit share. The word layer holds exactly the
+corpus's own words, in sorted order. A learning curve encodes its corpus
+once and trains on index subsets.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -35,7 +37,6 @@ from .network import (
     Assignment,
     Network,
     Variable,
-    _as_columns,
     _fit_family,
     _observed_scores,
     _score_terms,
@@ -47,22 +48,18 @@ from .network import (
     word_variable,
 )
 
-logger = logging.getLogger(__name__)
-
 
 @dataclass(frozen=True)
 class K2Config:
     """Search knobs for K2 parent selection.
 
-    `candidate_ordering` breaks score ties (earlier name wins) and must list
-    every candidate exactly once when given; empty means "use the candidates
-    in the order supplied". Words observed fewer than `min_word_occurrences`
-    times skip the search and keep an empty parent set, since a handful of
-    sightings cannot support a stable link.
+    Candidates are searched in the order supplied, and an exact score tie
+    goes to the earlier one. Words observed fewer than
+    `min_word_occurrences` times skip the search and keep an empty parent
+    set, since a handful of sightings cannot support a stable link.
     """
 
     max_parents: int = 3
-    candidate_ordering: tuple[str, ...] = ()
     alpha: float = 1.0
     min_word_occurrences: int = 3
 
@@ -80,8 +77,8 @@ class EncodedCorpus:
     `columns` holds each affordance variable's value index per record,
     `words` the sorted words that occur in the descriptions and `presence`
     the records x words 0/1 matrix of which words each description holds.
-    `train_model` and `learn_word_layer` take it in place of the
-    experiences, and `subset` selects records without re-encoding them.
+    `train_model` takes it in place of the experiences, `learn_word_layer`
+    takes only it, and `subset` selects records without re-encoding them.
     """
 
     columns: Mapping[str, np.ndarray]
@@ -109,27 +106,6 @@ class EncodedCorpus:
             tuple(w for w, s in zip(self.words, seen) if s),
             presence[:, seen],
         )
-
-    def word_presence(self, vocabulary: Sequence[str]) -> np.ndarray:
-        """Presence columns of `vocabulary`, all-zero for words that never occur."""
-        if tuple(vocabulary) == self.words:
-            return self.presence
-        index = {w: j for j, w in enumerate(self.words)}
-        padded = np.hstack([self.presence, np.zeros((len(self.presence), 1), dtype=np.int64)])
-        return padded[:, [index.get(w, -1) for w in vocabulary]]
-
-
-def _ordered_candidates(
-    candidates: Sequence[Variable], config: K2Config
-) -> list[Variable]:
-    if not config.candidate_ordering:
-        return list(candidates)
-    by_name = {v.name: v for v in candidates}
-    if sorted(config.candidate_ordering) != sorted(by_name):
-        raise ValueError(
-            "candidate_ordering must contain every candidate exactly once"
-        )
-    return [by_name[name] for name in config.candidate_ordering]
 
 
 def _family_scores(
@@ -236,8 +212,8 @@ def k2_select_parents(
 ) -> tuple[str, ...]:
     """Parent set for one node, chosen greedily from `candidates`.
 
-    Deterministic given dataset and config: candidates are swept in ordering
-    position, and only strict score improvements are accepted.
+    Deterministic given dataset and config: candidates are swept in the
+    order given, and only strict score improvements are accepted.
     """
     if any(c.name == target_variable.name for c in candidates):
         raise ValueError("target variable cannot be its own candidate parent")
@@ -245,7 +221,7 @@ def k2_select_parents(
     [(parents, _)] = _k2_search(
         columns[target_variable.name][:, None],
         target_variable.cardinality,
-        _ordered_candidates(candidates, config),
+        list(candidates),
         columns,
         config,
     )
@@ -254,62 +230,39 @@ def k2_select_parents(
 
 def learn_word_layer(
     affordance_network: Network,
-    vocabulary: Sequence[str],
-    dataset: Sequence | EncodedCorpus,
+    corpus: EncodedCorpus,
     config: K2Config = K2Config(),
 ) -> Network:
-    """Attach one binary presence node per vocabulary word.
+    """Attach one binary presence node per word of the corpus.
 
     For each word, K2 selects parents among the affordance variables only,
-    then the word's CPT is fitted with the affordance network's pseudocount.
-    The affordance structure and CPTs are carried over untouched: the state
-    model does not depend on what was said about it.
-
-    `dataset` is a sequence of experiences, each with a full affordance
-    `state` assignment and a `description` bag of words, or their
-    `EncodedCorpus`. Words appearing in descriptions but missing from the
-    vocabulary are reported and ignored.
+    in their declaration order, then the word's CPT is fitted with the
+    affordance network's pseudocount. The affordance structure and CPTs are
+    carried over untouched: the state model does not depend on what was
+    said about it.
     """
-    aff_vars = [affordance_network.variable(n) for n in affordance_network.affordance_names()]
-    corpus = (
-        dataset if isinstance(dataset, EncodedCorpus) else EncodedCorpus.encode(dataset, aff_vars)
-    )
-    vocab = sorted(set(vocabulary))
-    unknown = sorted(set(corpus.words).difference(vocab))
-    if unknown:
-        logger.warning(
-            "ignoring %d words outside the vocabulary: %s",
-            len(unknown),
-            ", ".join(unknown),
-        )
-    candidates = _ordered_candidates(aff_vars, config)
-    presence = corpus.word_presence(vocab)
-    searched = np.flatnonzero(presence.sum(axis=0) >= config.min_word_occurrences)
-    found = _k2_search(presence[:, searched], 2, candidates, corpus.columns, config)
-    parents = {word: () for word in vocab}
+    candidates = [affordance_network.variable(n) for n in affordance_network.affordance_names()]
+    searched = np.flatnonzero(corpus.presence.sum(axis=0) >= config.min_word_occurrences)
+    found = _k2_search(corpus.presence[:, searched], 2, candidates, corpus.columns, config)
+    parents = {word: () for word in corpus.words}
     for j, (word_parents, _) in zip(searched.tolist(), found):
-        parents[vocab[j]] = word_parents
-    return _attach_words(affordance_network, vocab, presence, corpus.columns, parents)
+        parents[corpus.words[j]] = word_parents
+    return _attach_words(affordance_network, corpus, parents)
 
 
 def _attach_words(
     affordance_network: Network,
-    vocabulary: Sequence[str],
-    presence: np.ndarray,
-    columns: Mapping[str, np.ndarray],
+    corpus: EncodedCorpus,
     word_parents: Mapping[str, tuple[str, ...]],
 ) -> Network:
-    """Add one presence node per vocabulary word to the affordance network.
-
-    `presence` holds the words' presence columns in vocabulary order and
-    `columns` the encoded affordance states. Each word's CPT given its
-    parents is fitted with the affordance network's pseudocount.
-    """
-    word_vars = [word_variable(word) for word in vocabulary]
+    """Add one presence node per word of the corpus to the affordance
+    network. Each word's CPT given its parents is fitted with the affordance
+    network's pseudocount."""
+    word_vars = [word_variable(word) for word in corpus.words]
     word_cpts: dict[str, np.ndarray] = {}
     for j, wvar in enumerate(word_vars):
         parent_vars = [affordance_network.variable(p) for p in word_parents[wvar.name]]
-        family = {**columns, wvar.name: presence[:, j]}
+        family = {**corpus.columns, wvar.name: corpus.presence[:, j]}
         word_cpts[wvar.name] = _fit_family(
             wvar, parent_vars, family, affordance_network.pseudocount
         )
@@ -317,17 +270,16 @@ def _attach_words(
 
 
 def learn_affordance_structure(
-    dataset: Sequence[Assignment] | Mapping[str, np.ndarray],
+    columns: Mapping[str, np.ndarray],
     ordering: Sequence[Variable],
     config: K2Config = K2Config(),
 ) -> dict[str, tuple[str, ...]]:
     """Parent map over the affordance variables under a fixed ordering.
 
     Each node may only draw parents from the variables before it, so pass
-    actions before features before effects. `dataset` is complete records
-    or their encoded columns.
+    actions before features before effects. `columns` are the records'
+    value-index columns, as `encode_columns` returns them.
     """
-    columns = _as_columns(ordering, dataset)
     parent_map: dict[str, tuple[str, ...]] = {}
     for i, var in enumerate(ordering):
         candidates = list(ordering[:i])
@@ -343,7 +295,6 @@ def learn_affordance_structure(
 
 def train_model(
     experiences: Sequence | EncodedCorpus,
-    vocabulary: Sequence[str] | None = None,
     pseudocount: float = 1.0,
     config: K2Config = K2Config(),
     learn_structure: bool = False,
@@ -352,8 +303,9 @@ def train_model(
 
     The affordance structure defaults to the fixed edge set (effects
     conditioned on action and object geometry); with `learn_structure` it is
-    instead searched by K2 under the canonical variable ordering. The
-    vocabulary defaults to the words that occur in the experiences.
+    instead searched by K2 under the canonical variable ordering. The word
+    layer holds the words that occur in the experiences. This is the one
+    entry point that takes either experiences or their `EncodedCorpus`.
     """
     variables = affordance_variables()
     corpus = (
@@ -366,9 +318,7 @@ def train_model(
     else:
         parent_map = default_affordance_parents()
     affordance_net = fit_cpts(make_network(variables, parent_map), corpus.columns, pseudocount)
-    if vocabulary is None:
-        vocabulary = corpus.words
-    return learn_word_layer(affordance_net, vocabulary, corpus, config)
+    return learn_word_layer(affordance_net, corpus, config)
 
 
 def structure_report(network: Network, config: K2Config = K2Config()) -> str:
@@ -378,11 +328,10 @@ def structure_report(network: Network, config: K2Config = K2Config()) -> str:
     givens: ordering-position tie-breaks and the parent limit both shape
     which of several equally plausible graphs comes out.
     """
-    ordering = config.candidate_ordering or network.affordance_names()
     lines = [
         "# word-meaning association graph",
         f"# max_parents={config.max_parents} alpha={config.alpha:g} "
-        f"tie_break_ordering={','.join(ordering)}",
+        f"tie_break_ordering={','.join(network.affordance_names())}",
         f"# words seen < {config.min_word_occurrences} times keep an empty parent set",
     ]
     for word in sorted(network.word_names()):

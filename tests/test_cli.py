@@ -225,6 +225,32 @@ def test_instruct_rejects_model_with_invalid_cpt(trained, workdir, capsys):
     assert "IMPOSSIBLE" not in captured.out
 
 
+def test_instruct_rejects_malformed_model_file(trained, workdir, capsys):
+    root, _, model_path, scene_path = trained
+    model = json.loads(model_path.read_text(encoding="utf-8"))
+    bad = workdir / "bad.json"
+    string_values = json.loads(json.dumps(model))
+    string_values["variables"][2]["values"] = "sb"
+    cases = [
+        [],
+        {**model, "variables": 5},
+        {**model, "pseudocount": None},
+        {**model, "pseudocount": float("nan")},
+        {**model, "pseudocount": -3},
+        string_values,
+    ]
+    for obj in cases:
+        bad.write_text(json.dumps(obj), encoding="utf-8")
+        code = run(
+            "instruct", "--model", str(bad), "--scene", str(scene_path),
+            "--words", "tap the ball",
+        )
+        captured = capsys.readouterr()
+        assert code == 2, captured.err
+        assert captured.err.startswith("error: model file")
+        assert captured.out == ""
+
+
 def test_generate_rejects_malformed_lexicon(workdir, capsys):
     lexicon = workdir / "lexicon.json"
     for obj in ({"concepts": {}}, {"words": 5}):

@@ -14,10 +14,8 @@ from wordground.evaluation import (
     curve_to_csv,
     default_instructions,
     evaluate_instructions,
-    hard_accuracy,
     load_instructions,
     parse_instruction_line,
-    soft_accuracy,
     staged_learning,
 )
 from wordground.grounding import bag_of_words
@@ -68,7 +66,7 @@ def engineered_color_net(weights):
 def test_soft_accuracy_engineered_mass():
     net = engineered_color_net((0.7, 0.3, 0.0, 0.0))
     ins = Instruction(bag=frozenset(), compatible=expand(color="lightgreen"))
-    assert abs(soft_accuracy(net, ins) - 0.7) < 1e-12
+    assert abs(evaluate_instructions(net, [ins]).soft - 0.7) < 1e-12
 
 
 def test_soft_accuracy_full_mass_is_one(model):
@@ -76,13 +74,13 @@ def test_soft_accuracy_full_mass_is_one(model):
         bag=bag_of_words("grasp the blue big ball"),
         compatible=expand(),  # every cell judged compatible
     )
-    assert abs(soft_accuracy(model, ins) - 1.0) < 1e-9
+    assert abs(evaluate_instructions(model, [ins]).soft - 1.0) < 1e-9
 
 
 def test_soft_accuracy_zero_mass(model):
     # all mass sits on sphere cells for "ball"; box-only judgment scores zero
     ins = Instruction(bag=bag_of_words("the ball"), compatible=expand(shape="box"))
-    assert soft_accuracy(model, ins) == 0.0
+    assert evaluate_instructions(model, [ins]).soft == 0.0
 
 
 def test_hard_accuracy_half_right():
@@ -90,23 +88,23 @@ def test_hard_accuracy_half_right():
     # argmax color is lightgreen; two instructions accept it, two do not
     good = Instruction(bag=frozenset(), compatible=expand(color="lightgreen"))
     bad = Instruction(bag=frozenset(), compatible=expand(color="yellow"))
-    assert hard_accuracy(net, [good, bad, good, bad]) == 0.5
+    assert evaluate_instructions(net, [good, bad, good, bad]).hard == 0.5
 
 
 def test_hard_accuracy_needs_scorable_instructions():
     net = engineered_color_net((0.7, 0.3, 0.0, 0.0))
     impossible = Instruction(bag=frozenset({"x"}), compatible=frozenset())
     with pytest.raises(ValueError):
-        hard_accuracy(net, [impossible])
+        evaluate_instructions(net, [impossible])
 
 
 def test_evaluate_instructions_consistent_with_single_ops(model):
     instructions = default_instructions()[:20]
     result = evaluate_instructions(model, instructions)
     possible = [i for i in instructions if not i.impossible]
-    softs = [soft_accuracy(model, i) for i in possible]
+    softs = [evaluate_instructions(model, [i]).soft for i in possible]
     assert abs(result.soft - np.mean(softs)) < 1e-12
-    assert abs(result.hard - hard_accuracy(model, possible)) < 1e-12
+    assert abs(result.hard - evaluate_instructions(model, possible).hard) < 1e-12
 
 
 # -- baseline -----------------------------------------------------------------------------

@@ -3,12 +3,15 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wordground.network import (
     Network,
     Variable,
     affordance_variables,
     default_affordance_parents,
+    encode_columns,
     family_log_score,
     fit_cpts,
     joint_probability,
@@ -89,13 +92,13 @@ def test_fit_root_laplace_hand_count():
     # 3 of one value, 7 of the other, alpha=1: (3+1)/12 and (7+1)/12
     net = make_network([binary("A")], {"A": []})
     data = [{"A": "f"}] * 3 + [{"A": "t"}] * 7
-    fitted = fit_cpts(net, data, 1.0)
+    fitted = fit_cpts(net, encode_columns(net.variables, data), 1.0)
     assert np.allclose(fitted.cpts["A"], [[4 / 12, 8 / 12]], atol=1e-15)
 
 
 def test_fit_empty_dataset_is_uniform():
     net = make_network([binary("A"), binary("B")], {"A": [], "B": ["A"]})
-    fitted = fit_cpts(net, [], 1.0)
+    fitted = fit_cpts(net, encode_columns(net.variables, []), 1.0)
     assert np.allclose(fitted.cpts["A"], [[0.5, 0.5]])
     assert np.allclose(fitted.cpts["B"], [[0.5, 0.5], [0.5, 0.5]])
 
@@ -103,7 +106,7 @@ def test_fit_empty_dataset_is_uniform():
 def test_fit_deterministic_child_small_alpha():
     net = make_network([binary("A"), binary("B")], {"A": [], "B": ["A"]})
     data = [{"A": "f", "B": "f"}] * 50 + [{"A": "t", "B": "t"}] * 50
-    fitted = fit_cpts(net, data, 0.001)
+    fitted = fit_cpts(net, encode_columns(net.variables, data), 0.001)
     assert fitted.cpts["B"][0][0] >= 0.99998
     assert fitted.cpts["B"][1][1] >= 0.99998
 
@@ -119,7 +122,7 @@ def test_fit_rows_sum_to_one():
         for _ in range(200)
     ]
     for alpha in (0.3, 1.0, 2.5):
-        fitted = fit_cpts(net, data, alpha)
+        fitted = fit_cpts(net, encode_columns(net.variables, data), alpha)
         for name, table in fitted.cpts.items():
             assert np.all(np.abs(table.sum(axis=1) - 1.0) < 1e-12)
             assert np.all(table > 0)
@@ -128,7 +131,7 @@ def test_fit_rows_sum_to_one():
 def test_fit_zero_pseudocount_gives_exact_zeros_and_uniform_unseen_rows():
     net = make_network([binary("A"), binary("B")], {"A": [], "B": ["A"]})
     data = [{"A": "f", "B": "f"}] * 10
-    fitted = fit_cpts(net, data, 0.0)
+    fitted = fit_cpts(net, encode_columns(net.variables, data), 0.0)
     assert fitted.cpts["B"][0][1] == 0.0  # B=t never seen under A=f
     assert np.allclose(fitted.cpts["B"][1], [0.5, 0.5])  # A=t row never observed
 
@@ -136,16 +139,16 @@ def test_fit_zero_pseudocount_gives_exact_zeros_and_uniform_unseen_rows():
 def test_fit_rejects_bad_records():
     net = make_network([binary("A")], {"A": []})
     with pytest.raises(ValueError, match="missing"):
-        fit_cpts(net, [{}], 1.0)
+        encode_columns(net.variables, [{}])
     with pytest.raises(ValueError, match="unknown value"):
-        fit_cpts(net, [{"A": "zebra"}], 1.0)
+        encode_columns(net.variables, [{"A": "zebra"}])
 
 
 @pytest.mark.parametrize("pseudocount", [float("nan"), float("inf"), -1.0])
 def test_fit_rejects_non_finite_or_negative_pseudocount(pseudocount):
     net = make_network([binary("A"), binary("B")], {"A": [], "B": ["A"]})
     with pytest.raises(ValueError, match="pseudocount must be a finite number >= 0"):
-        fit_cpts(net, [{"A": "f", "B": "t"}], pseudocount)
+        fit_cpts(net, encode_columns(net.variables, [{"A": "f", "B": "t"}]), pseudocount)
 
 
 # -- joint probability -------------------------------------------------------------
@@ -187,7 +190,7 @@ def test_joint_rejects_partial_assignment():
 def test_marginal_of_root_is_cpt_row():
     net = make_network([Variable("A", ("x", "y", "z")), binary("B")], {"A": [], "B": ["A"]})
     data = [{"A": "x", "B": "f"}] * 5 + [{"A": "y", "B": "t"}] * 3 + [{"A": "z", "B": "f"}] * 2
-    fitted = fit_cpts(net, data, 1.0)
+    fitted = fit_cpts(net, encode_columns(net.variables, data), 1.0)
     dist = marginal(fitted, ["A"])
     for i, value in enumerate(("x", "y", "z")):
         assert abs(dist[(value,)] - fitted.cpts["A"][0][i]) < 1e-12
@@ -384,22 +387,36 @@ def test_model_file_roundtrip_bit_exact(tmp_path):
     assert loaded.pseudocount == net.pseudocount
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_nodes=st.integers(1, 6), one_hot=st.booleans())
+def test_model_file_roundtrip_property(seed, n_nodes, one_hot):
+    # one-hot rows put exact zeros and ones into the file
+    rng = np.random.default_rng(seed)
+    values_map, parents_map, cpt_map = random_binary_net(rng, n_nodes)
+    if one_hot:
+        cpt_map = with_one_hot_rows(rng, cpt_map)
+    net = to_network(values_map, parents_map, cpt_map)
+    text = network_to_json(net)
+    loaded = network_from_json(text)
+    assert network_to_json(loaded) == text
+    for name in values_map:
+        assert loaded.cpts[name].tobytes() == net.cpts[name].tobytes()
+
+
 def test_model_file_roundtrip_fitted_domain_net():
+    record = {
+        "Action": "grasp",
+        "Color": "blue",
+        "Shape": "sphere",
+        "Size": "small",
+        "ObjVel": "fast",
+        "HandVel": "fast",
+        "ObjHandVel": "slow",
+        "Contact": "long",
+    }
     net = fit_cpts(
         make_network(affordance_variables(), default_affordance_parents()),
-        [
-            {
-                "Action": "grasp",
-                "Color": "blue",
-                "Shape": "sphere",
-                "Size": "small",
-                "ObjVel": "fast",
-                "HandVel": "fast",
-                "ObjHandVel": "slow",
-                "Contact": "long",
-            }
-        ]
-        * 3,
+        encode_columns(affordance_variables(), [record] * 3),
         1.0,
     )
     text = network_to_json(net)
@@ -408,7 +425,9 @@ def test_model_file_roundtrip_fitted_domain_net():
 
 def fitted_domain_json():
     net = fit_cpts(
-        make_network(affordance_variables(), default_affordance_parents()), [], 1.0
+        make_network(affordance_variables(), default_affordance_parents()),
+        encode_columns(affordance_variables(), []),
+        1.0,
     )
     return json.loads(network_to_json(net))
 
@@ -455,4 +474,40 @@ def test_model_file_rejects_missing_keys(drop):
         parent = parent[key]
     del parent[drop[-1]]
     with pytest.raises(ValueError, match="missing"):
+        network_from_json(json.dumps(obj))
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        ((), [], "top level"),
+        ((), "model", "top level"),
+        (("variables",), 5, "variables"),
+        (("variables",), ["Action"], "variables"),
+        (("variables", 2, "values"), "sb", "values"),
+        (("variables", 2, "values"), ["sphere", 1], "values"),
+        (("variables", 0, "name"), ["Action"], "name"),
+        (("parents",), [], "parents"),
+        (("parents", "ObjVel"), None, "parents"),
+        (("parents", "Action"), "", "parents"),
+        (("cpts",), [], "cpts"),
+        (("cpts", "Action"), {"row": [1.0, 0.0, 0.0]}, "Action"),
+        (("pseudocount",), None, "pseudocount"),
+        (("pseudocount",), float("nan"), "pseudocount"),
+        (("pseudocount",), float("inf"), "pseudocount"),
+        (("pseudocount",), -3, "pseudocount"),
+        (("pseudocount",), "1", "pseudocount"),
+        (("pseudocount",), True, "pseudocount"),
+    ],
+)
+def test_model_file_rejects_malformed_fields(path, value, message):
+    obj = fitted_domain_json()
+    if path:
+        parent = obj
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+    else:
+        obj = value
+    with pytest.raises(ValueError, match=message):
         network_from_json(json.dumps(obj))

@@ -131,7 +131,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         instructions = evaluation.load_instructions(args.instructions)
     else:
         instructions = evaluation.default_instructions()
-    sizes = args.sizes or [s for s in evaluation.DEFAULT_SIZES if s <= len(corpus)]
+    sizes = args.sizes
+    if sizes is None:
+        sizes = [s for s in evaluation.DEFAULT_SIZES if s <= len(corpus)]
     config = structure.K2Config(max_parents=args.max_parents)
     points = evaluation.staged_learning(
         corpus,

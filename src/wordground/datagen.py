@@ -107,12 +107,6 @@ def default_world() -> Network:
 # -- sampling ----------------------------------------------------------------
 
 
-def _rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def _draw(rng: np.random.Generator, row: Sequence[float]) -> int:
     u = rng.random()
     acc = 0.0
@@ -125,7 +119,7 @@ def _draw(rng: np.random.Generator, row: Sequence[float]) -> int:
 
 def sample_experiences(world: Network, n: int, seed) -> list[dict[str, str]]:
     """Ancestral samples through the DAG; one stream, deterministic per seed."""
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     order = world.topological_order()
     states = []
     for _ in range(n):
@@ -295,7 +289,7 @@ def generate_description(
     optional parts (color/size adjectives, filler words) are drawn from the
     seeded stream, independently of the state.
     """
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     outcome = classify_outcome(state)
     conj_key = (
         "conjunction=success" if action_succeeded(state) else "conjunction=failure"
@@ -369,7 +363,7 @@ def corrupt(bag: Iterable[str], profile: NoiseProfile, seed) -> BagOfWords:
     per utterance matches the profile. Insertions are drawn uniformly,
     without replacement, from the pool minus the words already present.
     """
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     words = sorted(set(bag))
     kept = list(words)
     if words and profile.false_rejection_rate > 0:

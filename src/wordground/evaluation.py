@@ -1,10 +1,12 @@
 """Quantitative evaluation against a judged instruction set.
 
-Soft accuracy is the posterior mass a model assigns to the (action,
-features) cells judged compatible with an instruction; hard accuracy is the
-fraction of instructions whose single best cell is judged compatible.
-Impossible requests are scored separately as a detection rate and never
-enter the soft/hard averages.
+Each instruction's judgement is a boolean mask on the (action, color, size,
+shape) cell grid, in `CANONICAL_CELL_ORDER`, built once when the
+instruction is parsed. Soft accuracy is the posterior mass a model assigns
+to the cells in the mask; hard accuracy is the fraction of instructions
+whose single best cell is in it. Impossible requests, with an all-False
+mask, are scored separately as a detection rate and never enter the
+soft/hard averages.
 """
 
 from __future__ import annotations
@@ -26,25 +28,24 @@ from .structure import (
     train_model,
 )
 
-Cell = tuple[str, str, str, str]  # (action, color, size, shape)
-
 DEFAULT_SIZES = (100, 300, 500, 700, 900, 1100, 1270)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Instruction:
-    """A word bag plus the judged set of compatible outcome cells.
+    """A word bag plus the judged compatible outcome cells: a read-only
+    boolean array over the cell grid in `CANONICAL_CELL_ORDER`.
 
-    An empty compatible set marks a request judged impossible.
+    An all-False mask marks a request judged impossible.
     """
 
     bag: BagOfWords
-    compatible: frozenset[Cell]
+    compatible: np.ndarray
     text: str = ""
 
     @property
     def impossible(self) -> bool:
-        return not self.compatible
+        return not self.compatible.any()
 
 
 @dataclass(frozen=True)
@@ -71,42 +72,30 @@ class EvalResult:
 # -- scoring -------------------------------------------------------------------
 
 
-def _scored(network: Network, instructions: Sequence[Instruction]):
-    """Per instruction: (instruction, posterior mass on its compatible cells,
-    whether its best cell is compatible, whether the posterior is all-zero).
-
-    The mass is summed over a mask of the cell grid, in grid order, so it
-    does not depend on the iteration order of the compatible set. np.argmax
-    returns the first maximum in row-major order, which makes the best-cell
-    tie-break deterministic: earlier values of earlier variables win.
-    """
-    table = StateTable(network)
-    cells = default_cells(network)
-    cell_vars = [network.variable(c) for c in cells]
-    for ins in instructions:
-        post = table.posterior(_bag_evidence(network, ins.bag), cells)
-        mask = np.zeros(post.shape, dtype=bool)
-        for cell in ins.compatible:
-            mask[tuple(v.index_of(value) for v, value in zip(cell_vars, cell))] = True
-        best_ok = bool(mask.flat[int(np.argmax(post))])
-        yield ins, float(post[mask].sum()), best_ok, float(post.sum()) == 0.0
-
-
 def evaluate_instructions(
     network: Network, instructions: Sequence[Instruction]
 ) -> EvalResult:
-    """Soft and hard accuracy plus impossible-request detection rate."""
+    """Soft and hard accuracy plus impossible-request detection rate.
+
+    The soft mass is summed over the instruction's mask in grid order.
+    np.argmax returns the first maximum in row-major order, which makes the
+    best-cell tie-break deterministic: earlier values of earlier variables
+    win.
+    """
+    table = StateTable(network)
+    cells = default_cells(network)
     softs: list[float] = []
     hards: list[float] = []
     detected = 0
     n_impossible = 0
-    for ins, soft, best_ok, all_zero in _scored(network, instructions):
+    for ins in instructions:
+        post = table.posterior(_bag_evidence(network, ins.bag), cells)
         if ins.impossible:
             n_impossible += 1
-            detected += all_zero
+            detected += float(post.sum()) == 0.0
             continue
-        softs.append(soft)
-        hards.append(1.0 if best_ok else 0.0)
+        softs.append(float(post[ins.compatible].sum()))
+        hards.append(1.0 if ins.compatible.flat[int(np.argmax(post))] else 0.0)
     if not softs:
         raise ValueError("instruction set has no possible instructions to score")
     return EvalResult(
@@ -163,12 +152,14 @@ def staged_learning(
     """
     if repetitions < 1:
         raise ValueError(f"repetitions must be at least 1, got {repetitions}")
+    encoded = EncodedCorpus.encode(corpus)
+    if not sizes:
+        raise ValueError(f"no training sizes to evaluate on a corpus of {len(corpus)} records")
     for size in sizes:
         if size < 1:
             raise ValueError(f"training size must be at least 1, got {size}")
         if size > len(corpus):
             raise ValueError(f"training size {size} exceeds corpus size {len(corpus)}")
-    encoded = EncodedCorpus.encode(corpus)
     points = []
     for size in sizes:
         reps = 1 if size == len(corpus) else repetitions
@@ -202,13 +193,8 @@ def curve_to_csv(points: Sequence[CurvePoint]) -> str:
 #
 # One instruction per line:
 #   w1 w2 ...|action,color,size,shape;action,color,size,shape;...
-# with `*` wildcards expanding to every value, or `IMPOSSIBLE` for an empty
+# with `*` wildcards standing for every value, or `IMPOSSIBLE` for an empty
 # compatible set. `#` starts a comment line.
-
-
-def _cell_domains() -> list[tuple[str, tuple[str, ...]]]:
-    by_name = {v.name: v for v in affordance_variables()}
-    return [(n, by_name[n].values) for n in CANONICAL_CELL_ORDER]
 
 
 def parse_instruction_line(line: str, lineno: int | None = None) -> Instruction:
@@ -220,28 +206,27 @@ def parse_instruction_line(line: str, lineno: int | None = None) -> Instruction:
     bag = bag_of_words(text)
     if not bag:
         raise ValueError(f"malformed instruction{where}: empty word bag")
+    by_name = {v.name: v for v in affordance_variables()}
+    cell_vars = [by_name[n] for n in CANONICAL_CELL_ORDER]
+    compatible = np.zeros([v.cardinality for v in cell_vars], dtype=bool)
     cells_field = parts[1].strip()
-    if cells_field == "IMPOSSIBLE":
-        return Instruction(bag=bag, compatible=frozenset(), text=text)
-    domains = _cell_domains()
-    cells: set[Cell] = set()
-    for chunk in cells_field.split(";"):
+    chunks = [] if cells_field == "IMPOSSIBLE" else cells_field.split(";")
+    for chunk in chunks:
         values = chunk.strip().split(",")
-        if len(values) != len(domains):
+        if len(values) != len(cell_vars):
             raise ValueError(
-                f"malformed instruction{where}: cell {chunk!r} needs {len(domains)} fields"
+                f"malformed instruction{where}: cell {chunk!r} needs {len(cell_vars)} fields"
             )
-        expanded: list[tuple[str, ...]] = [()]
-        for value, (name, domain) in zip(values, domains):
-            options = domain if value == "*" else (value,)
-            for option in options:
-                if option not in domain:
-                    raise ValueError(
-                        f"malformed instruction{where}: {option!r} is not a {name} value"
-                    )
-            expanded = [prefix + (o,) for prefix in expanded for o in options]
-        cells.update(expanded)  # type: ignore[arg-type]
-    return Instruction(bag=bag, compatible=frozenset(cells), text=text)
+        index = []
+        for value, v in zip(values, cell_vars):
+            if value != "*" and value not in v.values:
+                raise ValueError(
+                    f"malformed instruction{where}: {value!r} is not a {v.name} value"
+                )
+            index.append(slice(None) if value == "*" else v.values.index(value))
+        compatible[tuple(index)] = True
+    compatible.flags.writeable = False
+    return Instruction(bag=bag, compatible=compatible, text=text)
 
 
 def load_instructions(path) -> list[Instruction]:

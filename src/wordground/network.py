@@ -3,9 +3,10 @@
 Representation of named discrete variables and a DAG of conditional
 probability tables, maximum-a-posteriori parameter fitting with symmetric
 Dirichlet smoothing from encoded value-index columns (`encode_columns`
-turns complete records into them once), exact inference on a dense table of
-the non-word states (`StateTable`, the one engine behind every query), and
-the decomposable Bayesian-Dirichlet family score used by structure search.
+turns complete records into them once), exact inference on a dense n-d
+table of the non-word states into which each CPT broadcasts as a factor over
+its family's axes (`StateTable`, the one engine behind every query), and the
+decomposable Bayesian-Dirichlet family score used by structure search.
 The score's log-gamma terms come from a table built once per search with
 `math.lgamma` (`_score_terms`), indexed by counts and row totals, and each
 family's terms are added in ascending order (`_observed_scores`), so that
@@ -358,33 +359,32 @@ def fit_cpts(
 class StateTable:
     """Exact inference on a dense joint table of the non-word variables.
 
-    Rows are the full cartesian product of the non-word variables, and
-    `p_x` holds the joint probability of each row. A query multiplies in one
-    factor per bound variable: an indicator for a non-word variable, and for
-    a word its CPT column at the bound value. Words are leaves, so every
-    unbound word sums out to one and only the bound ones enter. Summing the
-    product onto the query variables gives their exact joint with the
-    evidence.
+    `p_x` has one axis per non-word variable, in declaration order, and
+    holds the joint probability of every state: the product of the CPTs,
+    each viewed as an array over its (parents..., self) axes and broadcast
+    over the rest (the factor product of Koller & Friedman 2009, ch. 9). A
+    query multiplies in one factor per bound variable: an indicator for a
+    non-word variable, and for a word its CPT column at the bound value.
+    Words are leaves, so every unbound word sums out to one and only the
+    bound ones enter. Summing the product onto the query variables gives
+    their exact joint with the evidence.
     """
 
     def __init__(self, network: Network):
         self.network = network
-        self.variables = [network.variable(n) for n in network.affordance_names()]
-        self.names = [v.name for v in self.variables]
-        self.shape = tuple(v.cardinality for v in self.variables)
-        self.n_states = int(np.prod(self.shape))
-        grids = np.indices(self.shape).reshape(len(self.shape), -1)
-        self.columns = {v.name: grids[i] for i, v in enumerate(self.variables)}
-        self.p_x = np.ones(self.n_states)
-        for v in self.variables:
-            rows = self._config_codes(network.parents[v.name])
-            self.p_x *= network.cpts[v.name][rows, self.columns[v.name]]
+        self.names = list(network.affordance_names())
+        self.shape = tuple(network.variable(n).cardinality for n in self.names)
+        self.p_x = np.ones(self.shape)
+        for name in self.names:
+            self.p_x *= self._factor(network.cpts[name], network.parents[name] + (name,))
 
-    def _config_codes(self, parent_names: Sequence[str]) -> np.ndarray:
-        code = np.zeros(self.n_states, dtype=np.int64)
-        for p in parent_names:
-            code = code * self.network.variable(p).cardinality + self.columns[p]
-        return code
+    def _factor(self, table: np.ndarray, names: Sequence[str]) -> np.ndarray:
+        """`table`, row-major over the variables `names`, as an array over
+        the state axes: one axis per name in axis order, length one for the
+        others, so that it broadcasts against `p_x`."""
+        axes = [self.names.index(n) for n in names]
+        table = table.reshape([self.shape[a] for a in axes]).transpose(np.argsort(axes))
+        return table.reshape([n if a in axes else 1 for a, n in enumerate(self.shape)])
 
     def joint(self, evidence: Assignment, cells: Sequence[str]) -> np.ndarray:
         """p(cells, evidence) as an array over the cell variables' values,
@@ -398,13 +398,11 @@ class StateTable:
             if v.kind == "word":
                 words.append((name, i))
             else:
-                mass *= self.columns[name] == i
+                mass *= self._factor(np.arange(v.cardinality) == i, (name,))
         for name, i in sorted(words):
-            mass *= self.network.cpts[name][self._config_codes(self.network.parents[name]), i]
+            mass *= self._factor(self.network.cpts[name][:, i], self.network.parents[name])
         keep = [self.names.index(c) for c in cells]
-        table = mass.reshape(self.shape).sum(
-            axis=tuple(i for i in range(len(self.names)) if i not in keep)
-        )
+        table = mass.sum(axis=tuple(i for i in range(len(self.names)) if i not in keep))
         kept_sorted = sorted(keep)
         return table.transpose([kept_sorted.index(a) for a in keep])
 

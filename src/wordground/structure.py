@@ -89,6 +89,8 @@ class EncodedCorpus:
     def encode(
         cls, experiences: Sequence, variables: Sequence[Variable] = affordance_variables()
     ) -> "EncodedCorpus":
+        if not experiences:
+            raise ValueError("corpus has no records")
         columns = encode_columns(variables, [exp.state for exp in experiences])
         words = tuple(corpus_vocabulary(experiences))
         index = {w: j for j, w in enumerate(words)}

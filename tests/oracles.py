@@ -110,6 +110,24 @@ def oracle_k2_parents(records, target, target_values, candidates, max_parents):
     return tuple(name for name in candidates if name in chosen), ambiguous
 
 
+def oracle_cell_mask(cells_field, domains):
+    """Mask over the cell grid, one axis per domain in order, of the cells
+    an instruction's cells field names: `IMPOSSIBLE`, or `;`-separated cell
+    specs of comma-separated values with `*` for any value. Every spec is
+    expanded into the full product of its options, one cell at a time."""
+    mask = np.zeros([len(d) for d in domains], dtype=bool)
+    if cells_field == "IMPOSSIBLE":
+        return mask
+    for chunk in cells_field.split(";"):
+        options = [
+            domain if value == "*" else [value]
+            for value, domain in zip(chunk.split(","), domains)
+        ]
+        for cell in product(*options):
+            mask[tuple(list(d).index(c) for d, c in zip(domains, cell))] = True
+    return mask
+
+
 def random_binary_net(rng: np.random.Generator, n_nodes: int):
     """Random DAG with random strictly positive CPTs, as raw dicts."""
     names = [f"V{i}" for i in range(n_nodes)]
@@ -125,6 +143,34 @@ def random_binary_net(rng: np.random.Generator, n_nodes: int):
         rows = []
         for _ in range(n_rows):
             raw = rng.random(2) + 0.05
+            rows.append(list(raw / raw.sum()))
+        cpt_map[name] = rows
+    return values_map, parents_map, cpt_map
+
+
+def random_mixed_net(rng: np.random.Generator, n_nodes: int):
+    """Random DAG of variables with 2 to 4 values, each parent list in
+    shuffled order, plus one or two word leaves (values absent/present)
+    with random non-word parents; random strictly positive CPTs, as raw
+    dicts. Unlike `random_binary_net`, CPT axes here come out of
+    declaration order and in unequal lengths."""
+    names = [f"V{i}" for i in range(n_nodes)]
+    values_map = {n: [f"v{j}" for j in range(rng.integers(2, 5))] for n in names}
+    parents_map = {}
+    for i, name in enumerate(names):
+        chosen = [p for p in names[:i] if rng.random() < 0.5]
+        parents_map[name] = [chosen[j] for j in rng.permutation(len(chosen))]
+    for k in range(rng.integers(1, 3)):
+        word = f"w{k}"
+        values_map[word] = ["absent", "present"]
+        chosen = [p for p in names if rng.random() < 0.6]
+        parents_map[word] = [chosen[j] for j in rng.permutation(len(chosen))]
+    cpt_map = {}
+    for name, values in values_map.items():
+        n_rows = math.prod(len(values_map[p]) for p in parents_map[name])
+        rows = []
+        for _ in range(n_rows):
+            raw = rng.random(len(values)) + 0.05
             rows.append(list(raw / raw.sum()))
         cpt_map[name] = rows
     return values_map, parents_map, cpt_map
@@ -146,9 +192,13 @@ def with_one_hot_rows(rng: np.random.Generator, cpt_map, rate: float = 0.4):
 
 
 def to_network(values_map, parents_map, cpt_map):
-    """Build the library's network object from a raw net."""
-    from wordground.network import Network, Variable
+    """Build the library's network object from a raw net. A variable with
+    the word values is a word."""
+    from wordground.network import WORD_VALUES, Network, Variable
 
-    variables = [Variable(n, tuple(v)) for n, v in values_map.items()]
+    variables = [
+        Variable(n, tuple(v), "word" if tuple(v) == WORD_VALUES else "feature")
+        for n, v in values_map.items()
+    ]
     cpts = {n: np.array(rows, dtype=float) for n, rows in cpt_map.items()}
     return Network(variables, parents_map, cpts, pseudocount=1.0)

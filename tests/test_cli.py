@@ -76,6 +76,31 @@ def test_train_rejects_malformed_corpus(workdir, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
+def test_train_rejects_empty_corpus(workdir, capsys):
+    empty = workdir / "empty.txt"
+    empty.write_text("", encoding="utf-8")
+    model_path = workdir / "m.json"
+    code = run("train", "--corpus", str(empty), "--model", str(model_path))
+    assert code == 2
+    assert "corpus has no records" in capsys.readouterr().err
+    assert not model_path.exists()
+
+
+@pytest.mark.parametrize(
+    "n_records, message", [(0, "corpus has no records"), (60, "no training sizes")]
+)
+def test_eval_rejects_corpus_without_training_sizes(workdir, capsys, n_records, message):
+    # The default sizes start at 100 records, so a smaller corpus has none.
+    corpus = build_corpus(default_world(), default_lexicon(), 20, 3, seed=5).experiences
+    corpus_path = workdir / "small.txt"
+    save_corpus(corpus[:n_records], corpus_path)
+    out_csv = workdir / "curve.csv"
+    code = run("eval", "--corpus", str(corpus_path), "--out", str(out_csv), "--seed", "3")
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out_csv.exists()
+
+
 def test_missing_model_is_runtime_error(workdir, capsys):
     scene = workdir / "scene.txt"
     scene.write_text("ball|yellow,small,sphere\n", encoding="utf-8")
@@ -265,7 +290,11 @@ def test_generate_rejects_malformed_lexicon(workdir, capsys):
 
 @pytest.mark.parametrize(
     "extra, message",
-    [(("--sizes", "50", "--reps", "0"), "repetitions"), (("--sizes", "0"), "training size")],
+    [
+        (("--sizes", "50", "--reps", "0"), "repetitions"),
+        (("--sizes", "0"), "training size"),
+        (("--sizes",), "no training sizes"),
+    ],
 )
 def test_eval_rejects_non_positive_counts(trained, capsys, extra, message):
     root, corpus_path, _, _ = trained

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from wordground.datagen import build_corpus, default_lexicon, default_world
 from wordground.evaluation import (
@@ -19,11 +21,17 @@ from wordground.evaluation import (
     staged_learning,
 )
 from wordground.grounding import bag_of_words
+from wordground.inference import CANONICAL_CELL_ORDER
 from wordground.network import Network, affordance_variables
 from wordground.structure import train_model
 
+from oracles import oracle_cell_mask
+
 WORLD = default_world()
 LEXICON = default_lexicon()
+CELL_DOMAINS = [
+    next(v.values for v in affordance_variables() if v.name == n) for n in CANONICAL_CELL_ORDER
+]
 
 
 @pytest.fixture(scope="module")
@@ -37,14 +45,7 @@ def model(corpus):
 
 
 def expand(action="*", color="*", size="*", shape="*"):
-    by_name = {v.name: v for v in affordance_variables()}
-    cells = set()
-    for a in by_name["Action"].values if action == "*" else (action,):
-        for c in by_name["Color"].values if color == "*" else (color,):
-            for s in by_name["Size"].values if size == "*" else (size,):
-                for sh in by_name["Shape"].values if shape == "*" else (shape,):
-                    cells.add((a, c, s, sh))
-    return frozenset(cells)
+    return oracle_cell_mask(f"{action},{color},{size},{shape}", CELL_DOMAINS)
 
 
 # -- soft and hard accuracy ------------------------------------------------------------
@@ -93,7 +94,9 @@ def test_hard_accuracy_half_right():
 
 def test_hard_accuracy_needs_scorable_instructions():
     net = engineered_color_net((0.7, 0.3, 0.0, 0.0))
-    impossible = Instruction(bag=frozenset({"x"}), compatible=frozenset())
+    impossible = Instruction(
+        bag=frozenset({"x"}), compatible=oracle_cell_mask("IMPOSSIBLE", CELL_DOMAINS)
+    )
     with pytest.raises(ValueError):
         evaluate_instructions(net, [impossible])
 
@@ -136,14 +139,28 @@ def test_baseline_color_word_picks_color(corpus):
 def test_parse_instruction_wildcards():
     ins = parse_instruction_line("grasp the ball|grasp,*,*,sphere")
     assert ins.bag == {"grasp", "the", "ball"}
-    assert ins.compatible == expand(action="grasp", shape="sphere")
+    assert np.array_equal(ins.compatible, expand(action="grasp", shape="sphere"))
     assert not ins.impossible
 
 
 def test_parse_instruction_impossible():
     ins = parse_instruction_line("roll the small cube|IMPOSSIBLE")
     assert ins.impossible
-    assert ins.compatible == frozenset()
+    assert not ins.compatible.any()
+
+
+CELL_SPECS = st.tuples(*(st.sampled_from(("*",) + d) for d in CELL_DOMAINS)).map(",".join)
+
+
+@given(st.lists(CELL_SPECS, min_size=1, max_size=4).map(";".join) | st.just("IMPOSSIBLE"))
+def test_parse_instruction_mask_matches_wildcard_expansion(cells_field):
+    # Several `;` chunks may overlap; the mask is their union on the grid.
+    ins = parse_instruction_line(f"grasp the ball|{cells_field}")
+    expected = oracle_cell_mask(cells_field, CELL_DOMAINS)
+    assert ins.compatible.shape == (3, 4, 3, 2)
+    assert not ins.compatible.flags.writeable
+    assert np.array_equal(ins.compatible, expected)
+    assert ins.impossible == (not expected.any())
 
 
 def test_parse_instruction_errors():
@@ -241,8 +258,7 @@ sys.stdout.write(curve_to_csv(points))
 
 
 def test_curve_csv_is_identical_under_any_string_hash_seed():
-    # Soft accuracy must not depend on the iteration order of the frozenset
-    # of compatible cells, which follows the per-process string hash seed.
+    # Soft accuracy must not depend on the per-process string hash seed.
     src = str(Path(__file__).resolve().parent.parent / "src")
     outputs = []
     for hash_seed in ("0", "1"):

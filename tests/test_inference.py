@@ -337,5 +337,5 @@ def test_state_table_matches_network_prior():
     net = toy_net()
     table = StateTable(net)
     assert abs(table.p_x.sum() - 1.0) < 1e-12
-    # first row is (grasp, sphere, none): the product of its CPT entries
-    assert abs(table.p_x[0] - 0.5 * 0.6 * 0.9) < 1e-15
+    # first state is (grasp, sphere, none): the product of its CPT entries
+    assert abs(table.p_x.flat[0] - 0.5 * 0.6 * 0.9) < 1e-15

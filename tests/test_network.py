@@ -27,6 +27,7 @@ from oracles import (
     oracle_joint,
     oracle_marginal,
     random_binary_net,
+    random_mixed_net,
     to_network,
     with_one_hot_rows,
 )
@@ -268,6 +269,33 @@ def test_marginal_and_joint_match_bruteforce_on_nets_with_exact_zeros():
             worst = max(worst, abs(got_dist[key] - value))
     assert worst < 1e-12
     assert all_zero_cases >= 10
+
+
+def test_marginal_and_joint_match_bruteforce_on_mixed_nets_with_word_evidence():
+    # Cardinalities 2-4, parent lists out of declaration order and word
+    # leaves bound as evidence: every family enters the state table as a
+    # transposed factor, and each word as its CPT column.
+    worst = 0.0
+    for trial in range(200):
+        rng = np.random.default_rng(2000 + trial)
+        values_map, parents_map, cpt_map = random_mixed_net(rng, int(rng.integers(2, 5)))
+        net = to_network(values_map, parents_map, cpt_map)
+        names = list(net.affordance_names())
+        words = list(net.word_names())
+        pick = {n: vals[rng.integers(len(vals))] for n, vals in values_map.items()}
+
+        got = joint_probability(net, pick)
+        worst = max(worst, abs(got - oracle_joint(values_map, parents_map, cpt_map, pick)))
+
+        order = [names[j] for j in rng.permutation(len(names))]
+        k = int(rng.integers(1, min(2, len(names)) + 1))
+        query = order[:k]
+        evidence = {n: pick[n] for n in order[k : k + 1] + words}
+        got_dist = marginal(net, query, evidence)
+        want_dist = oracle_marginal(values_map, parents_map, cpt_map, query, evidence)
+        for key, value in want_dist.items():
+            worst = max(worst, abs(got_dist[key] - value))
+    assert worst < 1e-12
 
 
 def test_marginal_rejects_word_query():

@@ -88,9 +88,11 @@ def _print_ranking(ranking: inference.ActionObjectRanking, scene) -> None:
 
 
 def _cmd_instruct(args: argparse.Namespace) -> int:
+    bag = grounding.bag_of_words(args.words)
+    if not bag:
+        raise ValueError("--words holds no words")
     model = network.load_network(args.model)
     scene = inference.load_scene(args.scene)
-    bag = grounding.bag_of_words(args.words)
     ranking = inference.select_action_object(model, bag, scene)
     _print_ranking(ranking, scene)
     return 0

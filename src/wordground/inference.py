@@ -219,6 +219,8 @@ def parse_scene_line(line: str, lineno: int | None = None) -> SceneObject:
     parts = line.strip().split("|")
     if len(parts) != 2:
         raise ValueError(f"malformed scene record{where}: expected 'id|color,size,shape'")
+    if not parts[0].strip():
+        raise ValueError(f"malformed scene record{where}: empty object id")
     values = parts[1].split(",")
     if len(values) != len(_SCENE_FIELDS):
         raise ValueError(
@@ -240,7 +242,10 @@ def parse_nbest_line(line: str, lineno: int | None = None) -> tuple[tuple[str, .
         p = float(parts[0])
     except ValueError:
         raise ValueError(f"malformed N-best record{where}: bad probability {parts[0]!r}") from None
-    return tuple(parts[1].split()), p
+    tokens = tuple(parts[1].split())
+    if not bag_of_words(tokens):
+        raise ValueError(f"malformed N-best record{where}: no words")
+    return tokens, p
 
 
 def load_nbest(path) -> NBestList:

@@ -7,10 +7,11 @@ turns complete records into them once), exact inference on a dense n-d
 table of the non-word states into which each CPT broadcasts as a factor over
 its family's axes (`StateTable`, the one engine behind every query), and the
 decomposable Bayesian-Dirichlet family score used by structure search.
-The score's log-gamma terms come from a table built once per search with
-`math.lgamma` (`_score_terms`), indexed by counts and row totals, and each
-family's terms are added in ascending order (`_observed_scores`), so that
-parent sets with the same counts score exactly alike.
+The score's log-gamma terms come from a table built with `math.lgamma` once
+per (alpha, r, records) and cached (`_score_terms`). Each family's terms are
+sorted ascending and added one after another (`_observed_scores`): equal
+counts score exactly alike, and the exact 0.0 terms of an unobserved
+configuration change no partial sum, so padding cannot move a score.
 
 Networks are immutable after construction: fitting returns a new network,
 and all query operations are read-only.
@@ -18,6 +19,7 @@ and all query operations are read-only.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import sys
@@ -288,30 +290,34 @@ def encode_columns(
     return {v.name: _encode_column(v, records) for v in variables}
 
 
+def _configs(
+    parent_sets: Sequence[Sequence[Variable]], columns: Mapping[str, np.ndarray], n_records: int
+) -> np.ndarray:
+    """Parent-configuration index of every record under each parent set,
+    row-major over the set's parents, shape (sets, records)."""
+    configs = np.zeros((len(parent_sets), n_records), dtype=np.int64)
+    for row, parents in zip(configs, parent_sets):
+        for p in parents:
+            row *= p.cardinality
+            row += columns[p.name]
+    return configs
+
+
 def family_counts(
     variable: Variable,
     parent_set: Sequence[Variable],
     columns: Mapping[str, np.ndarray],
 ) -> np.ndarray:
     """Count matrix of shape (n_parent_configs, cardinality) from encoded columns."""
-    n = len(columns[variable.name])
-    code = np.zeros(n, dtype=np.int64)
-    n_configs = 1
-    for p in parent_set:
-        code = code * p.cardinality + columns[p.name]
-        n_configs *= p.cardinality
+    n_configs = math.prod(p.cardinality for p in parent_set)
+    code = _configs([parent_set], columns, len(columns[variable.name]))[0]
     joint = code * variable.cardinality + columns[variable.name]
     counts = np.bincount(joint, minlength=n_configs * variable.cardinality)
     return counts.reshape(n_configs, variable.cardinality)
 
 
-def _fit_family(
-    variable: Variable,
-    parent_set: Sequence[Variable],
-    columns: Mapping[str, np.ndarray],
-    pseudocount: float,
-) -> np.ndarray:
-    """CPT of `variable` given `parent_set` from encoded columns.
+def _cpt(counts: np.ndarray, pseudocount: float) -> np.ndarray:
+    """CPTs from family counts of shape (..., n_parent_configs, cardinality).
 
     Each entry is ``(count + a) / (row_total + a * cardinality)``. With
     ``a == 0`` this is the plain maximum-likelihood frequency table (entries
@@ -322,13 +328,13 @@ def _fit_family(
     a = float(pseudocount)
     if not (math.isfinite(a) and a >= 0):
         raise ValueError(f"pseudocount must be a finite number >= 0, got {pseudocount!r}")
-    counts = family_counts(variable, parent_set, columns).astype(float)
-    totals = counts.sum(axis=1, keepdims=True)
+    counts = counts.astype(float)
+    totals = counts.sum(axis=-1, keepdims=True)
     if a > 0:
-        return (counts + a) / (totals + a * variable.cardinality)
+        return (counts + a) / (totals + a * counts.shape[-1])
     with np.errstate(invalid="ignore"):
         table = counts / totals
-    table[np.isnan(table)] = 1.0 / variable.cardinality
+    table[np.isnan(table)] = 1.0 / counts.shape[-1]
     return table
 
 
@@ -342,11 +348,12 @@ def fit_cpts(
 
     Each CPT entry becomes ``(count + a) / (row_total + a * cardinality)``
     with ``a = pseudocount``; with ``a == 0``, rows for parent configurations
-    never observed are uniform (see `_fit_family`).
+    never observed are uniform (see `_cpt`).
     """
     cpts = {
-        v.name: _fit_family(
-            v, [network.variable(p) for p in network.parents[v.name]], columns, pseudocount
+        v.name: _cpt(
+            family_counts(v, [network.variable(p) for p in network.parents[v.name]], columns),
+            pseudocount,
         )
         for v in network.variables
     }
@@ -367,7 +374,8 @@ class StateTable:
     non-word variable, and for a word its CPT column at the bound value.
     Words are leaves, so every unbound word sums out to one and only the
     bound ones enter. Summing the product onto the query variables gives
-    their exact joint with the evidence.
+    their exact joint with the evidence. Each bound word's factor is built
+    once per table and reused by later queries.
     """
 
     def __init__(self, network: Network):
@@ -377,6 +385,7 @@ class StateTable:
         self.p_x = np.ones(self.shape)
         for name in self.names:
             self.p_x *= self._factor(network.cpts[name], network.parents[name] + (name,))
+        self._word_factors: dict[tuple[str, int], np.ndarray] = {}
 
     def _factor(self, table: np.ndarray, names: Sequence[str]) -> np.ndarray:
         """`table`, row-major over the variables `names`, as an array over
@@ -399,8 +408,12 @@ class StateTable:
                 words.append((name, i))
             else:
                 mass *= self._factor(np.arange(v.cardinality) == i, (name,))
-        for name, i in sorted(words):
-            mass *= self._factor(self.network.cpts[name][:, i], self.network.parents[name])
+        for key in sorted(words):
+            if key not in self._word_factors:
+                name, i = key
+                factor = self._factor(self.network.cpts[name][:, i], self.network.parents[name])
+                self._word_factors[key] = factor
+            mass *= self._word_factors[key]
         keep = [self.names.index(c) for c in cells]
         table = mass.sum(axis=tuple(i for i in range(len(self.names)) if i not in keep))
         kept_sorted = sorted(keep)
@@ -456,38 +469,41 @@ def marginal(
 # -- Bayesian-Dirichlet family score ----------------------------------------
 
 
+@functools.lru_cache(maxsize=64)
 def _score_terms(alpha: float, r: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The family score's terms for a variable with `r` values, tabulated
     for counts and row totals 0..n: ``lgamma(alpha + c) - lgamma(alpha)``
     per count c, and ``lgamma(r * alpha) - lgamma(r * alpha + t)`` per row
-    total t."""
+    total t. Both are exactly 0.0 at 0. Cached; the arrays are read-only."""
     if not (math.isfinite(alpha) and alpha > 0):
         raise ValueError(f"alpha must be a finite number > 0, got {alpha!r}")
     grid = np.arange(n + 1, dtype=float)
     cell = np.fromiter(map(math.lgamma, alpha + grid), float, n + 1) - math.lgamma(alpha)
     row = math.lgamma(r * alpha) - np.fromiter(map(math.lgamma, r * alpha + grid), float, n + 1)
+    cell.flags.writeable = False
+    row.flags.writeable = False
     return cell, row
 
 
 def _observed_scores(
     counts: np.ndarray, totals: np.ndarray, terms: tuple[np.ndarray, np.ndarray]
 ) -> np.ndarray:
-    """Family scores of a batch of variables over the same observed parent
-    configurations.
+    """Family scores from counts of shape (..., configurations, r) and row
+    totals of shape (..., configurations); `terms` comes from `_score_terms`.
 
-    `counts` has shape (variables, configurations, r) and holds only the
-    configurations whose row total, the same for every variable, is
-    nonzero; `totals` holds those row totals and `terms` comes from
-    `_score_terms`. Each variable's terms are added in ascending order, so
-    two parent sets with the same multiset of count rows score exactly
-    alike whatever the order of their configurations: a parent that splits
-    no configuration is no improvement, and of two parents that split the
-    records alike the earlier candidate wins.
+    A family's row terms and its cell terms are each sorted ascending and
+    added one after another. So parent sets with the same multiset of count
+    rows score exactly alike whatever the order of their configurations: a
+    parent that splits no configuration is no improvement, and of two
+    parents that split the records alike the earlier candidate wins. An
+    unobserved configuration adds terms of exactly 0.0, which change no
+    partial sum, so unobserved or padded configurations cannot move a score.
     """
     cell, row = terms
-    n_vars, n_rows, r = counts.shape
-    cell_terms = np.sort(cell[counts].reshape(n_vars, n_rows * r), axis=1)
-    return np.sum(np.sort(row[totals])) + cell_terms.sum(axis=1)
+    per_family = counts.shape[:-2] + (math.prod(counts.shape[-2:]),)
+    cell_terms = np.sort(cell[counts].reshape(per_family), axis=-1)
+    row_terms = np.sort(row[totals], axis=-1)
+    return np.cumsum(row_terms, axis=-1)[..., -1] + np.cumsum(cell_terms, axis=-1)[..., -1]
 
 
 def family_log_score(
@@ -506,9 +522,8 @@ def family_log_score(
     columns = encode_columns([variable] + list(parent_set), dataset)
     counts = family_counts(variable, parent_set, columns)
     totals = counts.sum(axis=1)
-    observed = totals > 0
     terms = _score_terms(alpha, variable.cardinality, int(totals.max(initial=0)))
-    return float(_observed_scores(counts[None, observed], totals[observed], terms)[0])
+    return float(_observed_scores(counts, totals, terms))
 
 
 # -- model file -------------------------------------------------------------

@@ -8,20 +8,21 @@ word-meaning association graph; applied under a causal ordering it can also
 learn the affordance structure itself.
 
 One search (`_k2_search`) serves a batch of targets at once. At each greedy
-step the targets still searching are grouped by their current parent set;
-for each (group, candidate) pair a single matrix product of the records'
-one-hot parent configurations with the targets' one-hot values gives every
-target's family counts, and the scores are sums over a table of log-gamma
-terms built once per search (`network._score_terms`). Each score adds its
-terms in ascending order, so parent sets that split the records alike tie
-exactly and the tie-break, not rounding, decides: candidates are searched in
-the order given, the declaration order of the affordance variables, and of
-two equal scores the earlier candidate wins. The records are encoded once
-(`EncodedCorpus`): value-index columns of the affordance variables plus a
-records x words 0/1 presence matrix, the one word-presence encoding, which
-the search and the word CPT fit share. The word layer holds exactly the
-corpus's own words, in sorted order. A learning curve encodes its corpus
-once and trains on index subsets.
+step the targets still searching are grouped by their current parent set,
+and every candidate of every group is counted in one sparse pass
+(`_count_families`): one `bincount` gives the row totals and one over the
+targets' nonzero values the counts of values 1..r-1 (value 0 is the rest of
+the row total). Each score adds its log-gamma terms one after another in
+ascending order (`network._observed_scores`): an unobserved configuration
+adds exact zeros, so all candidates share one padded width, and parent sets
+that split the records alike tie exactly, so the tie-break, not rounding,
+decides. Candidates are searched in the order given, the declaration order
+of the affordance variables, and of two equal scores the earlier wins. The
+records are encoded once (`EncodedCorpus`): value-index columns of the
+affordance variables plus a records x words 0/1 presence matrix, the one
+word-presence encoding, which the search and the word CPT fit share. The
+word layer holds exactly the corpus's own words, in sorted order. A
+learning curve encodes its corpus once and trains on index subsets.
 """
 
 from __future__ import annotations
@@ -37,7 +38,8 @@ from .network import (
     Assignment,
     Network,
     Variable,
-    _fit_family,
+    _configs,
+    _cpt,
     _observed_scores,
     _score_terms,
     affordance_variables,
@@ -110,36 +112,48 @@ class EncodedCorpus:
         )
 
 
-def _family_scores(
-    values: np.ndarray,
-    parents: Sequence[Variable],
-    columns: Mapping[str, np.ndarray],
-    terms: tuple[np.ndarray, np.ndarray],
-) -> np.ndarray:
-    """Family score of every target given `parents`.
+def _group_by(keys) -> tuple[list, np.ndarray]:
+    """The distinct keys in order of first appearance, and each key's index."""
+    index: dict = {}
+    group = np.array([index.setdefault(key, len(index)) for key in keys], dtype=np.int64)
+    return list(index), group
 
-    `values` is the (records, targets, r - 1) one-hot encoding of the
-    targets' values 1..r-1; value 0 is what the others leave of each row
-    total. Parent configurations are indexed row-major over `parents`, and
-    one matrix product of the observed configurations' one-hot rows with
-    `values` counts every target's family at once.
+
+def _nonzero(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Record, target and value minus one of every nonzero entry of the
+    targets' value indices `codes`, shape (records, targets)."""
+    rec, tgt = np.nonzero(codes)
+    return rec, tgt, codes[rec, tgt] - 1
+
+
+def _count_families(
+    entries: tuple[np.ndarray, np.ndarray, np.ndarray],
+    r: int,
+    configs: np.ndarray,
+    group: np.ndarray,
+    width: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Family counts of every target under each coding of its group's
+    parent configurations: `configs` has shape (groups, records, codings),
+    entries below `width`, `group` gives each target's group and `entries`
+    the targets' nonzero values (`_nonzero`). Returns the counts, shape
+    (targets, codings, width, r), and row totals, (targets, codings, width).
     """
-    n_records, n_targets, r_rest = values.shape
-    code = np.zeros(n_records, dtype=np.int64)
-    n_configs = 1
-    for p in parents:
-        code = code * p.cardinality + columns[p.name]
-        n_configs *= p.cardinality
-    totals = np.bincount(code, minlength=n_configs)
-    observed = totals > 0
-    totals = totals[observed]
-    one_hot = np.zeros((len(totals), n_records))
-    one_hot[(np.cumsum(observed) - 1)[code], np.arange(n_records)] = 1.0
-    rest = (one_hot @ values.reshape(n_records, n_targets * r_rest)).astype(np.int64)
-    rest = rest.reshape(len(totals), n_targets, r_rest)
-    first = totals[:, None, None] - rest.sum(axis=2, keepdims=True)
-    counts = np.concatenate([first, rest], axis=2).transpose(1, 0, 2)
-    return _observed_scores(counts, totals, terms)
+    rec, tgt, value = entries
+    n_groups, n_records, n_codings = configs.shape
+    n_targets = len(group)
+    block = n_codings * width
+    coded = configs + width * np.arange(n_codings)
+    totals = np.bincount(
+        (coded + block * np.arange(n_groups)[:, None, None]).ravel(), minlength=n_groups * block
+    ).reshape(n_groups, n_codings, width)[group]
+    cells = coded.reshape(n_groups * n_records, n_codings)[group[tgt] * n_records + rec]
+    rest = np.bincount(
+        (cells + ((value * n_targets + tgt) * block)[:, None]).ravel(),
+        minlength=(r - 1) * n_targets * block,
+    ).reshape(r - 1, n_targets, n_codings, width)
+    counts = np.concatenate([(totals - rest.sum(axis=0))[None], rest])
+    return np.moveaxis(counts, 0, -1), totals
 
 
 def _k2_search(
@@ -157,33 +171,41 @@ def _k2_search(
     strictly above the current one. Returns per target its parents, in
     candidate order, and its score after each step, starting with no parents.
     """
-    values = np.eye(r)[codes][..., 1:]
-    terms = _score_terms(config.alpha, r, len(codes))
-    chosen: list[list[int]] = [[] for _ in range(values.shape[1])]
-    traces = [[s] for s in _family_scores(values, [], columns, terms).tolist()]
-    searching = list(range(len(chosen)))
-    for _ in range(config.max_parents):
-        groups: dict[tuple[int, ...], list[int]] = {}
-        for t in searching:
-            groups.setdefault(tuple(chosen[t]), []).append(t)
-        searching = []
-        for key, members in groups.items():
-            group_values = np.ascontiguousarray(values[:, members])
-            parents = [candidates[i] for i in key]
-            best = np.full(len(members), -1)
-            best_score = np.array([traces[t][-1] for t in members])
-            for i, cand in enumerate(candidates):
-                if i in key:
-                    continue
-                score = _family_scores(group_values, parents + [cand], columns, terms)
-                better = score > best_score
-                best[better] = i
-                best_score[better] = score[better]
-            for t, i, s in zip(members, best.tolist(), best_score.tolist()):
-                if i >= 0:
-                    chosen[t].append(i)
-                    traces[t].append(s)
-                    searching.append(t)
+    n_records, n_targets = codes.shape
+    terms = _score_terms(config.alpha, r, n_records)
+    # coding 0 keeps the current parent set; coding 1 + i adds candidate i
+    extensions = [()] + ([[c] for c in candidates] if config.max_parents else [])
+    cards = np.array([math.prod(c.cardinality for c in e) for e in extensions], dtype=np.int64)
+    extend = _configs(extensions, columns, n_records).T
+    rec, tgt, value = _nonzero(codes)
+    chosen: list[list[int]] = [[] for _ in range(n_targets)]
+    traces: list[list[float]] = []
+    searching = np.arange(n_targets)
+    for step in range(max(config.max_parents, 1)):  # at 0, for the no-parent scores
+        if not searching.size:
+            break
+        keys, group = _group_by(tuple(chosen[t]) for t in searching.tolist())
+        bases = _configs([[candidates[i] for i in key] for key in keys], columns, n_records)
+        width = max(math.prod(candidates[i].cardinality for i in key) for key in keys)
+        width *= int(cards.max())
+        counts, totals = _count_families(
+            (rec, tgt, value), r, bases[:, :, None] * cards + extend, group, width
+        )
+        scores = _observed_scores(counts, totals, terms)
+        if step == 0:
+            traces = [[s] for s in scores[:, 0].tolist()]
+        # the first maximum wins, so a candidate is taken only if it scores
+        # strictly above coding 0; a candidate already taken ties coding 0
+        best = np.argmax(scores, axis=1)
+        accept = best > 0
+        searching = searching[accept]
+        best_score = scores[accept, best[accept]]
+        for t, i, s in zip(searching.tolist(), best[accept].tolist(), best_score.tolist()):
+            chosen[t].append(i - 1)
+            traces[t].append(s)
+        # keep the entries of the targets still searching, renumbered in order
+        keep = accept[tgt]
+        rec, tgt, value = rec[keep], (np.cumsum(accept) - 1)[tgt[keep]], value[keep]
     return [
         (tuple(candidates[i].name for i in sorted(c)), trace)
         for c, trace in zip(chosen, traces)
@@ -200,10 +222,12 @@ def _best_single_parents(
     """Per target, the candidate whose one-parent family scores highest,
     even if no parent at all scores higher; the earlier candidate wins a
     tie. `codes` and `candidates` are as in `_k2_search`."""
-    values = np.eye(r)[codes][..., 1:]
-    terms = _score_terms(alpha, r, len(codes))
-    scores = [_family_scores(values, [c], columns, terms) for c in candidates]
-    return [candidates[i].name for i in np.argmax(scores, axis=0)]
+    singles = _configs([[c] for c in candidates], columns, len(codes)).T[None]
+    one_group = np.zeros(codes.shape[1], dtype=np.int64)
+    width = max(c.cardinality for c in candidates)
+    counts, totals = _count_families(_nonzero(codes), r, singles, one_group, width)
+    scores = _observed_scores(counts, totals, _score_terms(alpha, r, len(codes)))
+    return [candidates[i].name for i in np.argmax(scores, axis=1).tolist()]
 
 
 def k2_select_parents(
@@ -259,15 +283,18 @@ def _attach_words(
 ) -> Network:
     """Add one presence node per word of the corpus to the affordance
     network. Each word's CPT given its parents is fitted with the affordance
-    network's pseudocount."""
+    network's pseudocount; all words are counted in one pass, each under
+    its own parent set."""
+    parent_sets, group = _group_by(word_parents[w] for w in corpus.words)
+    parent_vars = [[affordance_network.variable(p) for p in ps] for ps in parent_sets]
+    rows = [math.prod(v.cardinality for v in vs) for vs in parent_vars]
+    configs = _configs(parent_vars, corpus.columns, len(corpus.presence))[:, :, None]
+    counts, _ = _count_families(_nonzero(corpus.presence), 2, configs, group, max(rows, default=1))
+    tables = _cpt(counts[:, 0], affordance_network.pseudocount)
     word_vars = [word_variable(word) for word in corpus.words]
-    word_cpts: dict[str, np.ndarray] = {}
-    for j, wvar in enumerate(word_vars):
-        parent_vars = [affordance_network.variable(p) for p in word_parents[wvar.name]]
-        family = {**corpus.columns, wvar.name: corpus.presence[:, j]}
-        word_cpts[wvar.name] = _fit_family(
-            wvar, parent_vars, family, affordance_network.pseudocount
-        )
+    word_cpts = {
+        w.name: tables[j, : rows[g]] for j, (w, g) in enumerate(zip(word_vars, group.tolist()))
+    }
     return affordance_network.with_word_layer(word_vars, word_parents, word_cpts)
 
 
@@ -284,12 +311,8 @@ def learn_affordance_structure(
     """
     parent_map: dict[str, tuple[str, ...]] = {}
     for i, var in enumerate(ordering):
-        candidates = list(ordering[:i])
-        if not candidates:
-            parent_map[var.name] = ()
-            continue
         [(parents, _)] = _k2_search(
-            columns[var.name][:, None], var.cardinality, candidates, columns, config
+            columns[var.name][:, None], var.cardinality, list(ordering[:i]), columns, config
         )
         parent_map[var.name] = parents
     return parent_map

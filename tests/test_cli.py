@@ -220,6 +220,50 @@ def test_rescore_rejects_non_finite_acoustic_probability(trained, workdir, capsy
     assert "acoustic probability" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", ["0.5|", "0.5|   ", "0.5|. ,"])
+def test_rescore_rejects_hypothesis_without_words(trained, workdir, capsys, line):
+    # an empty bag scores 1 for every pair, so it would outrank every real
+    # hypothesis
+    root, _, model_path, scene_path = trained
+    nbest = workdir / "nbest.txt"
+    nbest.write_text(f"0.3|tap the ball\n{line}\n", encoding="utf-8")
+    code = run(
+        "rescore", "--model", str(model_path), "--scene", str(scene_path),
+        "--nbest", str(nbest),
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "line 2" in captured.err and "no words" in captured.err
+    assert captured.out == ""
+
+
+def test_instruct_rejects_scene_object_without_id(trained, workdir, capsys):
+    root, _, model_path, _ = trained
+    scene = workdir / "scene.txt"
+    scene.write_text("a|yellow,small,sphere\n|blue,small,box\n", encoding="utf-8")
+    code = run(
+        "instruct", "--model", str(model_path), "--scene", str(scene),
+        "--words", "tap the ball",
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "line 2" in captured.err and "empty object id" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("words", ["", "   ", "?!"])
+def test_instruct_rejects_request_without_words(trained, capsys, words):
+    root, _, model_path, scene_path = trained
+    code = run(
+        "instruct", "--model", str(model_path), "--scene", str(scene_path),
+        "--words", words,
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "--words" in captured.err
+    assert captured.out == ""
+
+
 def test_instruct_rejects_duplicate_scene_ids(trained, workdir, capsys):
     root, _, model_path, _ = trained
     scene = workdir / "scene.txt"

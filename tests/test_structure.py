@@ -1,4 +1,5 @@
 import math
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from wordground.datagen import (
 from wordground.grounding import Experience
 from wordground.network import (
     Variable,
+    _observed_scores,
+    _score_terms,
     affordance_variables,
     encode_columns,
     family_log_score,
@@ -159,6 +162,95 @@ def test_k2_exact_tie_between_candidates_goes_to_the_earlier_one():
         assert k2_select_parents(w, [copy, action], records) == ("Copy",) * len(first)
         linked += len(first)
     assert linked >= 25
+
+
+def test_k2_single_candidate_exhausted_before_max_parents():
+    # with one candidate the search runs out of candidates after one step,
+    # well before the parent limit
+    action = VARIABLES[0]
+    rate = {"grasp": 0.9, "tap": 0.1, "touch": 0.5}
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        records = []
+        for _ in range(int(rng.integers(20, 200))):
+            a = action.values[rng.integers(3)]
+            records.append({"Action": a, "w": "present" if rng.random() < rate[a] else "absent"})
+        parents = k2_select_parents(word_variable("w"), [action], records, K2Config(max_parents=3))
+        expected, _ = oracle_k2_parents(records, "w", ["absent", "present"], ["Action"], 3)
+        assert parents == expected
+        assert parents == ("Action",)
+
+
+def test_affordance_structure_with_exhausted_candidates_matches_oracle():
+    # Color is a function of Action, so Color takes its one candidate at the
+    # first step and has none left for the other two
+    states = sample_experiences(WORLD, 150, 41)
+    color = dict(zip(VARIABLES[0].values, ("blue", "yellow", "blue")))
+    for s in states:
+        s["Color"] = color[s["Action"]]
+    parent_map = learn_affordance_structure(
+        encode_columns(VARIABLES, states), VARIABLES, K2Config(max_parents=3)
+    )
+    assert parent_map["Color"] == ("Action",)
+    for i, var in enumerate(VARIABLES):
+        earlier = [v.name for v in VARIABLES[:i]]
+        expected, ambiguous = oracle_k2_parents(states, var.name, list(var.values), earlier, 3)
+        if not ambiguous:
+            assert parent_map[var.name] == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    alpha=st.sampled_from([1.0, 0.3]),
+    r=st.integers(2, 4),
+    seed=st.integers(0, 2**32 - 1),
+    n_rows=st.integers(1, 30),
+    n_zero_rows=st.integers(1, 40),
+)
+def test_observed_scores_ignore_zero_rows_and_row_order(alpha, r, seed, n_rows, n_zero_rows):
+    # At alpha 0.3 the count-1 term is negative, so the exact zeros of an
+    # unobserved configuration sort into the middle of the terms; the score
+    # must still not move
+    rng = np.random.default_rng(seed)
+    counts = rng.integers(0, 25, size=(n_rows, r)) * (rng.random((n_rows, 1)) < 0.8)
+    totals = counts.sum(axis=1)
+    terms = _score_terms(alpha, r, int(totals.max()))
+    score = _observed_scores(counts[None], totals, terms)
+    padded = np.concatenate([counts, np.zeros((n_zero_rows, r), dtype=counts.dtype)])
+    order = rng.permutation(len(padded))
+    padded = padded[order]
+    assert _observed_scores(padded[None], padded.sum(axis=1), terms) == score
+    order = rng.permutation(n_rows)
+    assert _observed_scores(counts[order][None], totals[order], terms) == score
+
+
+@pytest.mark.parametrize("alpha", [1.0, 0.3])
+def test_k2_trace_is_the_family_score_of_the_parents_so_far(clean_corpus, alpha):
+    # each trace entry is exactly `family_log_score` of the parents chosen
+    # up to that step, in the order they were chosen
+    corpus = EncodedCorpus.encode(clean_corpus[:400])
+    targets = [j for j, w in enumerate(corpus.words) if j % 3 == 0]
+    found = _k2_search(
+        corpus.presence[:, targets], 2, list(VARIABLES), corpus.columns, K2Config(alpha=alpha)
+    )
+    by_name = {v.name: v for v in VARIABLES}
+    linked = 0
+    for j, (parents, trace) in zip(targets, found):
+        w = word_variable(corpus.words[j])
+        dataset = [
+            dict(e.state, **{w.name: "present" if w.name in e.description else "absent"})
+            for e in clean_corpus[:400]
+        ]
+        assert len(trace) == len(parents) + 1
+        assert any(
+            all(
+                trace[i] == family_log_score(w, [by_name[p] for p in order[:i]], dataset, alpha)
+                for i in range(len(trace))
+            )
+            for order in permutations(parents)
+        )
+        linked += len(parents) > 0
+    assert linked >= 5
 
 
 def test_family_score_closed_form_for_binary_family_at_alpha_one():

@@ -106,10 +106,11 @@ def _cmd_repl(args: argparse.Namespace) -> int:
         line = line.strip()
         if not line:
             break
-        ranking = inference.select_action_object(
-            model, grounding.bag_of_words(line), scene
-        )
-        _print_ranking(ranking, scene)
+        bag = grounding.bag_of_words(line)
+        if not bag:
+            print(f"error: {line!r} holds no words", file=sys.stderr)
+            continue
+        _print_ranking(inference.select_action_object(model, bag, scene), scene)
     return 0
 
 

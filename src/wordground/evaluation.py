@@ -125,8 +125,8 @@ def build_baseline_network(
     variables = affordance_variables()
     corpus = EncodedCorpus.encode(dataset, variables)
     aff = make_network(variables, {v.name: () for v in variables})
-    aff = fit_cpts(aff, corpus.columns, pseudocount)
-    best = _best_single_parents(corpus.presence, 2, variables, corpus.columns, alpha)
+    aff = fit_cpts(aff, corpus.columns, pseudocount, corpus.weights)
+    best = _best_single_parents(corpus, variables, alpha)
     parents = {word: (parent,) for word, parent in zip(corpus.words, best)}
     return _attach_words(aff, corpus, parents)
 

@@ -52,7 +52,8 @@ class SceneObject:
 
 @dataclass(frozen=True)
 class NBestList:
-    """Recognizer output: hypotheses with positive acoustic probabilities."""
+    """Recognizer output: hypotheses with words and positive acoustic
+    probabilities."""
 
     hypotheses: tuple[tuple[tuple[str, ...], float], ...]
 
@@ -62,6 +63,10 @@ class NBestList:
         for tokens, p in self.hypotheses:
             if not 0 < p < np.inf:
                 raise ValueError(f"acoustic probability must be finite and positive, got {p}")
+            # an empty bag scores 1 for every pair, so it would outrank
+            # every hypothesis with words
+            if not bag_of_words(tokens):
+                raise ValueError(f"N-best hypothesis {tokens!r} has no words")
 
 
 @dataclass(frozen=True)

@@ -3,10 +3,13 @@
 Representation of named discrete variables and a DAG of conditional
 probability tables, maximum-a-posteriori parameter fitting with symmetric
 Dirichlet smoothing from encoded value-index columns (`encode_columns`
-turns complete records into them once), exact inference on a dense n-d
-table of the non-word states into which each CPT broadcasts as a factor over
-its family's axes (`StateTable`, the one engine behind every query), and the
-decomposable Bayesian-Dirichlet family score used by structure search.
+turns complete records into them once; with weights, the columns hold
+distinct states and each counts as its number of records), one
+family-counting pass behind every fit and score (`_count_families`), exact
+inference on a dense n-d table of the non-word states into which each CPT
+broadcasts as a factor over its family's axes (`StateTable`, the one engine
+behind every query), and the decomposable Bayesian-Dirichlet family score
+used by structure search.
 The score's log-gamma terms come from a table built with `math.lgamma` once
 per (alpha, r, records) and cached (`_score_terms`). Each family's terms are
 sorted ascending and added one after another (`_observed_scores`): equal
@@ -303,17 +306,79 @@ def _configs(
     return configs
 
 
+def _value_entries(
+    codes: np.ndarray, weights: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Count entries of targets given as value indices, `codes` of shape
+    (states, targets): the state, target, value minus one and multiplicity
+    of every nonzero value, each counting as its state's weight."""
+    flat = np.flatnonzero(codes)
+    state, tgt = np.divmod(flat, codes.shape[1])
+    return state, tgt, codes.ravel()[flat] - 1, weights[state]
+
+
+def _count_families(
+    entries: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+    weights: np.ndarray,
+    r: int,
+    configs: np.ndarray,
+    group: np.ndarray,
+    width: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Family counts of every target under each coding of its group's
+    parent configurations, the one counting pass behind every score and fit.
+
+    `configs` has shape (states, groups, codings), entries below `width`;
+    `weights` gives each state's number of records, `group` each target's
+    group and `entries` the (state, target, value - 1, multiplicity) of the
+    targets' nonzero values, as `_value_entries` returns them. One weighted
+    `bincount` gives the row totals and one the counts of values 1..r-1;
+    value 0 is the rest of the row total. The sums are of integers, so they
+    are exact. Returns the counts, shape (targets, codings, width, r), and
+    row totals, (targets, codings, width), both int64.
+    """
+    state, tgt, value, multiplicity = entries
+    n_states, n_groups, n_codings = configs.shape
+    n_targets = len(group)
+    block = n_codings * width
+    # every state's (group, coding, configuration) cell
+    coded = configs + width * np.arange(n_groups * n_codings).reshape(n_groups, n_codings)
+    totals = np.bincount(
+        coded.ravel(), weights=np.repeat(weights, n_groups * n_codings), minlength=n_groups * block
+    ).astype(np.int64).reshape(n_groups, n_codings, width)[group]
+    # each entry's cells, moved from its group's block to its target's
+    entry_group = group[tgt]
+    cells = (coded * (r - 1))[state, entry_group]
+    rest = np.bincount(
+        (cells + ((tgt - entry_group) * (block * (r - 1)) + value)[:, None]).ravel(),
+        weights=np.repeat(multiplicity, n_codings),
+        minlength=n_targets * block * (r - 1),
+    ).astype(np.int64).reshape(n_targets, n_codings, width, r - 1)
+    return np.concatenate([(totals - rest.sum(axis=-1))[..., None], rest], axis=-1), totals
+
+
+def _record_weights(columns: Mapping[str, np.ndarray]) -> np.ndarray:
+    """Weight one for every row of encoded columns of records."""
+    return np.ones(len(next(iter(columns.values()), ())), dtype=np.int64)
+
+
 def family_counts(
     variable: Variable,
     parent_set: Sequence[Variable],
     columns: Mapping[str, np.ndarray],
 ) -> np.ndarray:
-    """Count matrix of shape (n_parent_configs, cardinality) from encoded columns."""
-    n_configs = math.prod(p.cardinality for p in parent_set)
-    code = _configs([parent_set], columns, len(columns[variable.name]))[0]
-    joint = code * variable.cardinality + columns[variable.name]
-    counts = np.bincount(joint, minlength=n_configs * variable.cardinality)
-    return counts.reshape(n_configs, variable.cardinality)
+    """Count matrix of shape (n_parent_configs, cardinality) from encoded
+    columns of records."""
+    weights = _record_weights(columns)
+    counts, _ = _count_families(
+        _value_entries(columns[variable.name][:, None], weights),
+        weights,
+        variable.cardinality,
+        _configs([parent_set], columns, len(weights)).T[:, :, None],
+        np.zeros(1, dtype=np.int64),
+        math.prod(p.cardinality for p in parent_set),
+    )
+    return counts[0, 0]
 
 
 def _cpt(counts: np.ndarray, pseudocount: float) -> np.ndarray:
@@ -338,25 +403,62 @@ def _cpt(counts: np.ndarray, pseudocount: float) -> np.ndarray:
     return table
 
 
+def _group_by(keys) -> tuple[list, np.ndarray]:
+    """The distinct keys in order of first appearance, and each key's index."""
+    index: dict = {}
+    group = np.array([index.setdefault(key, len(index)) for key in keys], dtype=np.int64)
+    return list(index), group
+
+
+def _fit_families(
+    entries: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+    weights: np.ndarray,
+    r: int,
+    parent_sets: Sequence[tuple[Variable, ...]],
+    columns: Mapping[str, np.ndarray],
+    pseudocount: float,
+) -> list[np.ndarray]:
+    """CPTs of a batch of targets with `r` values each, one per parent set
+    in `parent_sets`, all counted in one `_count_families` pass in which
+    targets with the same parent set share a group. `entries`, `weights`
+    and `columns` are as there; the estimator is `_cpt`."""
+    keys, group = _group_by(parent_sets)
+    rows = [math.prod(p.cardinality for p in key) for key in keys]
+    configs = _configs(keys, columns, len(weights)).T[:, :, None]
+    counts, _ = _count_families(entries, weights, r, configs, group, max(rows, default=1))
+    tables = _cpt(counts[:, 0], pseudocount)
+    return [tables[j, : rows[g]] for j, g in enumerate(group.tolist())]
+
+
 def fit_cpts(
     network: Network,
     columns: Mapping[str, np.ndarray],
     pseudocount: float = 1.0,
+    weights: np.ndarray | None = None,
 ) -> Network:
     """Refit every CPT from encoded columns of complete records, as
-    `encode_columns` returns them, keeping the structure.
+    `encode_columns` returns them, keeping the structure. With `weights`
+    the columns hold distinct states and each counts as that many records.
+    The variables with the same number of values are counted together.
 
     Each CPT entry becomes ``(count + a) / (row_total + a * cardinality)``
     with ``a = pseudocount``; with ``a == 0``, rows for parent configurations
     never observed are uniform (see `_cpt`).
     """
-    cpts = {
-        v.name: _cpt(
-            family_counts(v, [network.variable(p) for p in network.parents[v.name]], columns),
+    if weights is None:
+        weights = _record_weights(columns)
+    cpts = {}
+    for r in sorted({v.cardinality for v in network.variables}):
+        targets = [v for v in network.variables if v.cardinality == r]
+        tables = _fit_families(
+            _value_entries(np.stack([columns[v.name] for v in targets], axis=1), weights),
+            weights,
+            r,
+            [tuple(network.variable(p) for p in network.parents[v.name]) for v in targets],
+            columns,
             pseudocount,
         )
-        for v in network.variables
-    }
+        cpts.update(zip((v.name for v in targets), tables))
     return Network(network.variables, network.parents, cpts, float(pseudocount))
 
 

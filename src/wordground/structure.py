@@ -7,28 +7,36 @@ or the parent limit is reached. Applied per word node this produces the
 word-meaning association graph; applied under a causal ordering it can also
 learn the affordance structure itself.
 
+Every count is a sum over the distinct states of the training records,
+each weighted by its number of records: the family score and the CPT fit
+depend on the records only through these counts (Cooper & Herskovits 1992),
+so the counts are the sufficient statistics, cached per corpus (Moore &
+Lee 1998). The records are encoded once (`EncodedCorpus`): the value-index
+columns of each distinct state, its number of records, and a states x words
+matrix of how many of its descriptions hold each word, the one
+word-presence encoding, which the search and the word CPT fit share. A
+learning curve encodes its corpus once and re-weights the same states for
+each index subset. The word layer holds exactly the corpus's own words, in
+sorted order.
+
 One search (`_k2_search`) serves a batch of targets at once. At each greedy
 step the targets still searching are grouped by their current parent set,
 and every candidate of every group is counted in one sparse pass
-(`_count_families`): one `bincount` gives the row totals and one over the
-targets' nonzero values the counts of values 1..r-1 (value 0 is the rest of
-the row total). Each score adds its log-gamma terms one after another in
-ascending order (`network._observed_scores`): an unobserved configuration
-adds exact zeros, so all candidates share one padded width, and parent sets
-that split the records alike tie exactly, so the tie-break, not rounding,
-decides. Candidates are searched in the order given, the declaration order
-of the affordance variables, and of two equal scores the earlier wins. The
-records are encoded once (`EncodedCorpus`): value-index columns of the
-affordance variables plus a records x words 0/1 presence matrix, the one
-word-presence encoding, which the search and the word CPT fit share. The
-word layer holds exactly the corpus's own words, in sorted order. A
-learning curve encodes its corpus once and trains on index subsets.
+(`network._count_families`): one weighted `bincount` gives the row totals
+and one over the targets' nonzero values the counts of values 1..r-1
+(value 0 is the rest of the row total). Each score adds its log-gamma terms
+one after another in ascending order (`network._observed_scores`): an
+unobserved configuration adds exact zeros, so all candidates share one
+padded width, and parent sets that split the records alike tie exactly, so
+the tie-break, not rounding, decides. Candidates are searched in the order
+given, the declaration order of the affordance variables, and of two equal
+scores the earlier wins.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -39,9 +47,13 @@ from .network import (
     Network,
     Variable,
     _configs,
-    _cpt,
+    _count_families,
+    _fit_families,
+    _group_by,
     _observed_scores,
+    _record_weights,
     _score_terms,
+    _value_entries,
     affordance_variables,
     default_affordance_parents,
     encode_columns,
@@ -74,18 +86,28 @@ class K2Config:
 
 @dataclass(frozen=True, eq=False)
 class EncodedCorpus:
-    """Experiences encoded once for training.
+    """Experiences encoded once for training, as the sufficient statistics
+    of every family count.
 
-    `columns` holds each affordance variable's value index per record,
-    `words` the sorted words that occur in the descriptions and `presence`
-    the records x words 0/1 matrix of which words each description holds.
-    `train_model` takes it in place of the experiences, `learn_word_layer`
-    takes only it, and `subset` selects records without re-encoding them.
+    `columns` holds each affordance variable's value index per distinct
+    state, `weights` the number of records in each state, `words` the
+    sorted words that occur in the descriptions and `word_counts` the
+    states x words matrix of how many of a state's descriptions hold each
+    word. `train_model` takes it in place of the experiences,
+    `learn_word_layer` takes only it, and `subset` selects records without
+    re-encoding them.
     """
 
     columns: Mapping[str, np.ndarray]
+    weights: np.ndarray
     words: tuple[str, ...]
-    presence: np.ndarray
+    word_counts: np.ndarray
+    # the encoded records: the state of each, and the record and
+    # state * len(_words) + word of each word of a description
+    _records: tuple[np.ndarray, np.ndarray, np.ndarray] = field(repr=False)
+    _words: tuple[str, ...] = field(repr=False)
+    # the encoded record behind each record of this corpus
+    _rows: np.ndarray = field(repr=False)
 
     @classmethod
     def encode(
@@ -94,90 +116,87 @@ class EncodedCorpus:
         if not experiences:
             raise ValueError("corpus has no records")
         columns = encode_columns(variables, [exp.state for exp in experiences])
+        codes = _configs([variables], columns, len(experiences))[0]
+        _, first, states = np.unique(codes, return_index=True, return_inverse=True)
         words = tuple(corpus_vocabulary(experiences))
         index = {w: j for j, w in enumerate(words)}
-        presence = np.zeros((len(experiences), len(words)), dtype=np.int64)
-        rows = [i for i, exp in enumerate(experiences) for _ in exp.description]
-        presence[rows, [index[w] for exp in experiences for w in exp.description]] = 1
-        return cls(columns, words, presence)
+        entry_rows = np.array(
+            [i for i, exp in enumerate(experiences) for _ in exp.description], dtype=np.int64
+        )
+        entry_words = np.array(
+            [index[w] for exp in experiences for w in exp.description], dtype=np.int64
+        )
+        cells = states[entry_rows] * len(words) + entry_words
+        return cls(
+            {name: col[first] for name, col in columns.items()},
+            np.bincount(states),
+            words,
+            np.bincount(cells, minlength=len(first) * len(words)).reshape(len(first), len(words)),
+            (states, entry_rows, cells),
+            words,
+            np.arange(len(experiences)),
+        )
 
     def subset(self, indices: np.ndarray) -> "EncodedCorpus":
-        """The records at `indices`; the words are those that occur in them."""
-        presence = self.presence[indices]
-        seen = presence.any(axis=0)
+        """The records at `indices`, re-weighted over the same states (a
+        state none of them is in keeps weight 0); the words are those that
+        occur in them."""
+        rows = self._rows[indices]
+        states, entry_rows, cells = self._records
+        n_states = len(self.weights)
+        picked = np.bincount(rows, minlength=len(states))
+        word_counts = np.bincount(
+            cells, weights=picked[entry_rows], minlength=n_states * len(self._words)
+        ).astype(np.int64).reshape(n_states, len(self._words))
+        seen = word_counts.any(axis=0)
         return EncodedCorpus(
-            {name: col[indices] for name, col in self.columns.items()},
-            tuple(w for w, s in zip(self.words, seen) if s),
-            presence[:, seen],
+            self.columns,
+            np.bincount(states[rows], minlength=n_states),
+            tuple(w for w, s in zip(self._words, seen) if s),
+            word_counts[:, seen],
+            self._records,
+            self._words,
+            rows,
         )
 
 
-def _group_by(keys) -> tuple[list, np.ndarray]:
-    """The distinct keys in order of first appearance, and each key's index."""
-    index: dict = {}
-    group = np.array([index.setdefault(key, len(index)) for key in keys], dtype=np.int64)
-    return list(index), group
-
-
-def _nonzero(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Record, target and value minus one of every nonzero entry of the
-    targets' value indices `codes`, shape (records, targets)."""
-    rec, tgt = np.nonzero(codes)
-    return rec, tgt, codes[rec, tgt] - 1
-
-
-def _count_families(
-    entries: tuple[np.ndarray, np.ndarray, np.ndarray],
-    r: int,
-    configs: np.ndarray,
-    group: np.ndarray,
-    width: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Family counts of every target under each coding of its group's
-    parent configurations: `configs` has shape (groups, records, codings),
-    entries below `width`, `group` gives each target's group and `entries`
-    the targets' nonzero values (`_nonzero`). Returns the counts, shape
-    (targets, codings, width, r), and row totals, (targets, codings, width).
-    """
-    rec, tgt, value = entries
-    n_groups, n_records, n_codings = configs.shape
-    n_targets = len(group)
-    block = n_codings * width
-    coded = configs + width * np.arange(n_codings)
-    totals = np.bincount(
-        (coded + block * np.arange(n_groups)[:, None, None]).ravel(), minlength=n_groups * block
-    ).reshape(n_groups, n_codings, width)[group]
-    cells = coded.reshape(n_groups * n_records, n_codings)[group[tgt] * n_records + rec]
-    rest = np.bincount(
-        (cells + ((value * n_targets + tgt) * block)[:, None]).ravel(),
-        minlength=(r - 1) * n_targets * block,
-    ).reshape(r - 1, n_targets, n_codings, width)
-    counts = np.concatenate([(totals - rest.sum(axis=0))[None], rest])
-    return np.moveaxis(counts, 0, -1), totals
+def _word_entries(
+    word_counts: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Count entries of word targets from a states x words count matrix:
+    the state, word, value minus one (present is 1) and number of
+    descriptions of every word that some description of a state holds."""
+    flat = np.flatnonzero(word_counts)
+    state, tgt = np.divmod(flat, word_counts.shape[1])
+    return state, tgt, np.zeros_like(state), word_counts.ravel()[flat]
 
 
 def _k2_search(
-    codes: np.ndarray,
+    entries: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+    n_targets: int,
     r: int,
     candidates: Sequence[Variable],
     columns: Mapping[str, np.ndarray],
+    weights: np.ndarray,
     config: K2Config,
 ) -> list[tuple[tuple[str, ...], list[float]]]:
-    """Greedy K2 search for a batch of targets with `r` values each.
+    """Greedy K2 search for a batch of `n_targets` targets with `r` values
+    each.
 
-    `codes` holds the targets' value indices, shape (records, targets), and
-    `candidates` the parents to draw from in tie-break order. Each step adds,
-    per target, the first candidate with the highest score if that score is
-    strictly above the current one. Returns per target its parents, in
-    candidate order, and its score after each step, starting with no parents.
+    `columns` and `weights` hold the states and their numbers of records,
+    `entries` the targets' values in them (`network._value_entries`,
+    `_word_entries`) and `candidates` the parents to draw from in tie-break
+    order. Each step adds, per target, the first candidate with the highest
+    score if that score is strictly above the current one. Returns per
+    target its parents, in candidate order, and its score after each step,
+    starting with no parents.
     """
-    n_records, n_targets = codes.shape
-    terms = _score_terms(config.alpha, r, n_records)
+    terms = _score_terms(config.alpha, r, int(weights.sum()))
     # coding 0 keeps the current parent set; coding 1 + i adds candidate i
     extensions = [()] + ([[c] for c in candidates] if config.max_parents else [])
     cards = np.array([math.prod(c.cardinality for c in e) for e in extensions], dtype=np.int64)
-    extend = _configs(extensions, columns, n_records).T
-    rec, tgt, value = _nonzero(codes)
+    extend = _configs(extensions, columns, len(weights)).T
+    state, tgt, value, multiplicity = entries
     chosen: list[list[int]] = [[] for _ in range(n_targets)]
     traces: list[list[float]] = []
     searching = np.arange(n_targets)
@@ -185,11 +204,16 @@ def _k2_search(
         if not searching.size:
             break
         keys, group = _group_by(tuple(chosen[t]) for t in searching.tolist())
-        bases = _configs([[candidates[i] for i in key] for key in keys], columns, n_records)
+        bases = _configs([[candidates[i] for i in key] for key in keys], columns, len(weights))
         width = max(math.prod(candidates[i].cardinality for i in key) for key in keys)
         width *= int(cards.max())
         counts, totals = _count_families(
-            (rec, tgt, value), r, bases[:, :, None] * cards + extend, group, width
+            (state, tgt, value, multiplicity),
+            weights,
+            r,
+            bases.T[:, :, None] * cards + extend[:, None],
+            group,
+            width,
         )
         scores = _observed_scores(counts, totals, terms)
         if step == 0:
@@ -205,7 +229,8 @@ def _k2_search(
             traces[t].append(s)
         # keep the entries of the targets still searching, renumbered in order
         keep = accept[tgt]
-        rec, tgt, value = rec[keep], (np.cumsum(accept) - 1)[tgt[keep]], value[keep]
+        state, tgt = state[keep], (np.cumsum(accept) - 1)[tgt[keep]]
+        value, multiplicity = value[keep], multiplicity[keep]
     return [
         (tuple(candidates[i].name for i in sorted(c)), trace)
         for c, trace in zip(chosen, traces)
@@ -213,20 +238,18 @@ def _k2_search(
 
 
 def _best_single_parents(
-    codes: np.ndarray,
-    r: int,
-    candidates: Sequence[Variable],
-    columns: Mapping[str, np.ndarray],
-    alpha: float,
+    corpus: EncodedCorpus, candidates: Sequence[Variable], alpha: float
 ) -> list[str]:
-    """Per target, the candidate whose one-parent family scores highest,
-    even if no parent at all scores higher; the earlier candidate wins a
-    tie. `codes` and `candidates` are as in `_k2_search`."""
-    singles = _configs([[c] for c in candidates], columns, len(codes)).T[None]
-    one_group = np.zeros(codes.shape[1], dtype=np.int64)
+    """Per word of the corpus, the candidate whose one-parent family scores
+    highest, even if no parent at all scores higher; the earlier candidate
+    wins a tie."""
+    singles = _configs([[c] for c in candidates], corpus.columns, len(corpus.weights)).T[:, None]
+    one_group = np.zeros(len(corpus.words), dtype=np.int64)
     width = max(c.cardinality for c in candidates)
-    counts, totals = _count_families(_nonzero(codes), r, singles, one_group, width)
-    scores = _observed_scores(counts, totals, _score_terms(alpha, r, len(codes)))
+    counts, totals = _count_families(
+        _word_entries(corpus.word_counts), corpus.weights, 2, singles, one_group, width
+    )
+    scores = _observed_scores(counts, totals, _score_terms(alpha, 2, int(corpus.weights.sum())))
     return [candidates[i].name for i in np.argmax(scores, axis=1).tolist()]
 
 
@@ -244,11 +267,14 @@ def k2_select_parents(
     if any(c.name == target_variable.name for c in candidates):
         raise ValueError("target variable cannot be its own candidate parent")
     columns = encode_columns([target_variable] + list(candidates), dataset)
+    weights = _record_weights(columns)
     [(parents, _)] = _k2_search(
-        columns[target_variable.name][:, None],
+        _value_entries(columns[target_variable.name][:, None], weights),
+        1,
         target_variable.cardinality,
         list(candidates),
         columns,
+        weights,
         config,
     )
     return parents
@@ -268,8 +294,16 @@ def learn_word_layer(
     said about it.
     """
     candidates = [affordance_network.variable(n) for n in affordance_network.affordance_names()]
-    searched = np.flatnonzero(corpus.presence.sum(axis=0) >= config.min_word_occurrences)
-    found = _k2_search(corpus.presence[:, searched], 2, candidates, corpus.columns, config)
+    searched = np.flatnonzero(corpus.word_counts.sum(axis=0) >= config.min_word_occurrences)
+    found = _k2_search(
+        _word_entries(corpus.word_counts[:, searched]),
+        len(searched),
+        2,
+        candidates,
+        corpus.columns,
+        corpus.weights,
+        config,
+    )
     parents = {word: () for word in corpus.words}
     for j, (word_parents, _) in zip(searched.tolist(), found):
         parents[corpus.words[j]] = word_parents
@@ -282,19 +316,18 @@ def _attach_words(
     word_parents: Mapping[str, tuple[str, ...]],
 ) -> Network:
     """Add one presence node per word of the corpus to the affordance
-    network. Each word's CPT given its parents is fitted with the affordance
-    network's pseudocount; all words are counted in one pass, each under
-    its own parent set."""
-    parent_sets, group = _group_by(word_parents[w] for w in corpus.words)
-    parent_vars = [[affordance_network.variable(p) for p in ps] for ps in parent_sets]
-    rows = [math.prod(v.cardinality for v in vs) for vs in parent_vars]
-    configs = _configs(parent_vars, corpus.columns, len(corpus.presence))[:, :, None]
-    counts, _ = _count_families(_nonzero(corpus.presence), 2, configs, group, max(rows, default=1))
-    tables = _cpt(counts[:, 0], affordance_network.pseudocount)
+    network, each word's CPT given its parents fitted with the affordance
+    network's pseudocount, all words in one counting pass."""
+    tables = _fit_families(
+        _word_entries(corpus.word_counts),
+        corpus.weights,
+        2,
+        [tuple(affordance_network.variable(p) for p in word_parents[w]) for w in corpus.words],
+        corpus.columns,
+        affordance_network.pseudocount,
+    )
     word_vars = [word_variable(word) for word in corpus.words]
-    word_cpts = {
-        w.name: tables[j, : rows[g]] for j, (w, g) in enumerate(zip(word_vars, group.tolist()))
-    }
+    word_cpts = {w.name: table for w, table in zip(word_vars, tables)}
     return affordance_network.with_word_layer(word_vars, word_parents, word_cpts)
 
 
@@ -302,17 +335,27 @@ def learn_affordance_structure(
     columns: Mapping[str, np.ndarray],
     ordering: Sequence[Variable],
     config: K2Config = K2Config(),
+    weights: np.ndarray | None = None,
 ) -> dict[str, tuple[str, ...]]:
     """Parent map over the affordance variables under a fixed ordering.
 
     Each node may only draw parents from the variables before it, so pass
     actions before features before effects. `columns` are the records'
-    value-index columns, as `encode_columns` returns them.
+    value-index columns, as `encode_columns` returns them; with `weights`
+    they hold distinct states and each counts as that many records.
     """
+    if weights is None:
+        weights = _record_weights(columns)
     parent_map: dict[str, tuple[str, ...]] = {}
     for i, var in enumerate(ordering):
         [(parents, _)] = _k2_search(
-            columns[var.name][:, None], var.cardinality, list(ordering[:i]), columns, config
+            _value_entries(columns[var.name][:, None], weights),
+            1,
+            var.cardinality,
+            list(ordering[:i]),
+            columns,
+            weights,
+            config,
         )
         parent_map[var.name] = parents
     return parent_map
@@ -339,10 +382,12 @@ def train_model(
         else EncodedCorpus.encode(experiences, variables)
     )
     if learn_structure:
-        parent_map = learn_affordance_structure(corpus.columns, variables, config)
+        parent_map = learn_affordance_structure(corpus.columns, variables, config, corpus.weights)
     else:
         parent_map = default_affordance_parents()
-    affordance_net = fit_cpts(make_network(variables, parent_map), corpus.columns, pseudocount)
+    affordance_net = fit_cpts(
+        make_network(variables, parent_map), corpus.columns, pseudocount, corpus.weights
+    )
     return learn_word_layer(affordance_net, corpus, config)
 
 

@@ -179,6 +179,20 @@ def test_repl_reads_stdin(trained, capsys, monkeypatch):
     assert "best: grasp yellow medium sphere" in capsys.readouterr().out
 
 
+def test_repl_reports_request_without_words_and_reads_on(trained, capsys, monkeypatch):
+    import io
+
+    root, _, model_path, scene_path = trained
+    monkeypatch.setattr("sys.stdin", io.StringIO("?!\nrises yellow\n\ntap the box\n"))
+    code = run("repl", "--model", str(model_path), "--scene", str(scene_path))
+    assert code == 0
+    captured = capsys.readouterr()
+    assert "'?!' holds no words" in captured.err
+    # one ranking: for the request with words, none after the empty line
+    best = [line for line in captured.out.splitlines() if line.startswith("best:")]
+    assert len(best) == 1 and best[0].startswith("best: grasp yellow medium sphere")
+
+
 def test_rescore_selects_contextual_winner(trained, capsys):
     root, _, model_path, scene_path = trained
     nbest = root / "nbest.txt"

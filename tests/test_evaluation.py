@@ -22,7 +22,13 @@ from wordground.evaluation import (
 )
 from wordground.grounding import bag_of_words
 from wordground.inference import CANONICAL_CELL_ORDER
-from wordground.network import Network, affordance_variables
+from wordground.network import (
+    Network,
+    affordance_variables,
+    encode_columns,
+    family_log_score,
+    fit_cpts,
+)
 from wordground.structure import train_model
 
 from oracles import oracle_cell_mask
@@ -120,6 +126,25 @@ def test_baseline_every_word_has_exactly_one_parent(corpus):
         assert len(net.parents[word]) == 1
     for name in net.affordance_names():
         assert net.parents[name] == ()
+
+
+def test_baseline_counts_every_record(corpus):
+    # each state counts as often as it occurs: every CPT is the record-level
+    # fit, and each word's parent the best one-parent family on the records
+    experiences = corpus[:300]
+    net = build_baseline_network(experiences)
+    words = net.word_names()
+    records = [
+        dict(e.state, **{w: "present" if w in e.description else "absent" for w in words})
+        for e in experiences
+    ]
+    refit = fit_cpts(net, encode_columns(net.variables, records), 1.0)
+    for name in net.names():
+        assert np.array_equal(net.cpts[name], refit.cpts[name])
+    variables = affordance_variables()
+    for word in net.word_names():
+        scores = [family_log_score(net.variable(word), [v], records, 1.0) for v in variables]
+        assert net.parents[word] == (variables[scores.index(max(scores))].name,)
 
 
 def test_baseline_color_word_picks_color(corpus):

@@ -267,6 +267,13 @@ def test_nbest_validation():
         NBestList(hypotheses=((("a",), 0.0),))
 
 
+@pytest.mark.parametrize("tokens", [(), ("?!",), (".", ",")])
+def test_nbest_rejects_hypothesis_without_words(tokens):
+    # an empty bag scores 1 for every pair, so it would rank first
+    with pytest.raises(ValueError, match="no words"):
+        NBestList(hypotheses=((tokens, 0.3), (("tap", "the", "ball"), 0.5)))
+
+
 @pytest.mark.parametrize("p", [float("nan"), float("inf")])
 def test_nbest_rejects_non_finite_probabilities(p):
     with pytest.raises(ValueError, match="acoustic probability"):

@@ -18,7 +18,9 @@ from wordground.network import (
     Variable,
     _observed_scores,
     _score_terms,
+    _value_entries,
     affordance_variables,
+    default_affordance_parents,
     encode_columns,
     family_log_score,
     fit_cpts,
@@ -29,6 +31,7 @@ from wordground.structure import (
     EncodedCorpus,
     K2Config,
     _k2_search,
+    _word_entries,
     k2_select_parents,
     learn_affordance_structure,
     learn_word_layer,
@@ -114,7 +117,9 @@ def test_k2_score_trace_strictly_increasing():
     dataset = indicator_dataset(states, "Contact", "long")
     w = word_variable("w")
     columns = encode_columns([w] + list(VARIABLES), dataset)
-    [(_, trace)] = _k2_search(columns["w"][:, None], 2, list(VARIABLES), columns, K2Config())
+    ones = np.ones(len(dataset), dtype=np.int64)
+    entries = _value_entries(columns["w"][:, None], ones)
+    [(_, trace)] = _k2_search(entries, 1, 2, list(VARIABLES), columns, ones, K2Config())
     assert all(b > a for a, b in zip(trace, trace[1:]))
 
 
@@ -231,7 +236,13 @@ def test_k2_trace_is_the_family_score_of_the_parents_so_far(clean_corpus, alpha)
     corpus = EncodedCorpus.encode(clean_corpus[:400])
     targets = [j for j, w in enumerate(corpus.words) if j % 3 == 0]
     found = _k2_search(
-        corpus.presence[:, targets], 2, list(VARIABLES), corpus.columns, K2Config(alpha=alpha)
+        _word_entries(corpus.word_counts[:, targets]),
+        len(targets),
+        2,
+        list(VARIABLES),
+        corpus.columns,
+        corpus.weights,
+        K2Config(alpha=alpha),
     )
     by_name = {v.name: v for v in VARIABLES}
     linked = 0
@@ -334,6 +345,112 @@ def test_batched_word_search_matches_per_word_greedy_reference(
             assert net.parents.get(word, ()) == expected
 
 
+def _repeated_corpus(rng, n_states, n_words):
+    """Experiences over `_ORACLE_VARIABLES` in which each drawn state
+    repeats 1-6 times, each time with its own description; states drawn
+    twice repeat more. Word w_i is heard with a probability set by a random
+    subset of the variables."""
+    rules = [
+        ([v.name for v in _ORACLE_VARIABLES if rng.random() < 0.4], {}) for _ in range(n_words)
+    ]
+    experiences = []
+    for _ in range(n_states):
+        state = {v.name: v.values[rng.integers(v.cardinality)] for v in _ORACLE_VARIABLES}
+        for _ in range(rng.integers(1, 7)):
+            bag = set()
+            for i, (drivers, rates) in enumerate(rules):
+                key = tuple(state[d] for d in drivers)
+                if rng.random() < rates.setdefault(key, rng.random()):
+                    bag.add(f"w{i}")
+            experiences.append(Experience(state=state, description=frozenset(bag)))
+    return [experiences[i] for i in rng.permutation(len(experiences))]
+
+
+def _state_statistics(corpus):
+    """Weight and per-word description count of every state with records,
+    keyed by the state's value indices."""
+    stats = {}
+    for s, weight in enumerate(corpus.weights.tolist()):
+        if weight:
+            key = tuple(int(corpus.columns[v.name][s]) for v in _ORACLE_VARIABLES)
+            counts = {w: int(c) for w, c in zip(corpus.words, corpus.word_counts[s]) if c}
+            stats[key] = (weight, counts)
+    return stats
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_states=st.integers(1, 12),
+    n_words=st.integers(0, 5),
+    replace=st.booleans(),
+)
+def test_subset_matches_encoding_the_selected_records(seed, n_states, n_words, replace):
+    # the same words, and per state the same weight and word counts, as
+    # encoding the selected experiences from scratch; also for a subset of
+    # a subset, and with records selected more than once
+    rng = np.random.default_rng(seed)
+    experiences = _repeated_corpus(rng, n_states, n_words)
+    encoded = EncodedCorpus.encode(experiences, _ORACLE_VARIABLES)
+    assert sum(encoded.weights.tolist()) == len(experiences)
+    n = len(experiences)
+    first = rng.choice(n, size=rng.integers(1, n + 1), replace=replace)
+    second = rng.choice(len(first), size=rng.integers(1, len(first) + 1), replace=replace)
+    for corpus, records in (
+        (encoded.subset(first), [experiences[i] for i in first]),
+        (encoded.subset(first).subset(second), [experiences[first[j]] for j in second]),
+    ):
+        direct = EncodedCorpus.encode(records, _ORACLE_VARIABLES)
+        assert corpus.words == direct.words
+        assert _state_statistics(corpus) == _state_statistics(direct)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_states=st.integers(1, 12),
+    n_words=st.integers(1, 5),
+    max_parents=st.integers(0, 3),
+    pseudocount=st.sampled_from([1.0, 0.0]),
+)
+def test_state_level_training_matches_record_level_counts(
+    seed, n_states, n_words, max_parents, pseudocount
+):
+    # training on the weighted distinct states gives the word parents the
+    # exact-arithmetic oracle finds on the records themselves, and the CPTs
+    # and affordance structure that record-level counting gives
+    rng = np.random.default_rng(seed)
+    experiences = _repeated_corpus(rng, n_states, n_words)
+    corpus = EncodedCorpus.encode(experiences, _ORACLE_VARIABLES)
+    names = [v.name for v in _ORACLE_VARIABLES]
+    states = [e.state for e in experiences]
+    config = K2Config(max_parents=max_parents, min_word_occurrences=0)
+    state_map = learn_affordance_structure(
+        corpus.columns, _ORACLE_VARIABLES, config, corpus.weights
+    )
+    record_map = learn_affordance_structure(
+        encode_columns(_ORACLE_VARIABLES, states), _ORACLE_VARIABLES, config
+    )
+    assert state_map == record_map
+    affordance = fit_cpts(
+        make_network(_ORACLE_VARIABLES, state_map), corpus.columns, pseudocount, corpus.weights
+    )
+    net = learn_word_layer(affordance, corpus, config)
+    records = [
+        dict(e.state, **{w: "present" if w in e.description else "absent" for w in corpus.words})
+        for e in experiences
+    ]
+    refit = fit_cpts(net, encode_columns(net.variables, records), pseudocount)
+    for name in net.names():
+        assert np.array_equal(net.cpts[name], refit.cpts[name])
+    for word in corpus.words:
+        expected, ambiguous = oracle_k2_parents(
+            records, word, ["absent", "present"], names, max_parents
+        )
+        if not ambiguous:
+            assert net.parents[word] == expected
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         K2Config(max_parents=-1)
@@ -358,6 +475,24 @@ def clean_corpus():
 @pytest.fixture(scope="module")
 def clean_model(clean_corpus):
     return train_model(clean_corpus)
+
+
+@pytest.mark.parametrize("learn_structure", [False, True])
+def test_train_model_counts_every_record(clean_corpus, learn_structure):
+    # each state counts as often as it occurs: the affordance structure and
+    # CPTs are those of record-level columns
+    experiences = clean_corpus[:300]
+    columns = encode_columns(VARIABLES, [e.state for e in experiences])
+    net = train_model(experiences, learn_structure=learn_structure)
+    parent_map = (
+        learn_affordance_structure(columns, VARIABLES)
+        if learn_structure
+        else default_affordance_parents()
+    )
+    refit = fit_cpts(make_network(VARIABLES, parent_map), columns, 1.0)
+    for v in VARIABLES:
+        assert net.parents[v.name] == refit.parents[v.name]
+        assert np.array_equal(net.cpts[v.name], refit.cpts[v.name])
 
 
 def test_word_layer_links_property_words(clean_model):

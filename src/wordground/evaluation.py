@@ -2,7 +2,8 @@
 
 Each instruction's judgement is a boolean mask on the (action, color, size,
 shape) cell grid, in `CANONICAL_CELL_ORDER`, built once when the
-instruction is parsed. Soft accuracy is the posterior mass a model assigns
+instruction is parsed. One `StateTable.posterior` call scores every
+instruction of a model. Soft accuracy is the posterior mass a model assigns
 to the cells in the mask; hard accuracy is the fraction of instructions
 whose single best cell is in it. Impossible requests, with an all-False
 mask, are scored separately as a detection rate and never enter the
@@ -11,6 +12,7 @@ soft/hard averages.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from importlib import resources
 from typing import Sequence
@@ -82,20 +84,20 @@ def evaluate_instructions(
     best-cell tie-break deterministic: earlier values of earlier variables
     win.
     """
-    table = StateTable(network)
-    cells = default_cells(network)
+    evidences = [_bag_evidence(network, ins.bag) for ins in instructions]
+    post = StateTable(network).posterior(evidences, default_cells(network))
+    best = post.reshape(len(post), math.prod(post.shape[1:])).argmax(axis=1)
     softs: list[float] = []
     hards: list[float] = []
     detected = 0
     n_impossible = 0
-    for ins in instructions:
-        post = table.posterior(_bag_evidence(network, ins.bag), cells)
+    for ins, p, b in zip(instructions, post, best.tolist()):
         if ins.impossible:
             n_impossible += 1
-            detected += float(post.sum()) == 0.0
+            detected += float(p.sum()) == 0.0
             continue
-        softs.append(float(post[ins.compatible].sum()))
-        hards.append(1.0 if ins.compatible.flat[int(np.argmax(post))] else 0.0)
+        softs.append(float(p[ins.compatible].sum()))
+        hards.append(1.0 if ins.compatible.flat[b] else 0.0)
     if not softs:
         raise ValueError("instruction set has no possible instructions to score")
     return EvalResult(

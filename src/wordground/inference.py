@@ -7,6 +7,9 @@ the state model and by the presence probability of every known word in the
 utterance, then summed onto the action and object cells. Words whose
 parents include effect variables are handled automatically, because
 effects are part of the table and are summed out under the state model.
+One engine call scores the prior and every bag of a query: the one
+instruction of `select_action_object`, or every hypothesis of an N-best
+list in `rescore_nbest`.
 
 Impossibility is a result state, not an error: a query whose every
 configuration has probability zero returns an all-zero result.
@@ -104,12 +107,15 @@ def predict_compatible_set(
     return marginal(network, default_cells(network), _bag_evidence(network, bag))
 
 
-def _scene_scorer(network: Network, scene: Sequence[SceneObject]):
-    """Check the scene and index its (action, object) pairs in the cell grid.
+def _scene_scorer(
+    network: Network, scene: Sequence[SceneObject], bags: Sequence[Iterable[str]]
+) -> tuple[list[tuple[str, SceneObject]], np.ndarray]:
+    """Check the scene and score its (action, object) pairs for each bag.
 
     Returns the pairs, action-major in action value order then scene order,
-    and a function giving p(bag | action, object) for each pair, with the
-    effects summed out under the state model.
+    and p(bag | action, object) of every bag and pair, shape (bags, pairs),
+    with the effects summed out under the state model. The prior and every
+    bag are scored in one `StateTable.joint` call.
     """
     if not scene:
         raise ValueError("scene must contain at least one object")
@@ -117,7 +123,6 @@ def _scene_scorer(network: Network, scene: Sequence[SceneObject]):
     for i, obj_id in enumerate(ids):
         if obj_id in ids[:i]:
             raise ValueError(f"duplicate scene object id {obj_id!r}")
-    table = StateTable(network)
     cells = default_cells(network)
     cell_vars = [network.variable(c) for c in cells]
     action_var = next(v for v in cell_vars if v.kind == "action")
@@ -132,15 +137,12 @@ def _scene_scorer(network: Network, scene: Sequence[SceneObject]):
             pairs.append((action, obj))
             index.append(tuple(v.index_of(values[v.name]) for v in cell_vars))
 
-    prior = table.joint({}, cells)
-
-    def pair_scores(bag: Iterable[str]) -> list[float]:
-        joint = table.joint(_bag_evidence(network, bag), cells)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            scores = np.where(prior > 0, joint / prior, 0.0)
-        return [float(scores[idx]) for idx in index]
-
-    return pairs, pair_scores
+    evidences = [{}] + [_bag_evidence(network, bag) for bag in bags]
+    joint = StateTable(network).joint(evidences, cells)
+    prior = joint[0]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        scores = np.where(prior > 0, joint[1:] / prior, 0.0)
+    return pairs, scores[(slice(None),) + tuple(np.array(index).T)]
 
 
 def select_action_object(
@@ -155,8 +157,8 @@ def select_action_object(
     a non-informative prior over the grid. Ties break deterministically by
     action order then object order.
     """
-    pairs, pair_scores = _scene_scorer(network, scene)
-    raw = [(action, obj.id, s) for (action, obj), s in zip(pairs, pair_scores(bag))]
+    pairs, scores = _scene_scorer(network, scene, [bag])
+    raw = [(action, obj.id, s) for (action, obj), s in zip(pairs, scores[0].tolist())]
     total = sum(s for _, _, s in raw)
     if total > 0:
         raw = [(a, o, s / total) for a, o, s in raw]
@@ -189,12 +191,12 @@ def rescore_nbest(
     """
     if action_aggregate not in ("max", "sum"):
         raise ValueError("action_aggregate must be 'max' or 'sum'")
-    _, pair_scores = _scene_scorer(network, scene)
+    bags = [bag_of_words(tokens) for tokens, _ in nbest.hypotheses]
+    _, pair_scores = _scene_scorer(network, scene, bags)
     n_objects = len(scene)
 
     results = []
-    for tokens, acoustic in nbest.hypotheses:
-        scores = pair_scores(bag_of_words(tokens))
+    for (tokens, acoustic), scores in zip(nbest.hypotheses, pair_scores.tolist()):
         per_object: dict[str, float] = {}
         for j, obj in enumerate(scene):
             by_action = scores[j::n_objects]

@@ -6,10 +6,11 @@ Dirichlet smoothing from encoded value-index columns (`encode_columns`
 turns complete records into them once; with weights, the columns hold
 distinct states and each counts as its number of records), one
 family-counting pass behind every fit and score (`_count_families`), exact
-inference on a dense n-d table of the non-word states into which each CPT
-broadcasts as a factor over its family's axes (`StateTable`, the one engine
-behind every query), and the decomposable Bayesian-Dirichlet family score
-used by structure search.
+inference on a dense table of the non-word states into which each CPT
+enters as one gather through its family's cached configuration index over
+the state grid (`StateTable`, the one engine behind every query, scoring a
+batch of evidence sets per call), and the decomposable Bayesian-Dirichlet
+family score used by structure search.
 The score's log-gamma terms come from a table built with `math.lgamma` once
 per (alpha, r, records) and cached (`_score_terms`). Each family's terms are
 sorted ascending and added one after another (`_observed_scores`): equal
@@ -465,68 +466,83 @@ def fit_cpts(
 # -- inference --------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=64)
+def _grid_index(axes: tuple[tuple[str, int], ...], family: tuple[str, ...]) -> np.ndarray:
+    """Configuration index of the variables `family`, row-major in family
+    order, of every state of the dense grid over `axes` ((name, cardinality)
+    pairs, row-major): `_configs` run over the grid's columns. A CPT row-major
+    over the family turns into a factor over the states with one gather.
+    Cached; the array is read-only."""
+    shape = [r for _, r in axes]
+    columns = dict(zip([n for n, _ in axes], np.indices(shape).reshape(len(shape), -1)))
+    # each axis as a variable whose values are its indices
+    by_name = {n: Variable(n, tuple(map(str, range(r)))) for n, r in axes}
+    index = _configs([[by_name[n] for n in family]], columns, math.prod(shape))[0]
+    index.flags.writeable = False
+    return index
+
+
 class StateTable:
     """Exact inference on a dense joint table of the non-word variables.
 
-    `p_x` has one axis per non-word variable, in declaration order, and
-    holds the joint probability of every state: the product of the CPTs,
-    each viewed as an array over its (parents..., self) axes and broadcast
-    over the rest (the factor product of Koller & Friedman 2009, ch. 9). A
-    query multiplies in one factor per bound variable: an indicator for a
-    non-word variable, and for a word its CPT column at the bound value.
-    Words are leaves, so every unbound word sums out to one and only the
-    bound ones enter. Summing the product onto the query variables gives
-    their exact joint with the evidence. Each bound word's factor is built
-    once per table and reused by later queries.
+    `p_x` holds the joint probability of every state, row-major over the
+    non-word variables in declaration order (`shape`): the product of the
+    CPTs, each gathered into a factor over the states through its family's
+    cached `_grid_index` (the factor product of Koller & Friedman 2009,
+    ch. 9). A query multiplies in one factor per bound variable: an
+    indicator for a non-word variable, and for a word its CPT column at the
+    bound value, gathered over its parents. Words are leaves, so every
+    unbound word sums out to one and only the bound ones enter. Summing the
+    product onto the query variables gives their exact joint with the
+    evidence.
     """
 
     def __init__(self, network: Network):
         self.network = network
         self.names = list(network.affordance_names())
         self.shape = tuple(network.variable(n).cardinality for n in self.names)
-        self.p_x = np.ones(self.shape)
+        self._axes = tuple(zip(self.names, self.shape))
+        self.p_x = np.ones(math.prod(self.shape))
         for name in self.names:
-            self.p_x *= self._factor(network.cpts[name], network.parents[name] + (name,))
-        self._word_factors: dict[tuple[str, int], np.ndarray] = {}
+            self.p_x *= network.cpts[name].ravel()[self._index(network.parents[name] + (name,))]
 
-    def _factor(self, table: np.ndarray, names: Sequence[str]) -> np.ndarray:
-        """`table`, row-major over the variables `names`, as an array over
-        the state axes: one axis per name in axis order, length one for the
-        others, so that it broadcasts against `p_x`."""
-        axes = [self.names.index(n) for n in names]
-        table = table.reshape([self.shape[a] for a in axes]).transpose(np.argsort(axes))
-        return table.reshape([n if a in axes else 1 for a, n in enumerate(self.shape)])
+    def _index(self, family: tuple[str, ...]) -> np.ndarray:
+        return _grid_index(self._axes, family)
 
-    def joint(self, evidence: Assignment, cells: Sequence[str]) -> np.ndarray:
-        """p(cells, evidence) as an array over the cell variables' values,
-        in cell order. Word factors multiply in sorted word order, so the
-        result does not depend on the order of the evidence."""
-        mass = self.p_x.copy()
-        words = []
-        for name, value in evidence.items():
-            v = self.network.variable(name)
-            i = v.index_of(value)
-            if v.kind == "word":
-                words.append((name, i))
-            else:
-                mass *= self._factor(np.arange(v.cardinality) == i, (name,))
-        for key in sorted(words):
-            if key not in self._word_factors:
-                name, i = key
-                factor = self._factor(self.network.cpts[name][:, i], self.network.parents[name])
-                self._word_factors[key] = factor
-            mass *= self._word_factors[key]
+    def joint(self, evidences: Sequence[Assignment], cells: Sequence[str]) -> np.ndarray:
+        """p(cells, evidence) for each evidence set, shape (evidence sets,
+        *cell cardinalities), cells in cell order. Each row multiplies into
+        `p_x` the non-word indicators in evidence order, then the word
+        factors in sorted word order, so it does not depend on the order of
+        the evidence or on the other rows."""
+        mass = np.empty((len(evidences), self.p_x.size))
+        mass[:] = self.p_x
+        rows_of: dict[tuple[str, int], list[np.ndarray]] = {}
+        for row, evidence in zip(mass, evidences):
+            for name, value in evidence.items():
+                v = self.network.variable(name)
+                i = v.index_of(value)
+                if v.kind == "word":
+                    rows_of.setdefault((name, i), []).append(row)
+                else:
+                    np.multiply(row, self._index((name,)) == i, out=row)
+        # words in sorted order, each gathered once for all the rows it binds
+        for (name, i), rows in sorted(rows_of.items()):
+            factor = self.network.cpts[name][:, i][self._index(self.network.parents[name])]
+            for row in rows:
+                np.multiply(row, factor, out=row)
         keep = [self.names.index(c) for c in cells]
-        table = mass.sum(axis=tuple(i for i in range(len(self.names)) if i not in keep))
+        summed = tuple(1 + a for a in range(len(self.shape)) if a not in keep)
+        table = mass.reshape((len(evidences),) + self.shape).sum(axis=summed)
         kept_sorted = sorted(keep)
-        return table.transpose([kept_sorted.index(a) for a in keep])
+        return table.transpose([0] + [1 + kept_sorted.index(a) for a in keep])
 
-    def posterior(self, evidence: Assignment, cells: Sequence[str]) -> np.ndarray:
-        """`joint` normalised over the cells; the all-zero table when the
-        evidence has probability zero."""
-        table = self.joint(evidence, cells)
-        total = table.sum()
-        return table / total if total > 0 else table
+    def posterior(self, evidences: Sequence[Assignment], cells: Sequence[str]) -> np.ndarray:
+        """`joint` with each row normalised over the cells; a row whose
+        evidence has probability zero stays all-zero."""
+        table = self.joint(evidences, cells)
+        totals = table.sum(axis=tuple(range(1, table.ndim)))
+        return table / np.where(totals > 0, totals, 1.0).reshape((-1,) + (1,) * len(cells))
 
 
 def joint_probability(network: Network, assignment: Assignment) -> float:
@@ -535,7 +551,7 @@ def joint_probability(network: Network, assignment: Assignment) -> float:
     if missing:
         raise ValueError(f"assignment is partial, missing {missing}")
     full = {v.name: assignment[v.name] for v in network.variables}
-    return float(StateTable(network).joint(full, ()))
+    return float(StateTable(network).joint([full], ())[0])
 
 
 def marginal(
@@ -561,7 +577,7 @@ def marginal(
     words = [v.name for v in query_vars if v.kind == "word"]
     if words:
         raise ValueError(f"cannot query word variables {words}")
-    posterior = StateTable(network).posterior(evidence, query)
+    posterior = StateTable(network).posterior([evidence], query)[0]
     return {
         tuple(v.values[i] for v, i in zip(query_vars, idx)): float(posterior[idx])
         for idx in np.ndindex(posterior.shape)

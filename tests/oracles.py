@@ -202,3 +202,125 @@ def to_network(values_map, parents_map, cpt_map):
     ]
     cpts = {n: np.array(rows, dtype=float) for n, rows in cpt_map.items()}
     return Network(variables, parents_map, cpts, pseudocount=1.0)
+
+
+# -- reference engine and query loops ----------------------------------------
+#
+# The per-evidence engine that `network.StateTable` replaced, and the
+# per-query loops that ran on it. The batched engine reorders no floating
+# point operation, so the tests require bitwise-equal results.
+
+
+class ReferenceStateTable:
+    """Exact inference on a dense n-d table with one axis per non-word
+    variable, one evidence set per call. Each CPT is reshaped, transposed
+    and broadcast over the table's axes; a query copies the prior table,
+    multiplies in the non-word indicators in evidence order, then the word
+    factors in sorted word order, and sums onto the cells."""
+
+    def __init__(self, network):
+        self.network = network
+        self.names = list(network.affordance_names())
+        self.shape = tuple(network.variable(n).cardinality for n in self.names)
+        self.p_x = np.ones(self.shape)
+        for name in self.names:
+            self.p_x *= self._factor(network.cpts[name], network.parents[name] + (name,))
+
+    def _factor(self, table, names):
+        axes = [self.names.index(n) for n in names]
+        table = table.reshape([self.shape[a] for a in axes]).transpose(np.argsort(axes))
+        return table.reshape([n if a in axes else 1 for a, n in enumerate(self.shape)])
+
+    def joint(self, evidence, cells):
+        mass = self.p_x.copy()
+        words = []
+        for name, value in evidence.items():
+            v = self.network.variable(name)
+            i = v.index_of(value)
+            if v.kind == "word":
+                words.append((name, i))
+            else:
+                mass *= self._factor(np.arange(v.cardinality) == i, (name,))
+        for name, i in sorted(words):
+            mass *= self._factor(self.network.cpts[name][:, i], self.network.parents[name])
+        keep = [self.names.index(c) for c in cells]
+        table = mass.sum(axis=tuple(i for i in range(len(self.names)) if i not in keep))
+        kept_sorted = sorted(keep)
+        return table.transpose([kept_sorted.index(a) for a in keep])
+
+    def posterior(self, evidence, cells):
+        table = self.joint(evidence, cells)
+        total = table.sum()
+        return table / total if total > 0 else table
+
+
+def reference_evaluate(network, instructions):
+    """(soft, hard, detection rate) of `evaluate_instructions`, one
+    posterior and one argmax per instruction."""
+    from wordground.inference import _bag_evidence, default_cells
+
+    table = ReferenceStateTable(network)
+    cells = default_cells(network)
+    softs, hards, detected, n_impossible = [], [], 0, 0
+    for ins in instructions:
+        post = table.posterior(_bag_evidence(network, ins.bag), cells)
+        if ins.impossible:
+            n_impossible += 1
+            detected += float(post.sum()) == 0.0
+            continue
+        softs.append(float(post[ins.compatible].sum()))
+        hards.append(1.0 if ins.compatible.flat[int(np.argmax(post))] else 0.0)
+    rate = detected / n_impossible if n_impossible else None
+    return float(np.mean(softs)), float(np.mean(hards)), rate
+
+
+def reference_pair_scores(network, scene, bag):
+    """p(bag | action, object) of every (action, object) pair, action-major
+    then in scene order, from one joint of the bag over the prior's."""
+    from wordground.inference import _bag_evidence, default_cells
+
+    table = ReferenceStateTable(network)
+    cells = default_cells(network)
+    cell_vars = [network.variable(c) for c in cells]
+    action = next(v for v in cell_vars if v.kind == "action")
+    prior = table.joint({}, cells)
+    joint = table.joint(_bag_evidence(network, bag), cells)
+    scores = []
+    for value in action.values:
+        for obj in scene:
+            bound = {**obj.features, action.name: value}
+            idx = tuple(v.index_of(bound[v.name]) for v in cell_vars)
+            scores.append(float(joint[idx] / prior[idx]) if prior[idx] > 0 else 0.0)
+    return scores
+
+
+def reference_select(network, bag, scene):
+    """(entries, impossible) of `select_action_object`: the pair scores
+    normalised, best first, ties in pair order."""
+    action = next(v for v in network.variables if v.kind == "action")
+    pairs = [(value, obj.id) for value in action.values for obj in scene]
+    scores = reference_pair_scores(network, scene, bag)
+    total = sum(scores)
+    if total > 0:
+        scores = [s / total for s in scores]
+    entries = sorted(
+        [(a, o, s) for (a, o), s in zip(pairs, scores)], key=lambda e: -e[2]
+    )
+    return tuple(entries), total == 0.0
+
+
+def reference_rescore(network, nbest, scene, aggregate):
+    """(tokens, per-object scores, final score) of `rescore_nbest`, best
+    first, one scene scoring per hypothesis."""
+    from wordground.grounding import bag_of_words
+
+    results = []
+    for tokens, acoustic in nbest.hypotheses:
+        scores = reference_pair_scores(network, scene, bag_of_words(tokens))
+        per_object = {}
+        for j, obj in enumerate(scene):
+            by_action = scores[j :: len(scene)]
+            per_object[obj.id] = max(by_action) if aggregate == "max" else sum(by_action)
+        results.append((tuple(tokens), per_object, acoustic * sum(per_object.values())))
+    results.sort(key=lambda r: -r[2])
+    return results

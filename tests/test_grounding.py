@@ -107,7 +107,8 @@ def description_likelihood(net, bag, state):
     by the state's prior mass."""
     table = StateTable(net)
     bound = {**state, **{w: PRESENT for w in bag}}
-    return float(table.joint(bound, ()) / table.joint(state, ()))
+    bound_mass, state_mass = table.joint([bound, state], ())
+    return float(bound_mass / state_mass)
 
 
 def two_word_net(p, q):
@@ -179,7 +180,7 @@ def test_description_likelihood_order_and_repetition_invariant(names):
     table = StateTable(net)
     values = {"w1": PRESENT, "w2": PRESENT, "Action": "tap"}
     bound = {name: values[name] for name in names}
-    assert table.joint(bound, ()) == table.joint(values, ())
+    assert table.joint([bound], ()) == table.joint([values], ())
     words = [name for name in names if name != "Action"]
     assert predict_compatible_set(net, words * 2) == predict_compatible_set(net, ["w1", "w2"])
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from wordground.datagen import build_corpus, default_lexicon, default_world
+from wordground.evaluation import default_instructions, evaluate_instructions, parse_instruction_line
 from wordground.grounding import bag_of_words
 from wordground.inference import (
     NBestList,
@@ -23,9 +24,14 @@ from wordground.network import (
     marginal,
     word_variable,
 )
-from wordground.structure import train_model
+from wordground.structure import EncodedCorpus, train_model
 
-from oracles import oracle_marginal
+from oracles import (
+    oracle_marginal,
+    reference_evaluate,
+    reference_rescore,
+    reference_select,
+)
 
 
 # A compact three-variable domain plus two words, with hand CPTs.
@@ -346,3 +352,90 @@ def test_state_table_matches_network_prior():
     assert abs(table.p_x.sum() - 1.0) < 1e-12
     # first state is (grasp, sphere, none): the product of its CPT entries
     assert abs(table.p_x.flat[0] - 0.5 * 0.6 * 0.9) < 1e-15
+
+
+# -- batched query paths against per-query reference loops ----------------------
+
+
+@pytest.fixture(scope="module")
+def subset_models():
+    """Models fitted with alpha 1 and 0 on random subsets of a generated
+    corpus; the small subsets miss words of the shipped instructions."""
+    corpus = build_corpus(default_world(), default_lexicon(), 80, 3, seed=4).experiences
+    encoded = EncodedCorpus.encode(corpus)
+    rng = np.random.default_rng(4)
+    models = []
+    for size, alpha in [(20, 1.0), (30, 0.0), (120, 0.0), (240, 1.0)]:
+        subset = encoded.subset(rng.choice(len(corpus), size=size, replace=False))
+        models.append(train_model(subset, pseudocount=alpha))
+    return models, [record.description for record in corpus]
+
+
+def query_bags(descriptions, rng, n):
+    """`n` bags: corpus descriptions, some with a word no model knows."""
+    bags = [descriptions[i] for i in rng.choice(len(descriptions), size=n)]
+    return [bag | {"xyzzy"} if rng.random() < 0.2 else bag for bag in bags]
+
+
+def unknown_word_warnings(caplog, query):
+    """The result of `query()` and the messages of the unknown-word
+    warnings it logged, in order."""
+    caplog.clear()
+    with caplog.at_level("WARNING", logger="wordground.inference"):
+        result = query()
+    messages = [r.getMessage() for r in caplog.records]
+    assert all(m.startswith("skipping unknown words: ") for m in messages)
+    return result, messages
+
+
+def bags_with_unknown_words(net, bags):
+    return sum(any(w not in net.word_names() for w in bag) for bag in bags)
+
+
+def test_evaluate_instructions_equals_reference_loop(subset_models, caplog):
+    models, _ = subset_models
+    instructions = default_instructions() + [parse_instruction_line("xyzzy ball|*,*,*,sphere")]
+    for net in models:
+        got, batched = unknown_word_warnings(caplog, lambda: evaluate_instructions(net, instructions))
+        want, reference = unknown_word_warnings(caplog, lambda: reference_evaluate(net, instructions))
+        assert (got.soft, got.hard, got.detection_rate) == want
+        assert got.detection_rate is not None
+        assert batched == reference
+        assert len(batched) == bags_with_unknown_words(net, [ins.bag for ins in instructions])
+
+
+def test_select_action_object_equals_reference_loop(subset_models, caplog):
+    models, descriptions = subset_models
+    rng = np.random.default_rng(5)
+    scene = table_scene()
+    bags = [ins.bag for ins in default_instructions()] + query_bags(descriptions, rng, 30)
+    impossible = 0
+    for net in models:
+        for bag in bags:
+            got, batched = unknown_word_warnings(caplog, lambda: select_action_object(net, bag, scene))
+            want, reference = unknown_word_warnings(caplog, lambda: reference_select(net, bag, scene))
+            assert (got.entries, got.impossible) == want
+            assert batched == reference
+            assert len(batched) == bags_with_unknown_words(net, [bag])
+            impossible += got.impossible
+    assert impossible > 0
+
+
+@pytest.mark.parametrize("aggregate", ["max", "sum"])
+def test_rescore_nbest_equals_reference_loop(subset_models, caplog, aggregate):
+    models, descriptions = subset_models
+    rng = np.random.default_rng(6)
+    scene = table_scene()
+    for net in models:
+        for _ in range(8):
+            bags = query_bags(descriptions, rng, int(rng.integers(1, 8)))
+            nbest = NBestList(tuple((tuple(sorted(b)), float(rng.random()) + 0.01) for b in bags))
+            got, batched = unknown_word_warnings(
+                caplog, lambda: rescore_nbest(net, nbest, scene, aggregate)
+            )
+            want, reference = unknown_word_warnings(
+                caplog, lambda: reference_rescore(net, nbest, scene, aggregate)
+            )
+            assert [(r.tokens, r.object_scores, r.final_score) for r in got] == want
+            assert batched == reference
+            assert len(batched) == bags_with_unknown_words(net, bags)

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from wordground.network import (
     Network,
+    StateTable,
     Variable,
+    _grid_index,
     affordance_variables,
     default_affordance_parents,
     encode_columns,
@@ -23,6 +25,7 @@ from wordground.network import (
 )
 
 from oracles import (
+    ReferenceStateTable,
     oracle_family_score,
     oracle_joint,
     oracle_marginal,
@@ -296,6 +299,49 @@ def test_marginal_and_joint_match_bruteforce_on_mixed_nets_with_word_evidence():
         for key, value in want_dist.items():
             worst = max(worst, abs(got_dist[key] - value))
     assert worst < 1e-12
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), mixed=st.booleans(), data=st.data())
+def test_state_table_batches_equal_the_reference_engine(seed, mixed, data):
+    # One-hot rows make some evidence impossible; mixed nets add unequal
+    # cardinalities, shuffled parent lists and word leaves.
+    rng = np.random.default_rng(seed)
+    n_nodes = int(rng.integers(1, 5))
+    make = random_mixed_net if mixed else random_binary_net
+    values_map, parents_map, cpt_map = make(rng, n_nodes)
+    net = to_network(values_map, parents_map, with_one_hot_rows(rng, cpt_map))
+    names = list(values_map)
+    full = {n: vals[rng.integers(len(vals))] for n, vals in values_map.items()}
+    evidence = st.lists(st.tuples(st.sampled_from(names), st.integers(0, 3)), max_size=4).map(
+        lambda pairs: {n: values_map[n][k % len(values_map[n])] for n, k in pairs}
+    )
+    drawn = data.draw(st.lists(evidence, min_size=1, max_size=5))
+    # the words against sorted order, then an empty, a repeated and a full
+    # evidence set, the last often impossible
+    words = {w: full[w] for w in reversed(net.word_names())}
+    batch = [words] + drawn + [{}, drawn[0], full]
+    cells = data.draw(st.permutations(net.affordance_names()))[: data.draw(st.integers(0, 3))]
+
+    table, reference = StateTable(net), ReferenceStateTable(net)
+    joint, post = table.joint(batch, cells), table.posterior(batch, cells)
+    shape = tuple(len(values_map[c]) for c in cells)
+    assert joint.shape == post.shape == (len(batch),) + shape
+    for i, ev in enumerate(batch):
+        assert np.array_equal(joint[i], reference.joint(ev, cells))
+        assert np.array_equal(post[i], reference.posterior(ev, cells))
+        assert np.array_equal(joint[i], table.joint([ev], cells)[0])
+        assert np.array_equal(post[i], table.posterior([ev], cells)[0])
+
+    grid = dict(zip(table.names, np.indices(table.shape).reshape(len(table.shape), -1)))
+    for name in names:
+        family = net.parents[name] + (() if name in net.word_names() else (name,))
+        index = _grid_index(tuple(zip(table.names, table.shape)), family)
+        assert not index.flags.writeable
+        expected = np.ravel_multi_index(
+            [grid[n] for n in family], [len(values_map[n]) for n in family]
+        )
+        assert index.shape == (table.p_x.size,) and np.all(index == expected)
 
 
 def test_marginal_rejects_word_query():

@@ -60,7 +60,6 @@ from .network import (
     save_network,
 )
 from .structure import (
-    K2Config,
     k2_select_parents,
     learn_affordance_structure,
     learn_word_layer,
@@ -77,7 +76,6 @@ __all__ = [
     "EvalResult",
     "Experience",
     "Instruction",
-    "K2Config",
     "Lexicon",
     "NBestList",
     "Network",

@@ -6,7 +6,8 @@ against a scene, `rescore` a recognizer N-best list, and `eval` to produce
 the learning-curve CSV. Every stochastic subcommand takes a mandatory
 `--seed` and is byte-reproducible given one.
 
-Exit codes: 0 on success, 2 for unparseable inputs, 1 for runtime failures.
+Exit codes: 0 on success, 2 for unparseable inputs and for requests none of
+whose words the model knows, 1 for runtime failures.
 """
 
 from __future__ import annotations
@@ -52,17 +53,16 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 def _cmd_train(args: argparse.Namespace) -> int:
     corpus = grounding.load_corpus(args.corpus)
-    config = structure.K2Config(max_parents=args.max_parents)
     model = structure.train_model(
         corpus,
         pseudocount=args.alpha,
-        config=config,
+        max_parents=args.max_parents,
         learn_structure=args.learn_structure,
     )
     network.save_network(model, args.model)
     report_path = args.report or str(args.model) + ".report.txt"
     with open(report_path, "w", encoding="utf-8") as fh:
-        fh.write(structure.structure_report(model, config))
+        fh.write(structure.structure_report(model, args.max_parents))
     print(f"trained on {len(corpus)} records: model -> {args.model}, report -> {report_path}")
     return 0
 
@@ -110,7 +110,12 @@ def _cmd_repl(args: argparse.Namespace) -> int:
         if not bag:
             print(f"error: {line!r} holds no words", file=sys.stderr)
             continue
-        _print_ranking(inference.select_action_object(model, bag, scene), scene)
+        try:
+            ranking = inference.select_action_object(model, bag, scene)
+        except inference.UnknownWordsError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            continue
+        _print_ranking(ranking, scene)
     return 0
 
 
@@ -137,7 +142,6 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     sizes = args.sizes
     if sizes is None:
         sizes = [s for s in evaluation.DEFAULT_SIZES if s <= len(corpus)]
-    config = structure.K2Config(max_parents=args.max_parents)
     points = evaluation.staged_learning(
         corpus,
         instructions,
@@ -145,7 +149,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         repetitions=args.reps,
         seed=args.seed,
         pseudocount=args.alpha,
-        config=config,
+        max_parents=args.max_parents,
     )
     csv_text = evaluation.curve_to_csv(points)
     with open(args.out, "w", encoding="utf-8") as fh:

@@ -22,13 +22,7 @@ import numpy as np
 from .grounding import BagOfWords, Experience, _nonblank_lines, bag_of_words
 from .inference import CANONICAL_CELL_ORDER, _bag_evidence, default_cells
 from .network import Network, StateTable, affordance_variables, fit_cpts, make_network
-from .structure import (
-    EncodedCorpus,
-    K2Config,
-    _attach_words,
-    _best_single_parents,
-    train_model,
-)
+from .structure import EncodedCorpus, _attach_words, _best_single_parents, train_model
 
 DEFAULT_SIZES = (100, 300, 500, 700, 900, 1100, 1270)
 
@@ -113,14 +107,12 @@ def evaluate_instructions(
 
 
 def build_baseline_network(
-    dataset: Sequence[Experience],
-    pseudocount: float = 1.0,
-    alpha: float = 1.0,
+    dataset: Sequence[Experience], pseudocount: float = 1.0
 ) -> Network:
     """Reference model without affordance structure.
 
     Every affordance node is parentless and every word gets exactly one
-    affordance parent, the single best by family score, even when no parent
+    affordance parent, the single best by K2 score, even when no parent
     would have scored better. The word layer holds the words that occur in
     the dataset.
     """
@@ -128,7 +120,7 @@ def build_baseline_network(
     corpus = EncodedCorpus.encode(dataset, variables)
     aff = make_network(variables, {v.name: () for v in variables})
     aff = fit_cpts(aff, corpus.columns, pseudocount, corpus.weights)
-    best = _best_single_parents(corpus, variables, alpha)
+    best = _best_single_parents(corpus, variables)
     parents = {word: (parent,) for word, parent in zip(corpus.words, best)}
     return _attach_words(aff, corpus, parents)
 
@@ -143,7 +135,7 @@ def staged_learning(
     repetitions: int = 50,
     seed: int = 0,
     pseudocount: float = 1.0,
-    config: K2Config = K2Config(),
+    max_parents: int = 3,
 ) -> list[CurvePoint]:
     """Learning curve over random training subsets.
 
@@ -174,7 +166,7 @@ def staged_learning(
                     np.random.SeedSequence(entropy=seed, spawn_key=(size, rep))
                 )
                 subset = encoded.subset(rng.choice(len(corpus), size=size, replace=False))
-            net = train_model(subset, pseudocount=pseudocount, config=config)
+            net = train_model(subset, pseudocount=pseudocount, max_parents=max_parents)
             result = evaluate_instructions(net, instructions)
             scores.append((result.soft, result.hard))
         points.append(CurvePoint(train_size=size, repetitions=tuple(scores)))

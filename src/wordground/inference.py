@@ -12,7 +12,8 @@ instruction of `select_action_object`, or every hypothesis of an N-best
 list in `rescore_nbest`.
 
 Impossibility is a result state, not an error: a query whose every
-configuration has probability zero returns an all-zero result.
+configuration has probability zero returns an all-zero result. A request
+with words but none the model knows is an error: it would score 1 anywhere.
 """
 
 from __future__ import annotations
@@ -72,6 +73,10 @@ class NBestList:
                 raise ValueError(f"N-best hypothesis {tokens!r} has no words")
 
 
+class UnknownWordsError(ValueError):
+    """A request or hypothesis with words, none of them known to the model."""
+
+
 @dataclass(frozen=True)
 class ActionObjectRanking:
     """Full (action, object) posterior grid, best first."""
@@ -84,12 +89,16 @@ class ActionObjectRanking:
         return self.entries[0]
 
 
+def _is_word(network: Network, name: str) -> bool:
+    return name in network and network.variable(name).kind == "word"
+
+
 def _bag_evidence(network: Network, bag: Iterable[str]) -> dict[str, str]:
     """The bag's known words, each bound to present. Unknown words are
     skipped with one warning, since instructions may contain words outside
     the training vocabulary."""
     words = sorted(set(bag))
-    unknown = [w for w in words if w not in network or network.variable(w).kind != "word"]
+    unknown = [w for w in words if not _is_word(network, w)]
     if unknown:
         logger.warning("skipping unknown words: %s", ", ".join(unknown))
     return {w: PRESENT for w in words if w not in unknown}
@@ -115,7 +124,8 @@ def _scene_scorer(
     Returns the pairs, action-major in action value order then scene order,
     and p(bag | action, object) of every bag and pair, shape (bags, pairs),
     with the effects summed out under the state model. The prior and every
-    bag are scored in one `StateTable.joint` call.
+    bag are scored in one `StateTable.joint` call. A bag with words but no
+    known word raises `UnknownWordsError`.
     """
     if not scene:
         raise ValueError("scene must contain at least one object")
@@ -137,6 +147,10 @@ def _scene_scorer(
             pairs.append((action, obj))
             index.append(tuple(v.index_of(values[v.name]) for v in cell_vars))
 
+    bags = [set(bag) for bag in bags]
+    for bag in bags:
+        if bag and not any(_is_word(network, w) for w in bag):
+            raise UnknownWordsError(f"the model knows none of the words: {', '.join(sorted(bag))}")
     evidences = [{}] + [_bag_evidence(network, bag) for bag in bags]
     joint = StateTable(network).joint(evidences, cells)
     prior = joint[0]

@@ -9,16 +9,18 @@ family-counting pass behind every fit and score (`_count_families`), exact
 inference on a dense table of the non-word states into which each CPT
 enters as one gather through its family's cached configuration index over
 the state grid (`StateTable`, the one engine behind every query, scoring a
-batch of evidence sets per call), and the decomposable Bayesian-Dirichlet
-family score used by structure search.
-The score's log-gamma terms come from a table built with `math.lgamma` once
-per (alpha, r, records) and cached (`_score_terms`). Each family's terms are
-sorted ascending and added one after another (`_observed_scores`): equal
-counts score exactly alike, and the exact 0.0 terms of an unobserved
-configuration change no partial sum, so padding cannot move a score.
+batch of evidence sets per call), the decomposable Bayesian-Dirichlet
+family score used by structure search, and the JSON model file.
+The score is K2's, at its uniform prior `K2_ALPHA` = 1. Its log-gamma terms
+come from a table built with `math.lgamma` once per (alpha, r, records) and
+cached (`_score_terms`). Each family's terms are sorted ascending and added
+one after another (`_observed_scores`): equal counts score exactly alike,
+and the exact 0.0 terms of an unobserved configuration change no partial
+sum, so padding cannot move a score.
 
 Networks are immutable after construction: fitting returns a new network,
-and all query operations are read-only.
+and all query operations are read-only. A model file with a key given twice,
+or one the format does not define, does not load.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import functools
 import json
 import math
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -203,10 +206,7 @@ class Network:
         return list(self._topo)
 
     def n_parent_configs(self, name: str) -> int:
-        n = 1
-        for p in self.parents[name]:
-            n *= self._by_name[p].cardinality
-        return n
+        return math.prod(self._by_name[p].cardinality for p in self.parents[name])
 
     def parent_config_index(self, name: str, assignment: Assignment) -> int:
         """Row index of `name`'s CPT under the given (parent-covering) assignment."""
@@ -261,9 +261,7 @@ def make_network(
                 raise ValueError(f"unknown variable name {p!r} in parents of {child!r}")
     cpts = {}
     for v in variables:
-        n = 1
-        for p in parent_map.get(v.name, ()):
-            n *= by_name[p].cardinality
+        n = math.prod(by_name[p].cardinality for p in parent_map.get(v.name, ()))
         cpts[v.name] = np.full((n, v.cardinality), 1.0 / v.cardinality)
     return Network(variables, parent_map, cpts)
 
@@ -470,14 +468,13 @@ def fit_cpts(
 def _grid_index(axes: tuple[tuple[str, int], ...], family: tuple[str, ...]) -> np.ndarray:
     """Configuration index of the variables `family`, row-major in family
     order, of every state of the dense grid over `axes` ((name, cardinality)
-    pairs, row-major): `_configs` run over the grid's columns. A CPT row-major
-    over the family turns into a factor over the states with one gather.
-    Cached; the array is read-only."""
-    shape = [r for _, r in axes]
-    columns = dict(zip([n for n, _ in axes], np.indices(shape).reshape(len(shape), -1)))
-    # each axis as a variable whose values are its indices
-    by_name = {n: Variable(n, tuple(map(str, range(r)))) for n, r in axes}
-    index = _configs([[by_name[n] for n in family]], columns, math.prod(shape))[0]
+    pairs, row-major). A CPT row-major over the family turns into a factor
+    over the states with one gather. Cached; the array is read-only."""
+    cards = dict(axes)
+    grid = dict(zip(cards, np.indices(tuple(cards.values())).reshape(len(cards), -1)))
+    index = np.empty(math.prod(cards.values()), dtype=np.int64)
+    # an empty family has the one configuration 0, a scalar here
+    index[:] = np.ravel_multi_index([grid[n] for n in family], [cards[n] for n in family])
     index.flags.writeable = False
     return index
 
@@ -586,6 +583,10 @@ def marginal(
 
 # -- Bayesian-Dirichlet family score ----------------------------------------
 
+# K2's uniform Dirichlet prior (Cooper & Herskovits 1992), the one weight of
+# every structure search and of `family_log_score`.
+K2_ALPHA = 1.0
+
 
 @functools.lru_cache(maxsize=64)
 def _score_terms(alpha: float, r: int, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -593,8 +594,6 @@ def _score_terms(alpha: float, r: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     for counts and row totals 0..n: ``lgamma(alpha + c) - lgamma(alpha)``
     per count c, and ``lgamma(r * alpha) - lgamma(r * alpha + t)`` per row
     total t. Both are exactly 0.0 at 0. Cached; the arrays are read-only."""
-    if not (math.isfinite(alpha) and alpha > 0):
-        raise ValueError(f"alpha must be a finite number > 0, got {alpha!r}")
     grid = np.arange(n + 1, dtype=float)
     cell = np.fromiter(map(math.lgamma, alpha + grid), float, n + 1) - math.lgamma(alpha)
     row = math.lgamma(r * alpha) - np.fromiter(map(math.lgamma, r * alpha + grid), float, n + 1)
@@ -628,10 +627,9 @@ def family_log_score(
     variable: Variable,
     parent_set: Sequence[Variable],
     dataset: Sequence[Assignment],
-    alpha: float = 1.0,
 ) -> float:
     """Log Dirichlet-multinomial marginal likelihood of `variable`'s column
-    given its parents, from complete records.
+    given its parents, from complete records, at the K2 prior `K2_ALPHA`.
 
     Decomposable: depends only on the family's counts, so structure search
     can score candidate parent sets independently per node. Parent
@@ -640,7 +638,7 @@ def family_log_score(
     columns = encode_columns([variable] + list(parent_set), dataset)
     counts = family_counts(variable, parent_set, columns)
     totals = counts.sum(axis=1)
-    terms = _score_terms(alpha, variable.cardinality, int(totals.max(initial=0)))
+    terms = _score_terms(K2_ALPHA, variable.cardinality, int(totals.max(initial=0)))
     return float(_observed_scores(counts, totals, terms))
 
 
@@ -654,38 +652,38 @@ def _fmt_float(x: float) -> str:
 
 
 def network_to_json(network: Network) -> str:
-    out: list[str] = ["{"]
-    out.append('  "variables": [')
+    variables, parents, cpts = [], [], []
     for i, v in enumerate(network.variables):
+        name = json.dumps(v.name)
         comma = "," if i < len(network.variables) - 1 else ""
-        out.append(
-            f'    {{"name": {json.dumps(v.name)}, "kind": {json.dumps(v.kind)}, '
+        variables.append(
+            f'    {{"name": {name}, "kind": {json.dumps(v.kind)}, '
             f'"values": {json.dumps(list(v.values))}}}{comma}'
         )
-    out.append("  ],")
-    out.append('  "parents": {')
-    for i, v in enumerate(network.variables):
-        comma = "," if i < len(network.variables) - 1 else ""
-        out.append(
-            f"    {json.dumps(v.name)}: {json.dumps(list(network.parents[v.name]))}{comma}"
-        )
-    out.append("  },")
-    out.append('  "cpts": {')
-    for i, v in enumerate(network.variables):
-        comma = "," if i < len(network.variables) - 1 else ""
-        rows = []
-        for row in network.cpts[v.name]:
-            rows.append("[" + ", ".join(_fmt_float(x) for x in row) + "]")
-        out.append(f"    {json.dumps(v.name)}: [" + ", ".join(rows) + f"]{comma}")
-    out.append("  },")
-    out.append(f'  "pseudocount": {_fmt_float(network.pseudocount)}')
-    out.append("}")
-    return "\n".join(out) + "\n"
+        parents.append(f"    {name}: {json.dumps(list(network.parents[v.name]))}{comma}")
+        rows = ("[" + ", ".join(map(_fmt_float, row)) + "]" for row in network.cpts[v.name])
+        cpts.append(f"    {name}: [{', '.join(rows)}]{comma}")
+    out = ["{", '  "variables": [', *variables, "  ],", '  "parents": {', *parents, "  },"]
+    out += ['  "cpts": {', *cpts, "  },", f'  "pseudocount": {_fmt_float(network.pseudocount)}']
+    return "\n".join(out) + "\n}\n"
 
 
-def _json_object(value, what: str) -> dict:
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's pairs as a dict, refusing a key given twice rather
+    than keeping the last."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        key = next(k for k, n in Counter(k for k, _ in pairs).items() if n > 1)
+        raise ValueError(f"model file: duplicate key {key!r}")
+    return obj
+
+
+def _json_object(value, what: str, keys=None) -> dict:
     if not isinstance(value, dict):
         raise ValueError(f"model file: {what} must be an object")
+    unknown = [] if keys is None else [k for k in value if k not in keys]
+    if unknown:
+        raise ValueError(f"model file: {what} has unknown key {unknown[0]!r}")
     return value
 
 
@@ -710,21 +708,23 @@ def _json_table(value, name: str) -> np.ndarray:
 
 
 def network_from_json(text: str) -> Network:
-    """Network from a model file's text. Raises ValueError for a missing
-    key, a field of the wrong JSON type, a pseudocount that is not a finite
-    number >= 0, or a CPT row with non-finite or negative entries or a sum
-    more than 1e-9 away from 1."""
-    obj = _json_object(json.loads(text), "the top level")
+    """Network from a model file's text. Raises ValueError for a missing,
+    repeated or undefined key, a field of the wrong JSON type, a pseudocount
+    that is not a finite number >= 0, or a CPT row with non-finite or
+    negative entries or a sum more than 1e-9 away from 1."""
+    obj = json.loads(text, object_pairs_hook=_unique_keys)
+    obj = _json_object(obj, "the top level", ("variables", "parents", "cpts", "pseudocount"))
     try:
         if not isinstance(obj["variables"], list):
             raise ValueError("model file: variables must be a list of objects")
         variables = [_json_variable(spec) for spec in obj["variables"]]
-        parents_obj = _json_object(obj["parents"], "parents")
+        names = {v.name for v in variables}
+        parents_obj = _json_object(obj["parents"], "parents", names)
         parents = {
             v.name: _json_strings(parents_obj[v.name], f"parents of {v.name!r}")
             for v in variables
         }
-        cpts_obj = _json_object(obj["cpts"], "cpts")
+        cpts_obj = _json_object(obj["cpts"], "cpts", names)
         cpts = {v.name: _json_table(cpts_obj[v.name], v.name) for v in variables}
         pseudocount = obj["pseudocount"]
     except KeyError as exc:

@@ -1,11 +1,11 @@
 """Greedy K2 parent selection.
 
-Each node's parents are chosen independently by hill-climbing on the
-Bayesian-Dirichlet family score: start from no parents, repeatedly add the
+Each node's parents are chosen independently by hill-climbing on the K2
+score (`network.K2_ALPHA`): start from no parents, repeatedly add the
 single candidate that increases the score most, stop when nothing improves
-or the parent limit is reached. Applied per word node this produces the
-word-meaning association graph; applied under a causal ordering it can also
-learn the affordance structure itself.
+or `max_parents`, the search's one setting, is reached. Applied per word
+node this produces the word-meaning association graph; applied under a
+causal ordering it can also learn the affordance structure itself.
 
 Every count is a sum over the distinct states of the training records,
 each weighted by its number of records: the family score and the CPT fit
@@ -43,6 +43,7 @@ import numpy as np
 
 from .grounding import corpus_vocabulary
 from .network import (
+    K2_ALPHA,
     Assignment,
     Network,
     Variable,
@@ -63,25 +64,9 @@ from .network import (
 )
 
 
-@dataclass(frozen=True)
-class K2Config:
-    """Search knobs for K2 parent selection.
-
-    Candidates are searched in the order supplied, and an exact score tie
-    goes to the earlier one. Words observed fewer than
-    `min_word_occurrences` times skip the search and keep an empty parent
-    set, since a handful of sightings cannot support a stable link.
-    """
-
-    max_parents: int = 3
-    alpha: float = 1.0
-    min_word_occurrences: int = 3
-
-    def __post_init__(self) -> None:
-        if self.max_parents < 0:
-            raise ValueError("max_parents must be >= 0")
-        if not (math.isfinite(self.alpha) and self.alpha > 0):
-            raise ValueError(f"alpha must be a finite number > 0, got {self.alpha!r}")
+# Words heard fewer times than this skip the search and keep an empty
+# parent set, since a handful of sightings cannot support a stable link.
+MIN_WORD_OCCURRENCES = 3
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,7 +163,7 @@ def _k2_search(
     candidates: Sequence[Variable],
     columns: Mapping[str, np.ndarray],
     weights: np.ndarray,
-    config: K2Config,
+    max_parents: int = 3,
 ) -> list[tuple[tuple[str, ...], list[float]]]:
     """Greedy K2 search for a batch of `n_targets` targets with `r` values
     each.
@@ -187,20 +172,22 @@ def _k2_search(
     `entries` the targets' values in them (`network._value_entries`,
     `_word_entries`) and `candidates` the parents to draw from in tie-break
     order. Each step adds, per target, the first candidate with the highest
-    score if that score is strictly above the current one. Returns per
-    target its parents, in candidate order, and its score after each step,
-    starting with no parents.
+    score if that score is strictly above the current one, up to
+    `max_parents`. Returns per target its parents, in candidate order, and
+    its score after each step, starting with no parents.
     """
-    terms = _score_terms(config.alpha, r, int(weights.sum()))
+    if max_parents < 0:
+        raise ValueError(f"max_parents must be >= 0, got {max_parents}")
+    terms = _score_terms(K2_ALPHA, r, int(weights.sum()))
     # coding 0 keeps the current parent set; coding 1 + i adds candidate i
-    extensions = [()] + ([[c] for c in candidates] if config.max_parents else [])
+    extensions = [()] + ([[c] for c in candidates] if max_parents else [])
     cards = np.array([math.prod(c.cardinality for c in e) for e in extensions], dtype=np.int64)
     extend = _configs(extensions, columns, len(weights)).T
     state, tgt, value, multiplicity = entries
     chosen: list[list[int]] = [[] for _ in range(n_targets)]
     traces: list[list[float]] = []
     searching = np.arange(n_targets)
-    for step in range(max(config.max_parents, 1)):  # at 0, for the no-parent scores
+    for step in range(max(max_parents, 1)):  # at 0, for the no-parent scores
         if not searching.size:
             break
         keys, group = _group_by(tuple(chosen[t]) for t in searching.tolist())
@@ -237,9 +224,7 @@ def _k2_search(
     ]
 
 
-def _best_single_parents(
-    corpus: EncodedCorpus, candidates: Sequence[Variable], alpha: float
-) -> list[str]:
+def _best_single_parents(corpus: EncodedCorpus, candidates: Sequence[Variable]) -> list[str]:
     """Per word of the corpus, the candidate whose one-parent family scores
     highest, even if no parent at all scores higher; the earlier candidate
     wins a tie."""
@@ -249,7 +234,7 @@ def _best_single_parents(
     counts, totals = _count_families(
         _word_entries(corpus.word_counts), corpus.weights, 2, singles, one_group, width
     )
-    scores = _observed_scores(counts, totals, _score_terms(alpha, 2, int(corpus.weights.sum())))
+    scores = _observed_scores(counts, totals, _score_terms(K2_ALPHA, 2, int(corpus.weights.sum())))
     return [candidates[i].name for i in np.argmax(scores, axis=1).tolist()]
 
 
@@ -257,25 +242,32 @@ def k2_select_parents(
     target_variable: Variable,
     candidates: Sequence[Variable],
     dataset: Sequence[Assignment],
-    config: K2Config = K2Config(),
+    max_parents: int = 3,
 ) -> tuple[str, ...]:
     """Parent set for one node, chosen greedily from `candidates`.
 
-    Deterministic given dataset and config: candidates are swept in the
-    order given, and only strict score improvements are accepted.
+    Deterministic given the dataset: candidates are swept in the order
+    given, and only strict score improvements are accepted.
     """
     if any(c.name == target_variable.name for c in candidates):
         raise ValueError("target variable cannot be its own candidate parent")
     columns = encode_columns([target_variable] + list(candidates), dataset)
-    weights = _record_weights(columns)
+    return _node_parents(
+        target_variable, candidates, columns, _record_weights(columns), max_parents
+    )
+
+
+def _node_parents(
+    target: Variable,
+    candidates: Sequence[Variable],
+    columns: Mapping[str, np.ndarray],
+    weights: np.ndarray,
+    max_parents: int,
+) -> tuple[str, ...]:
+    """`_k2_search` for one node whose values are in `columns`."""
+    entries = _value_entries(columns[target.name][:, None], weights)
     [(parents, _)] = _k2_search(
-        _value_entries(columns[target_variable.name][:, None], weights),
-        1,
-        target_variable.cardinality,
-        list(candidates),
-        columns,
-        weights,
-        config,
+        entries, 1, target.cardinality, list(candidates), columns, weights, max_parents
     )
     return parents
 
@@ -283,18 +275,19 @@ def k2_select_parents(
 def learn_word_layer(
     affordance_network: Network,
     corpus: EncodedCorpus,
-    config: K2Config = K2Config(),
+    max_parents: int = 3,
 ) -> Network:
     """Attach one binary presence node per word of the corpus.
 
-    For each word, K2 selects parents among the affordance variables only,
-    in their declaration order, then the word's CPT is fitted with the
+    For each word heard at least `MIN_WORD_OCCURRENCES` times, K2 selects
+    up to `max_parents` parents among the affordance variables only, in
+    their declaration order; every word's CPT is then fitted with the
     affordance network's pseudocount. The affordance structure and CPTs are
     carried over untouched: the state model does not depend on what was
     said about it.
     """
     candidates = [affordance_network.variable(n) for n in affordance_network.affordance_names()]
-    searched = np.flatnonzero(corpus.word_counts.sum(axis=0) >= config.min_word_occurrences)
+    searched = np.flatnonzero(corpus.word_counts.sum(axis=0) >= MIN_WORD_OCCURRENCES)
     found = _k2_search(
         _word_entries(corpus.word_counts[:, searched]),
         len(searched),
@@ -302,7 +295,7 @@ def learn_word_layer(
         candidates,
         corpus.columns,
         corpus.weights,
-        config,
+        max_parents,
     )
     parents = {word: () for word in corpus.words}
     for j, (word_parents, _) in zip(searched.tolist(), found):
@@ -334,7 +327,7 @@ def _attach_words(
 def learn_affordance_structure(
     columns: Mapping[str, np.ndarray],
     ordering: Sequence[Variable],
-    config: K2Config = K2Config(),
+    max_parents: int = 3,
     weights: np.ndarray | None = None,
 ) -> dict[str, tuple[str, ...]]:
     """Parent map over the affordance variables under a fixed ordering.
@@ -346,25 +339,16 @@ def learn_affordance_structure(
     """
     if weights is None:
         weights = _record_weights(columns)
-    parent_map: dict[str, tuple[str, ...]] = {}
-    for i, var in enumerate(ordering):
-        [(parents, _)] = _k2_search(
-            _value_entries(columns[var.name][:, None], weights),
-            1,
-            var.cardinality,
-            list(ordering[:i]),
-            columns,
-            weights,
-            config,
-        )
-        parent_map[var.name] = parents
-    return parent_map
+    return {
+        var.name: _node_parents(var, ordering[:i], columns, weights, max_parents)
+        for i, var in enumerate(ordering)
+    }
 
 
 def train_model(
     experiences: Sequence | EncodedCorpus,
     pseudocount: float = 1.0,
-    config: K2Config = K2Config(),
+    max_parents: int = 3,
     learn_structure: bool = False,
 ) -> Network:
     """Full learning pipeline: affordance CPTs plus the word layer.
@@ -382,27 +366,29 @@ def train_model(
         else EncodedCorpus.encode(experiences, variables)
     )
     if learn_structure:
-        parent_map = learn_affordance_structure(corpus.columns, variables, config, corpus.weights)
+        parent_map = learn_affordance_structure(
+            corpus.columns, variables, max_parents, corpus.weights
+        )
     else:
         parent_map = default_affordance_parents()
     affordance_net = fit_cpts(
         make_network(variables, parent_map), corpus.columns, pseudocount, corpus.weights
     )
-    return learn_word_layer(affordance_net, corpus, config)
+    return learn_word_layer(affordance_net, corpus, max_parents)
 
 
-def structure_report(network: Network, config: K2Config = K2Config()) -> str:
+def structure_report(network: Network, max_parents: int = 3) -> str:
     """Plain-text adjacency listing of the learned word links.
 
-    The header records the search defaults, which are choices rather than
+    The header records the search settings, which are choices rather than
     givens: ordering-position tie-breaks and the parent limit both shape
     which of several equally plausible graphs comes out.
     """
     lines = [
         "# word-meaning association graph",
-        f"# max_parents={config.max_parents} alpha={config.alpha:g} "
+        f"# max_parents={max_parents} alpha={K2_ALPHA:g} "
         f"tie_break_ordering={','.join(network.affordance_names())}",
-        f"# words seen < {config.min_word_occurrences} times keep an empty parent set",
+        f"# words seen < {MIN_WORD_OCCURRENCES} times keep an empty parent set",
     ]
     for word in sorted(network.word_names()):
         lines.append(f"{word} <- {','.join(network.parents[word])}".rstrip())

@@ -193,6 +193,47 @@ def test_repl_reports_request_without_words_and_reads_on(trained, capsys, monkey
     assert len(best) == 1 and best[0].startswith("best: grasp yellow medium sphere")
 
 
+def test_repl_reports_request_with_no_known_word_and_reads_on(trained, capsys, monkeypatch):
+    import io
+
+    root, _, model_path, scene_path = trained
+    monkeypatch.setattr("sys.stdin", io.StringIO("xyzzy plugh\nrises yellow\n\n"))
+    code = run("repl", "--model", str(model_path), "--scene", str(scene_path))
+    assert code == 0
+    captured = capsys.readouterr()
+    assert "knows none of the words: plugh, xyzzy" in captured.err
+    best = [line for line in captured.out.splitlines() if line.startswith("best:")]
+    assert len(best) == 1 and best[0].startswith("best: grasp yellow medium sphere")
+
+
+def test_instruct_rejects_request_with_no_known_word(trained, capsys):
+    # without a known word every pair would score 1, and the grid's first
+    # pair would come out best
+    root, _, model_path, scene_path = trained
+    code = run(
+        "instruct", "--model", str(model_path), "--scene", str(scene_path),
+        "--words", "xyzzy plugh",
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "knows none of the words: plugh, xyzzy" in captured.err
+    assert captured.out == ""
+
+
+def test_rescore_rejects_hypothesis_with_no_known_word(trained, workdir, capsys):
+    root, _, model_path, scene_path = trained
+    nbest = workdir / "nbest.txt"
+    nbest.write_text("0.3|xyzzy plugh\n0.5|tap the ball\n", encoding="utf-8")
+    code = run(
+        "rescore", "--model", str(model_path), "--scene", str(scene_path),
+        "--nbest", str(nbest),
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "knows none of the words: plugh, xyzzy" in captured.err
+    assert captured.out == ""
+
+
 def test_rescore_selects_contextual_winner(trained, capsys):
     root, _, model_path, scene_path = trained
     nbest = root / "nbest.txt"
@@ -321,9 +362,16 @@ def test_instruct_rejects_malformed_model_file(trained, workdir, capsys):
         {**model, "pseudocount": float("nan")},
         {**model, "pseudocount": -3},
         string_values,
+        {**model, "comment": "fitted"},
+        {**model, "parents": {**model["parents"], "Typo": ["Action"]}},
     ]
-    for obj in cases:
-        bad.write_text(json.dumps(obj), encoding="utf-8")
+    texts = [json.dumps(obj) for obj in cases]
+    # two Action CPTs, of which a plain json.loads would keep the second
+    texts.append(
+        json.dumps(model).replace('"cpts": {', '"cpts": {"Action": [[1.0, 0.0, 0.0]], ', 1)
+    )
+    for text in texts:
+        bad.write_text(text, encoding="utf-8")
         code = run(
             "instruct", "--model", str(bad), "--scene", str(scene_path),
             "--words", "tap the ball",
@@ -363,6 +411,22 @@ def test_eval_rejects_non_positive_counts(trained, capsys, extra, message):
     assert code == 2
     assert message in capsys.readouterr().err
     assert not out_csv.exists()
+
+
+@pytest.mark.parametrize(
+    "command, output",
+    [("train", ["--model"]), ("eval", ["--seed", "3", "--sizes", "50", "--reps", "1", "--out"])],
+)
+def test_negative_max_parents_is_input_error(trained, workdir, capsys, command, output):
+    root, corpus_path, _, _ = trained
+    code = run(
+        command, "--corpus", str(corpus_path), "--max-parents", "-1",
+        *output, str(workdir / "out"),
+    )
+    assert code == 2
+    assert "max_parents" in capsys.readouterr().err
+    # neither the model, its report nor the CSV is written
+    assert list(workdir.iterdir()) == []
 
 
 @pytest.mark.parametrize("alpha", ["nan", "inf"])

@@ -143,7 +143,7 @@ def test_baseline_counts_every_record(corpus):
         assert np.array_equal(net.cpts[name], refit.cpts[name])
     variables = affordance_variables()
     for word in net.word_names():
-        scores = [family_log_score(net.variable(word), [v], records, 1.0) for v in variables]
+        scores = [family_log_score(net.variable(word), [v], records) for v in variables]
         assert net.parents[word] == (variables[scores.index(max(scores))].name,)
 
 

@@ -206,6 +206,19 @@ def test_select_rejects_underspecified_scene_object():
         select_action_object(toy_net(), ["ball"], [incomplete])
 
 
+def test_select_and_rescore_reject_bags_without_a_known_word():
+    # with no word to condition on, every pair would score 1; a variable
+    # that is not a word is not a known word either
+    with pytest.raises(ValueError, match="knows none of the words: Shape, plugh, xyzzy"):
+        select_action_object(toy_net(), ["xyzzy", "plugh", "Shape"], [SPHERE, BOX])
+    nbest = NBestList(hypotheses=((("ball",), 0.5), (("xyzzy", "plugh"), 0.3)))
+    with pytest.raises(ValueError, match="knows none of the words: plugh, xyzzy"):
+        rescore_nbest(toy_net(), nbest, [SPHERE, BOX])
+    # one known word is enough: the unknown one is skipped
+    partly = select_action_object(toy_net(), ["ball", "xyzzy"], [SPHERE, BOX])
+    assert partly.entries == select_action_object(toy_net(), ["ball"], [SPHERE, BOX]).entries
+
+
 # -- rescoring ----------------------------------------------------------------------
 
 

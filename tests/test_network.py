@@ -378,7 +378,7 @@ def test_joint_summed_over_completions_matches_marginal():
 
 
 def test_family_score_empty_dataset_is_zero():
-    assert family_log_score(binary("w"), [binary("A")], [], 1.0) == 0.0
+    assert family_log_score(binary("w"), [binary("A")], []) == 0.0
 
 
 def test_family_score_prefers_true_parent_of_determined_word():
@@ -388,8 +388,8 @@ def test_family_score_prefers_true_parent_of_determined_word():
         a = "t" if rng.random() < 0.5 else "f"
         records.append({"A": a, "w": a})
     w, a = binary("w"), binary("A")
-    with_parent = family_log_score(w, [a], records, 1.0)
-    without = family_log_score(w, [], records, 1.0)
+    with_parent = family_log_score(w, [a], records)
+    without = family_log_score(w, [], records)
     assert with_parent > without
     # both values agree with the slow reference implementation
     assert abs(with_parent - oracle_family_score(records, "w", ["f", "t"], ["A"], 1.0)) < 1e-9
@@ -402,9 +402,9 @@ def test_family_score_order_invariance():
         {"A": rng.choice(["f", "t"]), "w": rng.choice(["f", "t"])} for _ in range(60)
     ]
     w, a = binary("w"), binary("A")
-    s1 = family_log_score(w, [a], records, 1.0)
+    s1 = family_log_score(w, [a], records)
     rng.shuffle(records)
-    s2 = family_log_score(w, [a], records, 1.0)
+    s2 = family_log_score(w, [a], records)
     assert s1 == s2
 
 
@@ -414,9 +414,9 @@ def test_family_score_parent_relabeling_invariance():
         {"A": rng.choice(["f", "t"]), "w": rng.choice(["f", "t"])} for _ in range(80)
     ]
     w = binary("w")
-    s1 = family_log_score(w, [Variable("A", ("f", "t"))], records, 1.0)
+    s1 = family_log_score(w, [Variable("A", ("f", "t"))], records)
     relabeled = [{"A": {"f": "t", "t": "f"}[r["A"]], "w": r["w"]} for r in records]
-    s2 = family_log_score(w, [Variable("A", ("f", "t"))], relabeled, 1.0)
+    s2 = family_log_score(w, [Variable("A", ("f", "t"))], relabeled)
     assert abs(s1 - s2) < 1e-12
 
 
@@ -434,9 +434,7 @@ def test_family_score_independent_word_prefers_empty_parents():
         records = [dict(s, w="t" if rng.random() < 0.3 else "f") for s in states]
         w = binary("w")
         action = next(v for v in affordance_variables() if v.name == "Action")
-        if family_log_score(w, [], records, 1.0) > family_log_score(
-            w, [action], records, 1.0
-        ):
+        if family_log_score(w, [], records) > family_log_score(w, [action], records):
             wins += 1
     assert wins >= 0.95 * trials
 
@@ -551,6 +549,11 @@ def test_model_file_rejects_missing_keys(drop):
         network_from_json(json.dumps(obj))
 
 
+# a value that stands for the entry already there, written twice: a plain
+# `json.loads` would keep the second
+TWICE = "<the entry, twice>"
+
+
 @pytest.mark.parametrize(
     "path, value, message",
     [
@@ -572,6 +575,11 @@ def test_model_file_rejects_missing_keys(drop):
         (("pseudocount",), -3, "pseudocount"),
         (("pseudocount",), "1", "pseudocount"),
         (("pseudocount",), True, "pseudocount"),
+        (("parents", "Typo"), ["Action"], "parents has unknown key 'Typo'"),
+        (("cpts", "Typo"), [[0.5, 0.5]], "cpts has unknown key 'Typo'"),
+        (("comment",), "fitted", "top level has unknown key 'comment'"),
+        (("cpts", "Action"), TWICE, "duplicate key 'Action'"),
+        (("variables", 0, "kind"), TWICE, "duplicate key 'kind'"),
     ],
 )
 def test_model_file_rejects_malformed_fields(path, value, message):
@@ -580,8 +588,12 @@ def test_model_file_rejects_malformed_fields(path, value, message):
         parent = obj
         for key in path[:-1]:
             parent = parent[key]
+        entry = json.dumps({path[-1]: parent.get(path[-1])})[1:-1]
         parent[path[-1]] = value
     else:
         obj = value
+    text = json.dumps(obj)
+    if value == TWICE:
+        text = text.replace(json.dumps({path[-1]: TWICE})[1:-1], f"{entry}, {entry}")
     with pytest.raises(ValueError, match=message):
-        network_from_json(json.dumps(obj))
+        network_from_json(text)

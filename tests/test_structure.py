@@ -15,6 +15,7 @@ from wordground.datagen import (
 )
 from wordground.grounding import Experience
 from wordground.network import (
+    K2_ALPHA,
     Variable,
     _observed_scores,
     _score_terms,
@@ -28,8 +29,8 @@ from wordground.network import (
     word_variable,
 )
 from wordground.structure import (
+    MIN_WORD_OCCURRENCES,
     EncodedCorpus,
-    K2Config,
     _k2_search,
     _word_entries,
     k2_select_parents,
@@ -39,7 +40,7 @@ from wordground.structure import (
     train_model,
 )
 
-from oracles import oracle_k2_parents
+from oracles import oracle_family_score, oracle_k2_parents
 
 WORLD = default_world()
 LEXICON = default_lexicon()
@@ -52,14 +53,14 @@ def indicator_dataset(states, name, value, word="w"):
     ]
 
 
-def exhaustive_best_parents(word, candidates, dataset, alpha, max_size=2):
+def exhaustive_best_parents(word, candidates, dataset, max_size=2):
     """Reference search: score every parent set up to max_size."""
     from itertools import combinations
 
-    best, best_score = (), family_log_score(word, [], dataset, alpha)
+    best, best_score = (), family_log_score(word, [], dataset)
     for size in range(1, max_size + 1):
         for combo in combinations(candidates, size):
-            s = family_log_score(word, list(combo), dataset, alpha)
+            s = family_log_score(word, list(combo), dataset)
             if s > best_score:
                 best, best_score = tuple(v.name for v in combo), s
     return frozenset(best)
@@ -72,7 +73,7 @@ def test_k2_word_determined_by_action():
     parents = k2_select_parents(w, list(VARIABLES), dataset)
     assert parents == ("Action",)
     # greedy result agrees with exhaustive scoring over parent sets <= 2
-    assert frozenset(parents) == exhaustive_best_parents(w, VARIABLES, dataset, 1.0)
+    assert frozenset(parents) == exhaustive_best_parents(w, VARIABLES, dataset)
 
 
 def test_k2_prefers_binary_covariate_over_ternary_action():
@@ -99,9 +100,8 @@ def test_k2_deterministic_and_capped():
     states = sample_experiences(WORLD, 300, 5)
     dataset = indicator_dataset(states, "ObjVel", "fast")
     w = word_variable("w")
-    config = K2Config(max_parents=1)
-    p1 = k2_select_parents(w, list(VARIABLES), dataset, config)
-    p2 = k2_select_parents(w, list(VARIABLES), dataset, config)
+    p1 = k2_select_parents(w, list(VARIABLES), dataset, max_parents=1)
+    p2 = k2_select_parents(w, list(VARIABLES), dataset, max_parents=1)
     assert p1 == p2
     assert len(p1) <= 1
 
@@ -109,7 +109,7 @@ def test_k2_deterministic_and_capped():
 def test_k2_rejects_target_in_candidates():
     w = word_variable("w")
     with pytest.raises(ValueError):
-        k2_select_parents(w, [w], [], K2Config())
+        k2_select_parents(w, [w], [])
 
 
 def test_k2_score_trace_strictly_increasing():
@@ -119,7 +119,7 @@ def test_k2_score_trace_strictly_increasing():
     columns = encode_columns([w] + list(VARIABLES), dataset)
     ones = np.ones(len(dataset), dtype=np.int64)
     entries = _value_entries(columns["w"][:, None], ones)
-    [(_, trace)] = _k2_search(entries, 1, 2, list(VARIABLES), columns, ones, K2Config())
+    [(_, trace)] = _k2_search(entries, 1, 2, list(VARIABLES), columns, ones)
     assert all(b > a for a, b in zip(trace, trace[1:]))
 
 
@@ -180,7 +180,7 @@ def test_k2_single_candidate_exhausted_before_max_parents():
         for _ in range(int(rng.integers(20, 200))):
             a = action.values[rng.integers(3)]
             records.append({"Action": a, "w": "present" if rng.random() < rate[a] else "absent"})
-        parents = k2_select_parents(word_variable("w"), [action], records, K2Config(max_parents=3))
+        parents = k2_select_parents(word_variable("w"), [action], records, max_parents=3)
         expected, _ = oracle_k2_parents(records, "w", ["absent", "present"], ["Action"], 3)
         assert parents == expected
         assert parents == ("Action",)
@@ -193,9 +193,7 @@ def test_affordance_structure_with_exhausted_candidates_matches_oracle():
     color = dict(zip(VARIABLES[0].values, ("blue", "yellow", "blue")))
     for s in states:
         s["Color"] = color[s["Action"]]
-    parent_map = learn_affordance_structure(
-        encode_columns(VARIABLES, states), VARIABLES, K2Config(max_parents=3)
-    )
+    parent_map = learn_affordance_structure(encode_columns(VARIABLES, states), VARIABLES, 3)
     assert parent_map["Color"] == ("Action",)
     for i, var in enumerate(VARIABLES):
         earlier = [v.name for v in VARIABLES[:i]]
@@ -229,10 +227,11 @@ def test_observed_scores_ignore_zero_rows_and_row_order(alpha, r, seed, n_rows, 
     assert _observed_scores(counts[order][None], totals[order], terms) == score
 
 
-@pytest.mark.parametrize("alpha", [1.0, 0.3])
+@pytest.mark.parametrize("alpha", [K2_ALPHA])
 def test_k2_trace_is_the_family_score_of_the_parents_so_far(clean_corpus, alpha):
     # each trace entry is exactly `family_log_score` of the parents chosen
-    # up to that step, in the order they were chosen
+    # up to that step, in the order they were chosen, and the slow score at
+    # the K2 prior alpha
     corpus = EncodedCorpus.encode(clean_corpus[:400])
     targets = [j for j, w in enumerate(corpus.words) if j % 3 == 0]
     found = _k2_search(
@@ -242,7 +241,6 @@ def test_k2_trace_is_the_family_score_of_the_parents_so_far(clean_corpus, alpha)
         list(VARIABLES),
         corpus.columns,
         corpus.weights,
-        K2Config(alpha=alpha),
     )
     by_name = {v.name: v for v in VARIABLES}
     linked = 0
@@ -255,11 +253,13 @@ def test_k2_trace_is_the_family_score_of_the_parents_so_far(clean_corpus, alpha)
         assert len(trace) == len(parents) + 1
         assert any(
             all(
-                trace[i] == family_log_score(w, [by_name[p] for p in order[:i]], dataset, alpha)
+                trace[i] == family_log_score(w, [by_name[p] for p in order[:i]], dataset)
                 for i in range(len(trace))
             )
             for order in permutations(parents)
         )
+        slow = oracle_family_score(dataset, w.name, list(w.values), list(parents), alpha)
+        assert trace[-1] == pytest.approx(slow, rel=1e-12)
         linked += len(parents) > 0
     assert linked >= 5
 
@@ -279,7 +279,7 @@ def test_family_score_closed_form_for_binary_family_at_alpha_one():
         math.log(math.factorial(a) * math.factorial(b)) - math.log(math.factorial(a + b + 1))
         for a, b in rows.values()
     )
-    score = family_log_score(word_variable("w"), parents, records, 1.0)
+    score = family_log_score(word_variable("w"), parents, records)
     assert score == pytest.approx(expected, rel=1e-13)
 
 
@@ -326,11 +326,12 @@ def test_batched_word_search_matches_per_word_greedy_reference(
             if rng.random() < rates.setdefault(key, rng.random()):
                 bag.add(word)
         experiences.append(Experience(state=state, description=frozenset(bag)))
-    config = K2Config(max_parents=max_parents, min_word_occurrences=0)
     affordance = fit_cpts(
         make_network(_ORACLE_VARIABLES, {}), encode_columns(_ORACLE_VARIABLES, states), 1.0
     )
-    net = learn_word_layer(affordance, EncodedCorpus.encode(experiences, _ORACLE_VARIABLES), config)
+    corpus = EncodedCorpus.encode(experiences, _ORACLE_VARIABLES)
+    net = learn_word_layer(affordance, corpus, max_parents)
+    searched = _word_layer_parents(net, corpus, max_parents)
     names = [v.name for v in _ORACLE_VARIABLES]
     for word in words:
         records = [
@@ -342,7 +343,26 @@ def test_batched_word_search_matches_per_word_greedy_reference(
         )
         if not ambiguous:
             # a word that never occurs has no node, and no parents
-            assert net.parents.get(word, ()) == expected
+            assert searched.get(word, ()) == expected
+
+
+def _word_layer_parents(net, corpus, max_parents):
+    """The K2 parents of every word of `corpus`, however rarely heard, after
+    checking that `net`, its word layer learnt with `max_parents`, holds
+    them for the words heard often enough to be searched."""
+    found = _k2_search(
+        _word_entries(corpus.word_counts),
+        len(corpus.words),
+        2,
+        [net.variable(n) for n in net.affordance_names()],
+        corpus.columns,
+        corpus.weights,
+        max_parents,
+    )
+    parents = {w: p for w, (p, _) in zip(corpus.words, found)}
+    for word, heard in zip(corpus.words, corpus.word_counts.sum(axis=0).tolist()):
+        assert net.parents[word] == (parents[word] if heard >= MIN_WORD_OCCURRENCES else ())
+    return parents
 
 
 def _repeated_corpus(rng, n_states, n_words):
@@ -424,18 +444,17 @@ def test_state_level_training_matches_record_level_counts(
     corpus = EncodedCorpus.encode(experiences, _ORACLE_VARIABLES)
     names = [v.name for v in _ORACLE_VARIABLES]
     states = [e.state for e in experiences]
-    config = K2Config(max_parents=max_parents, min_word_occurrences=0)
     state_map = learn_affordance_structure(
-        corpus.columns, _ORACLE_VARIABLES, config, corpus.weights
+        corpus.columns, _ORACLE_VARIABLES, max_parents, corpus.weights
     )
     record_map = learn_affordance_structure(
-        encode_columns(_ORACLE_VARIABLES, states), _ORACLE_VARIABLES, config
+        encode_columns(_ORACLE_VARIABLES, states), _ORACLE_VARIABLES, max_parents
     )
     assert state_map == record_map
     affordance = fit_cpts(
         make_network(_ORACLE_VARIABLES, state_map), corpus.columns, pseudocount, corpus.weights
     )
-    net = learn_word_layer(affordance, corpus, config)
+    net = learn_word_layer(affordance, corpus, max_parents)
     records = [
         dict(e.state, **{w: "present" if w in e.description else "absent" for w in corpus.words})
         for e in experiences
@@ -443,25 +462,19 @@ def test_state_level_training_matches_record_level_counts(
     refit = fit_cpts(net, encode_columns(net.variables, records), pseudocount)
     for name in net.names():
         assert np.array_equal(net.cpts[name], refit.cpts[name])
+    searched = _word_layer_parents(net, corpus, max_parents)
     for word in corpus.words:
         expected, ambiguous = oracle_k2_parents(
             records, word, ["absent", "present"], names, max_parents
         )
         if not ambiguous:
-            assert net.parents[word] == expected
+            assert searched[word] == expected
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        K2Config(max_parents=-1)
-    with pytest.raises(ValueError):
-        K2Config(alpha=0.0)
-
-
-@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
-def test_config_rejects_non_finite_alpha(alpha):
-    with pytest.raises(ValueError, match="finite"):
-        K2Config(alpha=alpha)
+    dataset = indicator_dataset(sample_experiences(WORLD, 50, 3), "Action", "tap")
+    with pytest.raises(ValueError, match="max_parents"):
+        k2_select_parents(word_variable("w"), list(VARIABLES), dataset, max_parents=-1)
 
 
 # -- word layer ---------------------------------------------------------------------
@@ -617,6 +630,15 @@ def test_affordance_structure_respects_ordering():
 
 
 # -- report -------------------------------------------------------------------------------
+
+
+def test_structure_report_header_states_the_search_settings(clean_model):
+    header = structure_report(clean_model).splitlines()[1:3]
+    assert header == [
+        "# max_parents=3 alpha=1 tie_break_ordering="
+        "Action,Color,Shape,Size,ObjVel,HandVel,ObjHandVel,Contact",
+        "# words seen < 3 times keep an empty parent set",
+    ]
 
 
 def test_structure_report_format(clean_model):

@@ -8,110 +8,77 @@ ones, and rescores recognizer hypotheses by context. A built-in generator
 recreates the training regime synthetically.
 """
 
-from .datagen import (
-    BalanceState,
-    Corpus,
-    Lexicon,
-    NoiseProfile,
-    build_corpus,
-    corrupt,
-    default_lexicon,
-    default_noise_profile,
-    default_world,
-    generate_description,
-    sample_experience,
-    sample_experiences,
-)
-from .evaluation import (
-    CurvePoint,
-    EvalResult,
-    Instruction,
-    build_baseline_network,
-    default_instructions,
-    evaluate_instructions,
-    staged_learning,
-)
-from .grounding import (
-    BagOfWords,
-    Experience,
-    bag_of_words,
-    load_corpus,
-    save_corpus,
-)
-from .inference import (
-    ActionObjectRanking,
-    NBestList,
-    SceneObject,
-    predict_compatible_set,
-    rescore_nbest,
-    select_action_object,
-)
-from .network import (
-    Network,
-    Variable,
-    affordance_variables,
-    default_affordance_parents,
-    family_log_score,
-    fit_cpts,
-    joint_probability,
-    load_network,
-    make_network,
-    marginal,
-    save_network,
-)
-from .structure import (
-    k2_select_parents,
-    learn_affordance_structure,
-    learn_word_layer,
-    structure_report,
-    train_model,
-)
+from importlib import import_module
 
-__all__ = [
-    "ActionObjectRanking",
-    "BagOfWords",
-    "BalanceState",
-    "Corpus",
-    "CurvePoint",
-    "EvalResult",
-    "Experience",
-    "Instruction",
-    "Lexicon",
-    "NBestList",
-    "Network",
-    "NoiseProfile",
-    "SceneObject",
-    "Variable",
-    "affordance_variables",
-    "bag_of_words",
-    "build_baseline_network",
-    "build_corpus",
-    "corrupt",
-    "default_affordance_parents",
-    "default_instructions",
-    "default_lexicon",
-    "default_noise_profile",
-    "default_world",
-    "evaluate_instructions",
-    "family_log_score",
-    "fit_cpts",
-    "generate_description",
-    "joint_probability",
-    "k2_select_parents",
-    "learn_affordance_structure",
-    "learn_word_layer",
-    "load_corpus",
-    "load_network",
-    "make_network",
-    "marginal",
-    "predict_compatible_set",
-    "rescore_nbest",
-    "sample_experience",
-    "sample_experiences",
-    "save_corpus",
-    "save_network",
-    "select_action_object",
-    "staged_learning",
-    "structure_report",
-    "train_model",
-]
+# The names each submodule exports. A name is imported on first use, so
+# `import wordground` loads no submodule (and not numpy), and a command-line
+# call loads only the modules its subcommand runs.
+_EXPORTS = {
+    "datagen": (
+        "BalanceState",
+        "Corpus",
+        "Lexicon",
+        "NoiseProfile",
+        "build_corpus",
+        "corrupt",
+        "default_lexicon",
+        "default_noise_profile",
+        "default_world",
+        "generate_description",
+        "sample_experience",
+        "sample_experiences",
+    ),
+    "evaluation": (
+        "CurvePoint",
+        "EvalResult",
+        "Instruction",
+        "build_baseline_network",
+        "default_instructions",
+        "evaluate_instructions",
+        "staged_learning",
+    ),
+    "grounding": ("BagOfWords", "Experience", "bag_of_words", "load_corpus", "save_corpus"),
+    "inference": (
+        "ActionObjectRanking",
+        "NBestList",
+        "SceneObject",
+        "predict_compatible_set",
+        "rescore_nbest",
+        "select_action_object",
+    ),
+    "network": (
+        "Network",
+        "Variable",
+        "affordance_variables",
+        "default_affordance_parents",
+        "family_log_score",
+        "fit_cpts",
+        "joint_probability",
+        "load_network",
+        "make_network",
+        "marginal",
+        "save_network",
+    ),
+    "structure": (
+        "k2_select_parents",
+        "learn_affordance_structure",
+        "learn_word_layer",
+        "structure_report",
+        "train_model",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

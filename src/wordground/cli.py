@@ -4,7 +4,8 @@ Subcommands cover the whole pipeline: `generate` a synthetic corpus,
 `train` a model from it, `instruct` / `repl` to resolve verbal requests
 against a scene, `rescore` a recognizer N-best list, and `eval` to produce
 the learning-curve CSV. Every stochastic subcommand takes a mandatory
-`--seed` and is byte-reproducible given one.
+`--seed` and is byte-reproducible given one. Each subcommand imports the
+package modules it runs, and no other, when it starts.
 
 Exit codes: 0 on success, 2 for unparseable inputs and for requests none of
 whose words the model knows, 1 for runtime failures.
@@ -16,13 +17,17 @@ import argparse
 import sys
 from collections import Counter
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import datagen, evaluation, grounding, inference, network, structure
+if TYPE_CHECKING:
+    from .inference import ActionObjectRanking
 
 DISPLAY_FLOOR = 0.005  # grid entries below two-digit precision print as dashes
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
+    from . import datagen, grounding
+
     lexicon = (
         datagen.load_lexicon(args.lexicon) if args.lexicon else datagen.default_lexicon()
     )
@@ -52,6 +57,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
+    from . import grounding, network, structure
+
     corpus = grounding.load_corpus(args.corpus)
     model = structure.train_model(
         corpus,
@@ -67,7 +74,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_ranking(ranking: inference.ActionObjectRanking, scene) -> None:
+def _print_ranking(ranking: ActionObjectRanking, scene) -> None:
     if ranking.impossible:
         print("IMPOSSIBLE: no action-object pair is compatible with the request")
         return
@@ -88,6 +95,8 @@ def _print_ranking(ranking: inference.ActionObjectRanking, scene) -> None:
 
 
 def _cmd_instruct(args: argparse.Namespace) -> int:
+    from . import grounding, inference, network
+
     bag = grounding.bag_of_words(args.words)
     if not bag:
         raise ValueError("--words holds no words")
@@ -99,6 +108,8 @@ def _cmd_instruct(args: argparse.Namespace) -> int:
 
 
 def _cmd_repl(args: argparse.Namespace) -> int:
+    from . import grounding, inference, network
+
     model = network.load_network(args.model)
     scene = inference.load_scene(args.scene)
     print("enter an instruction per line (empty line or EOF quits)")
@@ -120,6 +131,8 @@ def _cmd_repl(args: argparse.Namespace) -> int:
 
 
 def _cmd_rescore(args: argparse.Namespace) -> int:
+    from . import inference, network
+
     model = network.load_network(args.model)
     scene = inference.load_scene(args.scene)
     nbest = inference.load_nbest(args.nbest)
@@ -134,6 +147,8 @@ def _cmd_rescore(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
+    from . import evaluation, grounding
+
     corpus = grounding.load_corpus(args.corpus)
     if args.instructions:
         instructions = evaluation.load_instructions(args.instructions)

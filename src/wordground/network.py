@@ -162,6 +162,10 @@ class Network:
         self._by_name = {v.name: v for v in self.variables}
         if len(self._by_name) != len(self.variables):
             raise ValueError("duplicate variable names")
+        for what, entries in (("parent map", parents), ("cpts", cpts)):
+            for name in entries:
+                if name not in self._by_name:
+                    raise ValueError(f"unknown variable name {name!r} in {what}")
         self.parents: dict[str, tuple[str, ...]] = {}
         for v in self.variables:
             ps = tuple(parents.get(v.name, ()))
@@ -254,8 +258,6 @@ def make_network(
     variables = tuple(variables)
     by_name = {v.name: v for v in variables}
     for child, ps in parent_map.items():
-        if child not in by_name:
-            raise ValueError(f"unknown variable name {child!r} in parent map")
         for p in ps:
             if p not in by_name:
                 raise ValueError(f"unknown variable name {p!r} in parents of {child!r}")
@@ -694,7 +696,7 @@ def _json_strings(value, what: str) -> tuple[str, ...]:
 
 
 def _json_variable(spec) -> Variable:
-    name = _json_object(spec, "each entry of variables")["name"]
+    name = _json_object(spec, "each entry of variables", ("name", "kind", "values"))["name"]
     if not isinstance(name, str):
         raise ValueError(f"model file: variable name {name!r} is not a string")
     return Variable(name, _json_strings(spec["values"], f"values of {name!r}"), spec["kind"])

@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -355,6 +356,8 @@ def test_instruct_rejects_malformed_model_file(trained, workdir, capsys):
     bad = workdir / "bad.json"
     string_values = json.loads(json.dumps(model))
     string_values["variables"][2]["values"] = "sb"
+    misspelt_key = json.loads(json.dumps(model))
+    misspelt_key["variables"][0]["nmae"] = "Actoin"
     cases = [
         [],
         {**model, "variables": 5},
@@ -362,6 +365,7 @@ def test_instruct_rejects_malformed_model_file(trained, workdir, capsys):
         {**model, "pseudocount": float("nan")},
         {**model, "pseudocount": -3},
         string_values,
+        misspelt_key,
         {**model, "comment": "fitted"},
         {**model, "parents": {**model["parents"], "Typo": ["Action"]}},
     ]
@@ -454,14 +458,66 @@ def test_eval_rejects_non_finite_alpha(trained, capsys, alpha):
     assert not out_csv.exists()
 
 
-def test_cli_import_does_not_load_scipy():
+# Runs `wordground.cli.main` on its arguments, or with none only imports the
+# package; prints the exit code and the package, numpy and scipy modules then
+# loaded.
+IMPORT_PROBE = """
+import json, sys
+if sys.argv[1:]:
+    from wordground.cli import main
+    code = main(sys.argv[1:])
+else:
+    import wordground
+    code = 0
+loaded = [m for m in sys.modules if m.partition(".")[0] in ("wordground", "numpy", "scipy")]
+print(json.dumps({"code": code, "loaded": sorted(loaded)}))
+"""
+SUBMODULES = ("datagen", "evaluation", "grounding", "inference", "network", "structure")
+# the package modules each probe must leave unloaded
+NOT_LOADED = {
+    "import": SUBMODULES + ("cli",),
+    "instruct": ("structure", "datagen", "evaluation"),
+    "rescore": ("structure", "datagen", "evaluation"),
+    "repl": ("structure", "datagen", "evaluation"),
+    "train": ("inference", "datagen", "evaluation"),
+}
+
+
+@pytest.mark.parametrize("command", NOT_LOADED)
+def test_command_imports_only_the_modules_it_runs(trained, workdir, command):
+    root, corpus_path, model_path, scene_path = trained
+    nbest = workdir / "nbest.txt"
+    nbest.write_text("0.5|tap the ball\n", encoding="utf-8")
+    query = ["--model", str(model_path), "--scene", str(scene_path)]
+    argv = {
+        "import": [],
+        "instruct": ["instruct", *query, "--words", "tap the ball"],
+        "rescore": ["rescore", *query, "--nbest", str(nbest)],
+        "repl": ["repl", *query],
+        "train": ["train", "--corpus", str(corpus_path), "--model", str(workdir / "m.json")],
+    }[command]
     src = str(Path(wordground.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    probe = (
-        "import sys, wordground.cli; "
-        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
-    )
     proc = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", IMPORT_PROBE, *argv], env=env, stdin=subprocess.DEVNULL,
+        capture_output=True, text=True, check=True,
     )
-    assert proc.stdout.strip() == "[]"
+    probe = json.loads(proc.stdout.splitlines()[-1])
+    assert probe["code"] == 0, proc.stderr
+    loaded = set(probe["loaded"])
+    assert not loaded & {f"wordground.{m}" for m in NOT_LOADED[command]}
+    assert not any(m.partition(".")[0] == "scipy" for m in loaded)
+    if command == "import":
+        assert not any(m.partition(".")[0] == "numpy" for m in loaded)
+        # each exported name, resolved on first use, is the object every
+        # submodule holding that name holds, and stays in the package globals
+        modules = [importlib.import_module(f"wordground.{m}") for m in SUBMODULES]
+        assert len(wordground.__all__) == 46
+        for name in wordground.__all__:
+            obj = getattr(wordground, name)
+            holders = [vars(m)[name] for m in modules if name in vars(m)]
+            assert holders and all(held is obj for held in holders), name
+            assert vars(wordground)[name] is obj
+        assert set(wordground.__all__) <= set(dir(wordground))
+        with pytest.raises(AttributeError):
+            wordground.no_such_name

@@ -80,6 +80,18 @@ def test_make_network_rejects_unknown_name():
         make_network([binary("A")], {"A": ["Nope"]})
 
 
+@pytest.mark.parametrize(
+    "parents, cpts, message",
+    [
+        ({"Typo": []}, {}, "'Typo' in parent map"),
+        ({}, {"Other": [[0.5, 0.5]]}, "'Other' in cpts"),
+    ],
+)
+def test_network_rejects_entry_naming_no_variable(parents, cpts, message):
+    with pytest.raises(ValueError, match=message):
+        Network([binary("A")], parents, {"A": [[0.5, 0.5]], **cpts})
+
+
 def test_variable_validation():
     with pytest.raises(ValueError):
         Variable("X", ("only",))
@@ -580,6 +592,7 @@ TWICE = "<the entry, twice>"
         (("comment",), "fitted", "top level has unknown key 'comment'"),
         (("cpts", "Action"), TWICE, "duplicate key 'Action'"),
         (("variables", 0, "kind"), TWICE, "duplicate key 'kind'"),
+        (("variables", 0, "nmae"), "Actoin", "variables has unknown key 'nmae'"),
     ],
 )
 def test_model_file_rejects_malformed_fields(path, value, message):

@@ -51,8 +51,6 @@ _EXPORTS = {
         "Variable",
         "affordance_variables",
         "default_affordance_parents",
-        "family_log_score",
-        "fit_cpts",
         "joint_probability",
         "load_network",
         "make_network",
@@ -60,6 +58,7 @@ _EXPORTS = {
         "save_network",
     ),
     "structure": (
+        "fit_cpts",
         "k2_select_parents",
         "learn_affordance_structure",
         "learn_word_layer",

@@ -12,6 +12,7 @@ tapped, grasps may fail, and color never influences anything.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -19,7 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .grounding import BagOfWords, Experience, bag_of_words
-from .network import Network, affordance_variables
+from .network import Network, _unique_keys, affordance_variables
 
 
 # -- ground-truth world ------------------------------------------------------
@@ -221,28 +222,24 @@ def default_lexicon() -> Lexicon:
     return Lexicon(concepts=concepts, filler_words=fillers)
 
 
-def save_lexicon(lexicon: Lexicon, path) -> None:
-    obj = {
-        "concepts": {k: list(v) for k, v in lexicon.concepts.items()},
-        "filler_words": lexicon.filler_words,
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def load_lexicon(path) -> Lexicon:
     """Lexicon from a JSON file. Raises ValueError unless the file is an
-    object whose `concepts` maps to lists of strings and whose
-    `filler_words` maps to numeric rates."""
+    object with exactly the keys `concepts`, which maps to lists of strings,
+    and `filler_words`, which maps to numeric rates, and no object in it
+    gives a key twice."""
+    keys = ("concepts", "filler_words")
+    unique_keys = functools.partial(_unique_keys, kind="lexicon file")
     with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
+        obj = json.load(fh, object_pairs_hook=unique_keys)
     sections = []
-    for key in ("concepts", "filler_words"):
+    for key in keys:
         section = obj.get(key) if isinstance(obj, dict) else None
         if not isinstance(section, dict):
             raise ValueError(f"lexicon file needs a {key!r} object")
         sections.append(section)
+    unknown = [k for k in obj if k not in keys]
+    if unknown:
+        raise ValueError(f"lexicon file has unknown key {unknown[0]!r}")
     concepts, fillers = sections
     for key, synonyms in concepts.items():
         if not (isinstance(synonyms, list) and all(isinstance(w, str) for w in synonyms)):

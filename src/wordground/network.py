@@ -1,22 +1,12 @@
 """Discrete Bayesian network core.
 
 Representation of named discrete variables and a DAG of conditional
-probability tables, maximum-a-posteriori parameter fitting with symmetric
-Dirichlet smoothing from encoded value-index columns (`encode_columns`
-turns complete records into them once; with weights, the columns hold
-distinct states and each counts as its number of records), one
-family-counting pass behind every fit and score (`_count_families`), exact
-inference on a dense table of the non-word states into which each CPT
-enters as one gather through its family's cached configuration index over
-the state grid (`StateTable`, the one engine behind every query, scoring a
-batch of evidence sets per call), the decomposable Bayesian-Dirichlet
-family score used by structure search, and the JSON model file.
-The score is K2's, at its uniform prior `K2_ALPHA` = 1. Its log-gamma terms
-come from a table built with `math.lgamma` once per (alpha, r, records) and
-cached (`_score_terms`). Each family's terms are sorted ascending and added
-one after another (`_observed_scores`): equal counts score exactly alike,
-and the exact 0.0 terms of an unobserved configuration change no partial
-sum, so padding cannot move a score.
+probability tables, exact inference on a dense table of the non-word states
+into which each CPT enters as one gather through its family's cached
+configuration index over the state grid (`StateTable`, the one engine
+behind every query, scoring a batch of evidence sets per call), and the
+JSON model file. Learning a network from data (counting, CPT fitting and
+the K2 score) is `structure`'s.
 
 Networks are immutable after construction: fitting returns a new network,
 and all query operations are read-only. A model file with a key given twice,
@@ -248,7 +238,7 @@ class Network:
         return Network(variables, parents, cpts, self.pseudocount)
 
 
-# -- construction and fitting ---------------------------------------------
+# -- construction ------------------------------------------------------------
 
 
 def make_network(
@@ -266,201 +256,6 @@ def make_network(
         n = math.prod(by_name[p].cardinality for p in parent_map.get(v.name, ()))
         cpts[v.name] = np.full((n, v.cardinality), 1.0 / v.cardinality)
     return Network(variables, parent_map, cpts)
-
-
-def _encode_column(variable: Variable, records: Sequence[Assignment]) -> np.ndarray:
-    """Value-index column for one variable over a complete dataset."""
-    lookup = {val: i for i, val in enumerate(variable.values)}
-    col = np.empty(len(records), dtype=np.int64)
-    for i, rec in enumerate(records):
-        try:
-            col[i] = lookup[rec[variable.name]]
-        except KeyError:
-            if variable.name not in rec:
-                raise ValueError(
-                    f"record {i} is missing a value for {variable.name!r}"
-                ) from None
-            raise ValueError(
-                f"record {i} binds {variable.name!r} to unknown value "
-                f"{rec[variable.name]!r}"
-            ) from None
-    return col
-
-
-def encode_columns(
-    variables: Sequence[Variable], records: Sequence[Assignment]
-) -> dict[str, np.ndarray]:
-    """Value-index columns for a complete dataset, keyed by variable name."""
-    return {v.name: _encode_column(v, records) for v in variables}
-
-
-def _configs(
-    parent_sets: Sequence[Sequence[Variable]], columns: Mapping[str, np.ndarray], n_records: int
-) -> np.ndarray:
-    """Parent-configuration index of every record under each parent set,
-    row-major over the set's parents, shape (sets, records)."""
-    configs = np.zeros((len(parent_sets), n_records), dtype=np.int64)
-    for row, parents in zip(configs, parent_sets):
-        for p in parents:
-            row *= p.cardinality
-            row += columns[p.name]
-    return configs
-
-
-def _value_entries(
-    codes: np.ndarray, weights: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Count entries of targets given as value indices, `codes` of shape
-    (states, targets): the state, target, value minus one and multiplicity
-    of every nonzero value, each counting as its state's weight."""
-    flat = np.flatnonzero(codes)
-    state, tgt = np.divmod(flat, codes.shape[1])
-    return state, tgt, codes.ravel()[flat] - 1, weights[state]
-
-
-def _count_families(
-    entries: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-    weights: np.ndarray,
-    r: int,
-    configs: np.ndarray,
-    group: np.ndarray,
-    width: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Family counts of every target under each coding of its group's
-    parent configurations, the one counting pass behind every score and fit.
-
-    `configs` has shape (states, groups, codings), entries below `width`;
-    `weights` gives each state's number of records, `group` each target's
-    group and `entries` the (state, target, value - 1, multiplicity) of the
-    targets' nonzero values, as `_value_entries` returns them. One weighted
-    `bincount` gives the row totals and one the counts of values 1..r-1;
-    value 0 is the rest of the row total. The sums are of integers, so they
-    are exact. Returns the counts, shape (targets, codings, width, r), and
-    row totals, (targets, codings, width), both int64.
-    """
-    state, tgt, value, multiplicity = entries
-    n_states, n_groups, n_codings = configs.shape
-    n_targets = len(group)
-    block = n_codings * width
-    # every state's (group, coding, configuration) cell
-    coded = configs + width * np.arange(n_groups * n_codings).reshape(n_groups, n_codings)
-    totals = np.bincount(
-        coded.ravel(), weights=np.repeat(weights, n_groups * n_codings), minlength=n_groups * block
-    ).astype(np.int64).reshape(n_groups, n_codings, width)[group]
-    # each entry's cells, moved from its group's block to its target's
-    entry_group = group[tgt]
-    cells = (coded * (r - 1))[state, entry_group]
-    rest = np.bincount(
-        (cells + ((tgt - entry_group) * (block * (r - 1)) + value)[:, None]).ravel(),
-        weights=np.repeat(multiplicity, n_codings),
-        minlength=n_targets * block * (r - 1),
-    ).astype(np.int64).reshape(n_targets, n_codings, width, r - 1)
-    return np.concatenate([(totals - rest.sum(axis=-1))[..., None], rest], axis=-1), totals
-
-
-def _record_weights(columns: Mapping[str, np.ndarray]) -> np.ndarray:
-    """Weight one for every row of encoded columns of records."""
-    return np.ones(len(next(iter(columns.values()), ())), dtype=np.int64)
-
-
-def family_counts(
-    variable: Variable,
-    parent_set: Sequence[Variable],
-    columns: Mapping[str, np.ndarray],
-) -> np.ndarray:
-    """Count matrix of shape (n_parent_configs, cardinality) from encoded
-    columns of records."""
-    weights = _record_weights(columns)
-    counts, _ = _count_families(
-        _value_entries(columns[variable.name][:, None], weights),
-        weights,
-        variable.cardinality,
-        _configs([parent_set], columns, len(weights)).T[:, :, None],
-        np.zeros(1, dtype=np.int64),
-        math.prod(p.cardinality for p in parent_set),
-    )
-    return counts[0, 0]
-
-
-def _cpt(counts: np.ndarray, pseudocount: float) -> np.ndarray:
-    """CPTs from family counts of shape (..., n_parent_configs, cardinality).
-
-    Each entry is ``(count + a) / (row_total + a * cardinality)``. With
-    ``a == 0`` this is the plain maximum-likelihood frequency table (entries
-    may be exactly zero, which is what makes impossible-input detection
-    possible), and rows for parent configurations never observed fall back
-    to uniform so that every row still sums to 1.
-    """
-    a = float(pseudocount)
-    if not (math.isfinite(a) and a >= 0):
-        raise ValueError(f"pseudocount must be a finite number >= 0, got {pseudocount!r}")
-    counts = counts.astype(float)
-    totals = counts.sum(axis=-1, keepdims=True)
-    if a > 0:
-        return (counts + a) / (totals + a * counts.shape[-1])
-    with np.errstate(invalid="ignore"):
-        table = counts / totals
-    table[np.isnan(table)] = 1.0 / counts.shape[-1]
-    return table
-
-
-def _group_by(keys) -> tuple[list, np.ndarray]:
-    """The distinct keys in order of first appearance, and each key's index."""
-    index: dict = {}
-    group = np.array([index.setdefault(key, len(index)) for key in keys], dtype=np.int64)
-    return list(index), group
-
-
-def _fit_families(
-    entries: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-    weights: np.ndarray,
-    r: int,
-    parent_sets: Sequence[tuple[Variable, ...]],
-    columns: Mapping[str, np.ndarray],
-    pseudocount: float,
-) -> list[np.ndarray]:
-    """CPTs of a batch of targets with `r` values each, one per parent set
-    in `parent_sets`, all counted in one `_count_families` pass in which
-    targets with the same parent set share a group. `entries`, `weights`
-    and `columns` are as there; the estimator is `_cpt`."""
-    keys, group = _group_by(parent_sets)
-    rows = [math.prod(p.cardinality for p in key) for key in keys]
-    configs = _configs(keys, columns, len(weights)).T[:, :, None]
-    counts, _ = _count_families(entries, weights, r, configs, group, max(rows, default=1))
-    tables = _cpt(counts[:, 0], pseudocount)
-    return [tables[j, : rows[g]] for j, g in enumerate(group.tolist())]
-
-
-def fit_cpts(
-    network: Network,
-    columns: Mapping[str, np.ndarray],
-    pseudocount: float = 1.0,
-    weights: np.ndarray | None = None,
-) -> Network:
-    """Refit every CPT from encoded columns of complete records, as
-    `encode_columns` returns them, keeping the structure. With `weights`
-    the columns hold distinct states and each counts as that many records.
-    The variables with the same number of values are counted together.
-
-    Each CPT entry becomes ``(count + a) / (row_total + a * cardinality)``
-    with ``a = pseudocount``; with ``a == 0``, rows for parent configurations
-    never observed are uniform (see `_cpt`).
-    """
-    if weights is None:
-        weights = _record_weights(columns)
-    cpts = {}
-    for r in sorted({v.cardinality for v in network.variables}):
-        targets = [v for v in network.variables if v.cardinality == r]
-        tables = _fit_families(
-            _value_entries(np.stack([columns[v.name] for v in targets], axis=1), weights),
-            weights,
-            r,
-            [tuple(network.variable(p) for p in network.parents[v.name]) for v in targets],
-            columns,
-            pseudocount,
-        )
-        cpts.update(zip((v.name for v in targets), tables))
-    return Network(network.variables, network.parents, cpts, float(pseudocount))
 
 
 # -- inference --------------------------------------------------------------
@@ -583,67 +378,6 @@ def marginal(
     }
 
 
-# -- Bayesian-Dirichlet family score ----------------------------------------
-
-# K2's uniform Dirichlet prior (Cooper & Herskovits 1992), the one weight of
-# every structure search and of `family_log_score`.
-K2_ALPHA = 1.0
-
-
-@functools.lru_cache(maxsize=64)
-def _score_terms(alpha: float, r: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The family score's terms for a variable with `r` values, tabulated
-    for counts and row totals 0..n: ``lgamma(alpha + c) - lgamma(alpha)``
-    per count c, and ``lgamma(r * alpha) - lgamma(r * alpha + t)`` per row
-    total t. Both are exactly 0.0 at 0. Cached; the arrays are read-only."""
-    grid = np.arange(n + 1, dtype=float)
-    cell = np.fromiter(map(math.lgamma, alpha + grid), float, n + 1) - math.lgamma(alpha)
-    row = math.lgamma(r * alpha) - np.fromiter(map(math.lgamma, r * alpha + grid), float, n + 1)
-    cell.flags.writeable = False
-    row.flags.writeable = False
-    return cell, row
-
-
-def _observed_scores(
-    counts: np.ndarray, totals: np.ndarray, terms: tuple[np.ndarray, np.ndarray]
-) -> np.ndarray:
-    """Family scores from counts of shape (..., configurations, r) and row
-    totals of shape (..., configurations); `terms` comes from `_score_terms`.
-
-    A family's row terms and its cell terms are each sorted ascending and
-    added one after another. So parent sets with the same multiset of count
-    rows score exactly alike whatever the order of their configurations: a
-    parent that splits no configuration is no improvement, and of two
-    parents that split the records alike the earlier candidate wins. An
-    unobserved configuration adds terms of exactly 0.0, which change no
-    partial sum, so unobserved or padded configurations cannot move a score.
-    """
-    cell, row = terms
-    per_family = counts.shape[:-2] + (math.prod(counts.shape[-2:]),)
-    cell_terms = np.sort(cell[counts].reshape(per_family), axis=-1)
-    row_terms = np.sort(row[totals], axis=-1)
-    return np.cumsum(row_terms, axis=-1)[..., -1] + np.cumsum(cell_terms, axis=-1)[..., -1]
-
-
-def family_log_score(
-    variable: Variable,
-    parent_set: Sequence[Variable],
-    dataset: Sequence[Assignment],
-) -> float:
-    """Log Dirichlet-multinomial marginal likelihood of `variable`'s column
-    given its parents, from complete records, at the K2 prior `K2_ALPHA`.
-
-    Decomposable: depends only on the family's counts, so structure search
-    can score candidate parent sets independently per node. Parent
-    configurations that never occur contribute nothing.
-    """
-    columns = encode_columns([variable] + list(parent_set), dataset)
-    counts = family_counts(variable, parent_set, columns)
-    totals = counts.sum(axis=1)
-    terms = _score_terms(K2_ALPHA, variable.cardinality, int(totals.max(initial=0)))
-    return float(_observed_scores(counts, totals, terms))
-
-
 # -- model file -------------------------------------------------------------
 
 
@@ -670,13 +404,13 @@ def network_to_json(network: Network) -> str:
     return "\n".join(out) + "\n}\n"
 
 
-def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+def _unique_keys(pairs: list[tuple[str, object]], kind: str = "model file") -> dict:
     """A JSON object's pairs as a dict, refusing a key given twice rather
-    than keeping the last."""
+    than keeping the last; the error names the `kind` of file read."""
     obj = dict(pairs)
     if len(obj) < len(pairs):
         key = next(k for k, n in Counter(k for k, _ in pairs).items() if n > 1)
-        raise ValueError(f"model file: duplicate key {key!r}")
+        raise ValueError(f"{kind}: duplicate key {key!r}")
     return obj
 
 

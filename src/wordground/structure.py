@@ -1,31 +1,36 @@
-"""Greedy K2 parent selection.
+"""Learning a network from experiences: counting, CPT fitting, the K2
+score and greedy K2 parent selection.
 
 Each node's parents are chosen independently by hill-climbing on the K2
-score (`network.K2_ALPHA`): start from no parents, repeatedly add the
-single candidate that increases the score most, stop when nothing improves
-or `max_parents`, the search's one setting, is reached. Applied per word
-node this produces the word-meaning association graph; applied under a
-causal ordering it can also learn the affordance structure itself.
+score at its uniform prior `K2_ALPHA` = 1: start from no parents,
+repeatedly add the single candidate that increases the score most, stop
+when nothing improves or `max_parents`, the search's one setting, is
+reached. Applied per word node this produces the word-meaning association
+graph; applied under a causal ordering it can also learn the affordance
+structure itself. CPTs are maximum-a-posteriori fits with symmetric
+Dirichlet smoothing (`fit_cpts`, `_cpt`).
 
 Every count is a sum over the distinct states of the training records,
 each weighted by its number of records: the family score and the CPT fit
 depend on the records only through these counts (Cooper & Herskovits 1992),
 so the counts are the sufficient statistics, cached per corpus (Moore &
 Lee 1998). The records are encoded once (`EncodedCorpus`): the value-index
-columns of each distinct state, its number of records, and a states x words
-matrix of how many of its descriptions hold each word, the one
-word-presence encoding, which the search and the word CPT fit share. A
-learning curve encodes its corpus once and re-weights the same states for
-each index subset. The word layer holds exactly the corpus's own words, in
-sorted order.
+columns of each distinct state (`encode_columns`), its number of records,
+and a states x words matrix of how many of its descriptions hold each word,
+the one word-presence encoding, which the search and the word CPT fit
+share. A learning curve encodes its corpus once and re-weights the same
+states for each index subset. The word layer holds exactly the corpus's own
+words, in sorted order.
 
 One search (`_k2_search`) serves a batch of targets at once. At each greedy
 step the targets still searching are grouped by their current parent set,
 and every candidate of every group is counted in one sparse pass
-(`network._count_families`): one weighted `bincount` gives the row totals
-and one over the targets' nonzero values the counts of values 1..r-1
-(value 0 is the rest of the row total). Each score adds its log-gamma terms
-one after another in ascending order (`network._observed_scores`): an
+(`_count_families`, the one counting pass behind every score and fit): one
+weighted `bincount` gives the row totals and one over the targets' nonzero
+values the counts of values 1..r-1 (value 0 is the rest of the row total).
+The score's log-gamma terms come from a table built with `math.lgamma` once
+per (alpha, r, records) and cached (`_score_terms`). Each score adds its
+terms one after another in ascending order (`_observed_scores`): an
 unobserved configuration adds exact zeros, so all candidates share one
 padded width, and parent sets that split the records alike tie exactly, so
 the tie-break, not rounding, decides. Candidates are searched in the order
@@ -35,6 +40,7 @@ scores the earlier wins.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -43,25 +49,235 @@ import numpy as np
 
 from .grounding import corpus_vocabulary
 from .network import (
-    K2_ALPHA,
     Assignment,
     Network,
     Variable,
-    _configs,
-    _count_families,
-    _fit_families,
-    _group_by,
-    _observed_scores,
-    _record_weights,
-    _score_terms,
-    _value_entries,
     affordance_variables,
     default_affordance_parents,
-    encode_columns,
-    fit_cpts,
     make_network,
     word_variable,
 )
+
+
+# -- encoding and counting --------------------------------------------------
+
+
+def _encode_column(variable: Variable, records: Sequence[Assignment]) -> np.ndarray:
+    """Value-index column for one variable over a complete dataset."""
+    lookup = {val: i for i, val in enumerate(variable.values)}
+    col = np.empty(len(records), dtype=np.int64)
+    for i, rec in enumerate(records):
+        try:
+            col[i] = lookup[rec[variable.name]]
+        except KeyError:
+            if variable.name not in rec:
+                raise ValueError(
+                    f"record {i} is missing a value for {variable.name!r}"
+                ) from None
+            raise ValueError(
+                f"record {i} binds {variable.name!r} to unknown value "
+                f"{rec[variable.name]!r}"
+            ) from None
+    return col
+
+
+def encode_columns(
+    variables: Sequence[Variable], records: Sequence[Assignment]
+) -> dict[str, np.ndarray]:
+    """Value-index columns for a complete dataset, keyed by variable name."""
+    return {v.name: _encode_column(v, records) for v in variables}
+
+
+def _configs(
+    parent_sets: Sequence[Sequence[Variable]], columns: Mapping[str, np.ndarray], n_records: int
+) -> np.ndarray:
+    """Parent-configuration index of every record under each parent set,
+    row-major over the set's parents, shape (sets, records)."""
+    configs = np.zeros((len(parent_sets), n_records), dtype=np.int64)
+    for row, parents in zip(configs, parent_sets):
+        for p in parents:
+            row *= p.cardinality
+            row += columns[p.name]
+    return configs
+
+
+def _value_entries(
+    codes: np.ndarray, weights: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Count entries of targets given as value indices, `codes` of shape
+    (states, targets): the state, target, value minus one and multiplicity
+    of every nonzero value, each counting as its state's weight."""
+    flat = np.flatnonzero(codes)
+    state, tgt = np.divmod(flat, codes.shape[1])
+    return state, tgt, codes.ravel()[flat] - 1, weights[state]
+
+
+def _count_families(
+    entries: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+    weights: np.ndarray,
+    r: int,
+    configs: np.ndarray,
+    group: np.ndarray,
+    width: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Family counts of every target under each coding of its group's
+    parent configurations, the one counting pass behind every score and fit.
+
+    `configs` has shape (states, groups, codings), entries below `width`;
+    `weights` gives each state's number of records, `group` each target's
+    group and `entries` the (state, target, value - 1, multiplicity) of the
+    targets' nonzero values, as `_value_entries` returns them. One weighted
+    `bincount` gives the row totals and one the counts of values 1..r-1;
+    value 0 is the rest of the row total. The sums are of integers, so they
+    are exact. Returns the counts, shape (targets, codings, width, r), and
+    row totals, (targets, codings, width), both int64.
+    """
+    state, tgt, value, multiplicity = entries
+    n_states, n_groups, n_codings = configs.shape
+    n_targets = len(group)
+    block = n_codings * width
+    # every state's (group, coding, configuration) cell
+    coded = configs + width * np.arange(n_groups * n_codings).reshape(n_groups, n_codings)
+    totals = np.bincount(
+        coded.ravel(), weights=np.repeat(weights, n_groups * n_codings), minlength=n_groups * block
+    ).astype(np.int64).reshape(n_groups, n_codings, width)[group]
+    # each entry's cells, moved from its group's block to its target's
+    entry_group = group[tgt]
+    cells = (coded * (r - 1))[state, entry_group]
+    rest = np.bincount(
+        (cells + ((tgt - entry_group) * (block * (r - 1)) + value)[:, None]).ravel(),
+        weights=np.repeat(multiplicity, n_codings),
+        minlength=n_targets * block * (r - 1),
+    ).astype(np.int64).reshape(n_targets, n_codings, width, r - 1)
+    return np.concatenate([(totals - rest.sum(axis=-1))[..., None], rest], axis=-1), totals
+
+
+# -- CPT fitting ------------------------------------------------------------
+
+
+def _cpt(counts: np.ndarray, pseudocount: float) -> np.ndarray:
+    """CPTs from family counts of shape (..., n_parent_configs, cardinality).
+
+    Each entry is ``(count + a) / (row_total + a * cardinality)``. With
+    ``a == 0`` this is the plain maximum-likelihood frequency table (entries
+    may be exactly zero, which is what makes impossible-input detection
+    possible), and rows for parent configurations never observed fall back
+    to uniform so that every row still sums to 1.
+    """
+    a = float(pseudocount)
+    if not (math.isfinite(a) and a >= 0):
+        raise ValueError(f"pseudocount must be a finite number >= 0, got {pseudocount!r}")
+    counts = counts.astype(float)
+    totals = counts.sum(axis=-1, keepdims=True)
+    if a > 0:
+        return (counts + a) / (totals + a * counts.shape[-1])
+    with np.errstate(invalid="ignore"):
+        table = counts / totals
+    table[np.isnan(table)] = 1.0 / counts.shape[-1]
+    return table
+
+
+def _group_by(keys) -> tuple[list, np.ndarray]:
+    """The distinct keys in order of first appearance, and each key's index."""
+    index: dict = {}
+    group = np.array([index.setdefault(key, len(index)) for key in keys], dtype=np.int64)
+    return list(index), group
+
+
+def _fit_families(
+    entries: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+    weights: np.ndarray,
+    r: int,
+    parent_sets: Sequence[tuple[Variable, ...]],
+    columns: Mapping[str, np.ndarray],
+    pseudocount: float,
+) -> list[np.ndarray]:
+    """CPTs of a batch of targets with `r` values each, one per parent set
+    in `parent_sets`, all counted in one `_count_families` pass in which
+    targets with the same parent set share a group. `entries`, `weights`
+    and `columns` are as there; the estimator is `_cpt`."""
+    keys, group = _group_by(parent_sets)
+    rows = [math.prod(p.cardinality for p in key) for key in keys]
+    configs = _configs(keys, columns, len(weights)).T[:, :, None]
+    counts, _ = _count_families(entries, weights, r, configs, group, max(rows, default=1))
+    tables = _cpt(counts[:, 0], pseudocount)
+    return [tables[j, : rows[g]] for j, g in enumerate(group.tolist())]
+
+
+def fit_cpts(
+    network: Network,
+    columns: Mapping[str, np.ndarray],
+    weights: np.ndarray,
+    pseudocount: float = 1.0,
+) -> Network:
+    """Refit every CPT from encoded columns, keeping the structure.
+    `columns` holds the value indices of distinct states, as
+    `encode_columns` returns them, and `weights` how many records each
+    state counts as. The variables with the same number of values are
+    counted together.
+
+    Each CPT entry becomes ``(count + a) / (row_total + a * cardinality)``
+    with ``a = pseudocount``; with ``a == 0``, rows for parent configurations
+    never observed are uniform (see `_cpt`).
+    """
+    cpts = {}
+    for r in sorted({v.cardinality for v in network.variables}):
+        targets = [v for v in network.variables if v.cardinality == r]
+        tables = _fit_families(
+            _value_entries(np.stack([columns[v.name] for v in targets], axis=1), weights),
+            weights,
+            r,
+            [tuple(network.variable(p) for p in network.parents[v.name]) for v in targets],
+            columns,
+            pseudocount,
+        )
+        cpts.update(zip((v.name for v in targets), tables))
+    return Network(network.variables, network.parents, cpts, float(pseudocount))
+
+
+# -- K2 family score --------------------------------------------------------
+
+# K2's uniform Dirichlet prior (Cooper & Herskovits 1992), the one weight of
+# every structure search.
+K2_ALPHA = 1.0
+
+
+@functools.lru_cache(maxsize=64)
+def _score_terms(alpha: float, r: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The family score's terms for a variable with `r` values, tabulated
+    for counts and row totals 0..n: ``lgamma(alpha + c) - lgamma(alpha)``
+    per count c, and ``lgamma(r * alpha) - lgamma(r * alpha + t)`` per row
+    total t. Both are exactly 0.0 at 0. Cached; the arrays are read-only."""
+    grid = np.arange(n + 1, dtype=float)
+    cell = np.fromiter(map(math.lgamma, alpha + grid), float, n + 1) - math.lgamma(alpha)
+    row = math.lgamma(r * alpha) - np.fromiter(map(math.lgamma, r * alpha + grid), float, n + 1)
+    cell.flags.writeable = False
+    row.flags.writeable = False
+    return cell, row
+
+
+def _observed_scores(
+    counts: np.ndarray, totals: np.ndarray, terms: tuple[np.ndarray, np.ndarray]
+) -> np.ndarray:
+    """Family scores from counts of shape (..., configurations, r) and row
+    totals of shape (..., configurations); `terms` comes from `_score_terms`.
+
+    A family's row terms and its cell terms are each sorted ascending and
+    added one after another. So parent sets with the same multiset of count
+    rows score exactly alike whatever the order of their configurations: a
+    parent that splits no configuration is no improvement, and of two
+    parents that split the records alike the earlier candidate wins. An
+    unobserved configuration adds terms of exactly 0.0, which change no
+    partial sum, so unobserved or padded configurations cannot move a score.
+    """
+    cell, row = terms
+    per_family = counts.shape[:-2] + (math.prod(counts.shape[-2:]),)
+    cell_terms = np.sort(cell[counts].reshape(per_family), axis=-1)
+    row_terms = np.sort(row[totals], axis=-1)
+    return np.cumsum(row_terms, axis=-1)[..., -1] + np.cumsum(cell_terms, axis=-1)[..., -1]
+
+
+# -- encoded corpus and structure search ------------------------------------
 
 
 # Words heard fewer times than this skip the search and keep an empty
@@ -169,7 +385,7 @@ def _k2_search(
     each.
 
     `columns` and `weights` hold the states and their numbers of records,
-    `entries` the targets' values in them (`network._value_entries`,
+    `entries` the targets' values in them (`_value_entries`,
     `_word_entries`) and `candidates` the parents to draw from in tie-break
     order. Each step adds, per target, the first candidate with the highest
     score if that score is strictly above the current one, up to
@@ -252,9 +468,8 @@ def k2_select_parents(
     if any(c.name == target_variable.name for c in candidates):
         raise ValueError("target variable cannot be its own candidate parent")
     columns = encode_columns([target_variable] + list(candidates), dataset)
-    return _node_parents(
-        target_variable, candidates, columns, _record_weights(columns), max_parents
-    )
+    weights = np.ones(len(dataset), dtype=np.int64)
+    return _node_parents(target_variable, candidates, columns, weights, max_parents)
 
 
 def _node_parents(
@@ -326,19 +541,17 @@ def _attach_words(
 
 def learn_affordance_structure(
     columns: Mapping[str, np.ndarray],
+    weights: np.ndarray,
     ordering: Sequence[Variable],
     max_parents: int = 3,
-    weights: np.ndarray | None = None,
 ) -> dict[str, tuple[str, ...]]:
     """Parent map over the affordance variables under a fixed ordering.
 
     Each node may only draw parents from the variables before it, so pass
-    actions before features before effects. `columns` are the records'
-    value-index columns, as `encode_columns` returns them; with `weights`
-    they hold distinct states and each counts as that many records.
+    actions before features before effects. `columns` holds the value
+    indices of distinct states, as `encode_columns` returns them, and
+    `weights` how many records each state counts as.
     """
-    if weights is None:
-        weights = _record_weights(columns)
     return {
         var.name: _node_parents(var, ordering[:i], columns, weights, max_parents)
         for i, var in enumerate(ordering)
@@ -367,12 +580,12 @@ def train_model(
     )
     if learn_structure:
         parent_map = learn_affordance_structure(
-            corpus.columns, variables, max_parents, corpus.weights
+            corpus.columns, corpus.weights, variables, max_parents
         )
     else:
         parent_map = default_affordance_parents()
     affordance_net = fit_cpts(
-        make_network(variables, parent_map), corpus.columns, pseudocount, corpus.weights
+        make_network(variables, parent_map), corpus.columns, corpus.weights, pseudocount
     )
     return learn_word_layer(affordance_net, corpus, max_parents)
 

@@ -388,8 +388,25 @@ def test_instruct_rejects_malformed_model_file(trained, workdir, capsys):
 
 def test_generate_rejects_malformed_lexicon(workdir, capsys):
     lexicon = workdir / "lexicon.json"
-    for obj in ({"concepts": {}}, {"words": 5}):
-        lexicon.write_text(json.dumps(obj), encoding="utf-8")
+    default = default_lexicon()
+    body = {
+        "concepts": {k: list(v) for k, v in default.concepts.items()},
+        "filler_words": default.filler_words,
+    }
+    text = json.dumps(body)
+    lexicon.write_text(text, encoding="utf-8")
+    ok = run("generate", "--out", str(workdir / "ok"), "--seed", "0", "--lexicon", str(lexicon))
+    assert ok == 0
+    capsys.readouterr()
+    for bad in (
+        json.dumps({"concepts": {}}),
+        json.dumps({"words": 5}),
+        # the default lexicon, but for an undefined key or a key given twice
+        json.dumps(dict(body, fillers={})),
+        text.replace('"filler_words": {', '"filler_words": {"the": 0.0, ', 1),
+        text.replace('"concepts": {', '"concepts": {"subject": ["it"], ', 1),
+    ):
+        lexicon.write_text(bad, encoding="utf-8")
         code = run(
             "generate", "--out", str(workdir / "data"), "--seed", "0",
             "--lexicon", str(lexicon),
@@ -512,7 +529,7 @@ def test_command_imports_only_the_modules_it_runs(trained, workdir, command):
         # each exported name, resolved on first use, is the object every
         # submodule holding that name holds, and stays in the package globals
         modules = [importlib.import_module(f"wordground.{m}") for m in SUBMODULES]
-        assert len(wordground.__all__) == 46
+        assert len(wordground.__all__) == 45
         for name in wordground.__all__:
             obj = getattr(wordground, name)
             holders = [vars(m)[name] for m in modules if name in vars(m)]

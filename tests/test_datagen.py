@@ -19,7 +19,6 @@ from wordground.datagen import (
     load_lexicon,
     sample_experience,
     sample_experiences,
-    save_lexicon,
 )
 from wordground.grounding import bag_of_words
 from wordground.network import Network
@@ -203,9 +202,17 @@ def test_lexicon_has_49_distinct_words_and_validates():
         Lexicon(concepts={}, filler_words={"w": 1.5})
 
 
+def write_lexicon(lexicon, path):
+    obj = {
+        "concepts": {k: list(v) for k, v in lexicon.concepts.items()},
+        "filler_words": lexicon.filler_words,
+    }
+    path.write_text(json.dumps(obj, indent=2), encoding="utf-8")
+
+
 def test_lexicon_file_roundtrip(tmp_path):
     path = tmp_path / "lexicon.json"
-    save_lexicon(LEXICON, path)
+    write_lexicon(LEXICON, path)
     assert load_lexicon(path) == LEXICON
 
 
@@ -215,10 +222,8 @@ def test_lexicon_file_roundtrip_custom_lexicon(tmp_path):
         filler_words={"the": 1.0, "just": 0.125, "um": 0.0},
     )
     path = tmp_path / "lexicon.json"
-    save_lexicon(lexicon, path)
+    write_lexicon(lexicon, path)
     assert load_lexicon(path) == lexicon
-    save_lexicon(load_lexicon(path), tmp_path / "again.json")
-    assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
 
 @pytest.mark.parametrize(
@@ -234,11 +239,23 @@ def test_lexicon_file_roundtrip_custom_lexicon(tmp_path):
         ({"concepts": {}, "filler_words": {"the": "often"}}, "the"),
         ({"concepts": {}, "filler_words": {"the": None}}, "the"),
         ({"concepts": {}, "filler_words": {"the": True}}, "the"),
+        ({"concepts": {}, "filler_words": {}, "fillers": {}}, "unknown key 'fillers'"),
+        # JSON text, since a key given twice has no Python dict form
+        pytest.param(
+            '{"concepts": {}, "filler_words": {"the": 0.0, "the": 1.0}}',
+            "lexicon file: duplicate key 'the'",
+            id="duplicate-filler",
+        ),
+        pytest.param(
+            '{"concepts": {"subject": ["he"], "subject": ["robot"]}, "filler_words": {}}',
+            "lexicon file: duplicate key 'subject'",
+            id="duplicate-concept",
+        ),
     ],
 )
 def test_load_lexicon_rejects_malformed_file(tmp_path, obj, message):
     path = tmp_path / "lexicon.json"
-    path.write_text(json.dumps(obj), encoding="utf-8")
+    path.write_text(obj if isinstance(obj, str) else json.dumps(obj), encoding="utf-8")
     with pytest.raises(ValueError, match=message):
         load_lexicon(path)
 

@@ -22,16 +22,11 @@ from wordground.evaluation import (
 )
 from wordground.grounding import bag_of_words
 from wordground.inference import CANONICAL_CELL_ORDER
-from wordground.network import (
-    Network,
-    affordance_variables,
-    encode_columns,
-    family_log_score,
-    fit_cpts,
-)
-from wordground.structure import train_model
+from wordground.network import Network, affordance_variables
+from wordground.structure import encode_columns, fit_cpts, train_model
 
 from oracles import oracle_cell_mask
+from test_structure import family_score, ones
 
 WORLD = default_world()
 LEXICON = default_lexicon()
@@ -138,12 +133,12 @@ def test_baseline_counts_every_record(corpus):
         dict(e.state, **{w: "present" if w in e.description else "absent" for w in words})
         for e in experiences
     ]
-    refit = fit_cpts(net, encode_columns(net.variables, records), 1.0)
+    refit = fit_cpts(net, encode_columns(net.variables, records), ones(records), 1.0)
     for name in net.names():
         assert np.array_equal(net.cpts[name], refit.cpts[name])
     variables = affordance_variables()
     for word in net.word_names():
-        scores = [family_log_score(net.variable(word), [v], records) for v in variables]
+        scores = [family_score(net.variable(word), [v], records) for v in variables]
         assert net.parents[word] == (variables[scores.index(max(scores))].name,)
 
 

@@ -18,11 +18,12 @@ from wordground.network import (
     Network,
     StateTable,
     Variable,
-    encode_columns,
-    fit_cpts,
     make_network,
     word_variable,
 )
+from wordground.structure import encode_columns, fit_cpts
+
+from test_structure import ones
 
 
 # -- bag of words ------------------------------------------------------------
@@ -73,7 +74,7 @@ def test_word_likelihood_matches_laplace_frequency():
     ]
     presences = sum(1 for r in records if r["w"] == "present")
     assert presences == 74
-    fitted = fit_cpts(net, encode_columns(net.variables, records), 1.0)
+    fitted = fit_cpts(net, encode_columns(net.variables, records), ones(records), 1.0)
     assert abs(word_likelihood(fitted, "w", {"Action": "tap"}) - 75 / 1272) < 1e-15
 
 
@@ -82,7 +83,7 @@ def test_word_likelihood_unseen_configuration_is_half():
     w = word_variable("w")
     net = make_network([action, w], {"Action": (), "w": ("Action",)})
     records = [{"Action": "grasp", "w": "present"}] * 10
-    fitted = fit_cpts(net, encode_columns(net.variables, records), 1.0)
+    fitted = fit_cpts(net, encode_columns(net.variables, records), ones(records), 1.0)
     assert word_likelihood(fitted, "w", {"Action": "tap"}) == 0.5
 
 
@@ -93,9 +94,9 @@ def test_word_likelihood_deterministic_indicator_approaches_one():
     records = [{"Action": "grasp", "w": "present"}] * 40 + [
         {"Action": "tap", "w": "absent"}
     ] * 40
-    ml = fit_cpts(net, encode_columns(net.variables, records), 0.0)
+    ml = fit_cpts(net, encode_columns(net.variables, records), ones(records), 0.0)
     assert word_likelihood(ml, "w", {"Action": "grasp"}) == 1.0
-    tiny = fit_cpts(net, encode_columns(net.variables, records), 1e-9)
+    tiny = fit_cpts(net, encode_columns(net.variables, records), ones(records), 1e-9)
     assert word_likelihood(tiny, "w", {"Action": "grasp"}) > 1 - 1e-6
 
 
@@ -136,7 +137,7 @@ def smoothed_net(seed=6):
         }
         for _ in range(50)
     ]
-    return fit_cpts(net, encode_columns(net.variables, records), 1.0)
+    return fit_cpts(net, encode_columns(net.variables, records), ones(records), 1.0)
 
 
 STATE = {"Action": "tap"}

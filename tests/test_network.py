@@ -13,9 +13,6 @@ from wordground.network import (
     _grid_index,
     affordance_variables,
     default_affordance_parents,
-    encode_columns,
-    family_log_score,
-    fit_cpts,
     joint_probability,
     make_network,
     marginal,
@@ -23,10 +20,10 @@ from wordground.network import (
     network_to_json,
     word_variable,
 )
+from wordground.structure import encode_columns, fit_cpts
 
 from oracles import (
     ReferenceStateTable,
-    oracle_family_score,
     oracle_joint,
     oracle_marginal,
     random_binary_net,
@@ -34,6 +31,7 @@ from oracles import (
     to_network,
     with_one_hot_rows,
 )
+from test_structure import ones
 
 
 def binary(name):
@@ -108,13 +106,13 @@ def test_fit_root_laplace_hand_count():
     # 3 of one value, 7 of the other, alpha=1: (3+1)/12 and (7+1)/12
     net = make_network([binary("A")], {"A": []})
     data = [{"A": "f"}] * 3 + [{"A": "t"}] * 7
-    fitted = fit_cpts(net, encode_columns(net.variables, data), 1.0)
+    fitted = fit_cpts(net, encode_columns(net.variables, data), ones(data), 1.0)
     assert np.allclose(fitted.cpts["A"], [[4 / 12, 8 / 12]], atol=1e-15)
 
 
 def test_fit_empty_dataset_is_uniform():
     net = make_network([binary("A"), binary("B")], {"A": [], "B": ["A"]})
-    fitted = fit_cpts(net, encode_columns(net.variables, []), 1.0)
+    fitted = fit_cpts(net, encode_columns(net.variables, []), ones([]), 1.0)
     assert np.allclose(fitted.cpts["A"], [[0.5, 0.5]])
     assert np.allclose(fitted.cpts["B"], [[0.5, 0.5], [0.5, 0.5]])
 
@@ -122,7 +120,7 @@ def test_fit_empty_dataset_is_uniform():
 def test_fit_deterministic_child_small_alpha():
     net = make_network([binary("A"), binary("B")], {"A": [], "B": ["A"]})
     data = [{"A": "f", "B": "f"}] * 50 + [{"A": "t", "B": "t"}] * 50
-    fitted = fit_cpts(net, encode_columns(net.variables, data), 0.001)
+    fitted = fit_cpts(net, encode_columns(net.variables, data), ones(data), 0.001)
     assert fitted.cpts["B"][0][0] >= 0.99998
     assert fitted.cpts["B"][1][1] >= 0.99998
 
@@ -138,7 +136,7 @@ def test_fit_rows_sum_to_one():
         for _ in range(200)
     ]
     for alpha in (0.3, 1.0, 2.5):
-        fitted = fit_cpts(net, encode_columns(net.variables, data), alpha)
+        fitted = fit_cpts(net, encode_columns(net.variables, data), ones(data), alpha)
         for name, table in fitted.cpts.items():
             assert np.all(np.abs(table.sum(axis=1) - 1.0) < 1e-12)
             assert np.all(table > 0)
@@ -147,7 +145,7 @@ def test_fit_rows_sum_to_one():
 def test_fit_zero_pseudocount_gives_exact_zeros_and_uniform_unseen_rows():
     net = make_network([binary("A"), binary("B")], {"A": [], "B": ["A"]})
     data = [{"A": "f", "B": "f"}] * 10
-    fitted = fit_cpts(net, encode_columns(net.variables, data), 0.0)
+    fitted = fit_cpts(net, encode_columns(net.variables, data), ones(data), 0.0)
     assert fitted.cpts["B"][0][1] == 0.0  # B=t never seen under A=f
     assert np.allclose(fitted.cpts["B"][1], [0.5, 0.5])  # A=t row never observed
 
@@ -164,7 +162,8 @@ def test_fit_rejects_bad_records():
 def test_fit_rejects_non_finite_or_negative_pseudocount(pseudocount):
     net = make_network([binary("A"), binary("B")], {"A": [], "B": ["A"]})
     with pytest.raises(ValueError, match="pseudocount must be a finite number >= 0"):
-        fit_cpts(net, encode_columns(net.variables, [{"A": "f", "B": "t"}]), pseudocount)
+        data = [{"A": "f", "B": "t"}]
+        fit_cpts(net, encode_columns(net.variables, data), ones(data), pseudocount)
 
 
 # -- joint probability -------------------------------------------------------------
@@ -206,7 +205,7 @@ def test_joint_rejects_partial_assignment():
 def test_marginal_of_root_is_cpt_row():
     net = make_network([Variable("A", ("x", "y", "z")), binary("B")], {"A": [], "B": ["A"]})
     data = [{"A": "x", "B": "f"}] * 5 + [{"A": "y", "B": "t"}] * 3 + [{"A": "z", "B": "f"}] * 2
-    fitted = fit_cpts(net, encode_columns(net.variables, data), 1.0)
+    fitted = fit_cpts(net, encode_columns(net.variables, data), ones(data), 1.0)
     dist = marginal(fitted, ["A"])
     for i, value in enumerate(("x", "y", "z")):
         assert abs(dist[(value,)] - fitted.cpts["A"][0][i]) < 1e-12
@@ -386,71 +385,6 @@ def test_joint_summed_over_completions_matches_marginal():
         assert abs(dist[tuple(qvals)] - total) < 1e-12
 
 
-# -- family score ----------------------------------------------------------------------
-
-
-def test_family_score_empty_dataset_is_zero():
-    assert family_log_score(binary("w"), [binary("A")], []) == 0.0
-
-
-def test_family_score_prefers_true_parent_of_determined_word():
-    rng = np.random.default_rng(3)
-    records = []
-    for _ in range(200):
-        a = "t" if rng.random() < 0.5 else "f"
-        records.append({"A": a, "w": a})
-    w, a = binary("w"), binary("A")
-    with_parent = family_log_score(w, [a], records)
-    without = family_log_score(w, [], records)
-    assert with_parent > without
-    # both values agree with the slow reference implementation
-    assert abs(with_parent - oracle_family_score(records, "w", ["f", "t"], ["A"], 1.0)) < 1e-9
-    assert abs(without - oracle_family_score(records, "w", ["f", "t"], [], 1.0)) < 1e-9
-
-
-def test_family_score_order_invariance():
-    rng = np.random.default_rng(4)
-    records = [
-        {"A": rng.choice(["f", "t"]), "w": rng.choice(["f", "t"])} for _ in range(60)
-    ]
-    w, a = binary("w"), binary("A")
-    s1 = family_log_score(w, [a], records)
-    rng.shuffle(records)
-    s2 = family_log_score(w, [a], records)
-    assert s1 == s2
-
-
-def test_family_score_parent_relabeling_invariance():
-    rng = np.random.default_rng(9)
-    records = [
-        {"A": rng.choice(["f", "t"]), "w": rng.choice(["f", "t"])} for _ in range(80)
-    ]
-    w = binary("w")
-    s1 = family_log_score(w, [Variable("A", ("f", "t"))], records)
-    relabeled = [{"A": {"f": "t", "t": "f"}[r["A"]], "w": r["w"]} for r in records]
-    s2 = family_log_score(w, [Variable("A", ("f", "t"))], relabeled)
-    assert abs(s1 - s2) < 1e-12
-
-
-def test_family_score_independent_word_prefers_empty_parents():
-    # the word is sampled without looking at the state; over seeded
-    # regenerations the empty parent set should win nearly always
-    from wordground.datagen import default_world, sample_experiences
-
-    world = default_world()
-    wins = 0
-    trials = 20
-    for seed in range(trials):
-        states = sample_experiences(world, 2000, seed)
-        rng = np.random.default_rng(1000 + seed)
-        records = [dict(s, w="t" if rng.random() < 0.3 else "f") for s in states]
-        w = binary("w")
-        action = next(v for v in affordance_variables() if v.name == "Action")
-        if family_log_score(w, [], records) > family_log_score(w, [action], records):
-            wins += 1
-    assert wins >= 0.95 * trials
-
-
 # -- model file -----------------------------------------------------------------------
 
 
@@ -501,6 +435,7 @@ def test_model_file_roundtrip_fitted_domain_net():
     net = fit_cpts(
         make_network(affordance_variables(), default_affordance_parents()),
         encode_columns(affordance_variables(), [record] * 3),
+        ones([record] * 3),
         1.0,
     )
     text = network_to_json(net)
@@ -511,6 +446,7 @@ def fitted_domain_json():
     net = fit_cpts(
         make_network(affordance_variables(), default_affordance_parents()),
         encode_columns(affordance_variables(), []),
+        ones([]),
         1.0,
     )
     return json.loads(network_to_json(net))

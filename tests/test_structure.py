@@ -1,5 +1,6 @@
 import math
 from itertools import permutations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,24 +16,25 @@ from wordground.datagen import (
 )
 from wordground.grounding import Experience
 from wordground.network import (
-    K2_ALPHA,
     Variable,
-    _observed_scores,
-    _score_terms,
-    _value_entries,
     affordance_variables,
     default_affordance_parents,
-    encode_columns,
-    family_log_score,
-    fit_cpts,
     make_network,
     word_variable,
 )
 from wordground.structure import (
+    K2_ALPHA,
     MIN_WORD_OCCURRENCES,
     EncodedCorpus,
+    _configs,
+    _count_families,
     _k2_search,
+    _observed_scores,
+    _score_terms,
+    _value_entries,
     _word_entries,
+    encode_columns,
+    fit_cpts,
     k2_select_parents,
     learn_affordance_structure,
     learn_word_layer,
@@ -47,6 +49,34 @@ LEXICON = default_lexicon()
 VARIABLES = affordance_variables()
 
 
+def binary(name):
+    return Variable(name, ("f", "t"))
+
+
+def ones(records):
+    """Weight one per record, so that every record counts once; shared
+    with the other test modules that count records."""
+    return np.ones(len(records), dtype=np.int64)
+
+
+def family_score(variable, parent_set, records):
+    """K2 family score of `variable` given `parent_set`, counted from
+    records through the search's own counting pass and summation, so it
+    equals the search's score of that family bit for bit."""
+    columns = encode_columns([variable] + list(parent_set), records)
+    weights = ones(records)
+    counts, totals = _count_families(
+        _value_entries(columns[variable.name][:, None], weights),
+        weights,
+        variable.cardinality,
+        _configs([parent_set], columns, len(records)).T[:, :, None],
+        np.zeros(1, dtype=np.int64),
+        math.prod(p.cardinality for p in parent_set),
+    )
+    terms = _score_terms(K2_ALPHA, variable.cardinality, int(totals.max(initial=0)))
+    return float(_observed_scores(counts[0, 0], totals[0, 0], terms))
+
+
 def indicator_dataset(states, name, value, word="w"):
     return [
         dict(s, **{word: "present" if s[name] == value else "absent"}) for s in states
@@ -57,10 +87,10 @@ def exhaustive_best_parents(word, candidates, dataset, max_size=2):
     """Reference search: score every parent set up to max_size."""
     from itertools import combinations
 
-    best, best_score = (), family_log_score(word, [], dataset)
+    best, best_score = (), family_score(word, [], dataset)
     for size in range(1, max_size + 1):
         for combo in combinations(candidates, size):
-            s = family_log_score(word, list(combo), dataset)
+            s = family_score(word, list(combo), dataset)
             if s > best_score:
                 best, best_score = tuple(v.name for v in combo), s
     return frozenset(best)
@@ -117,9 +147,9 @@ def test_k2_score_trace_strictly_increasing():
     dataset = indicator_dataset(states, "Contact", "long")
     w = word_variable("w")
     columns = encode_columns([w] + list(VARIABLES), dataset)
-    ones = np.ones(len(dataset), dtype=np.int64)
-    entries = _value_entries(columns["w"][:, None], ones)
-    [(_, trace)] = _k2_search(entries, 1, 2, list(VARIABLES), columns, ones)
+    weights = ones(dataset)
+    entries = _value_entries(columns["w"][:, None], weights)
+    [(_, trace)] = _k2_search(entries, 1, 2, list(VARIABLES), columns, weights)
     assert all(b > a for a, b in zip(trace, trace[1:]))
 
 
@@ -193,7 +223,8 @@ def test_affordance_structure_with_exhausted_candidates_matches_oracle():
     color = dict(zip(VARIABLES[0].values, ("blue", "yellow", "blue")))
     for s in states:
         s["Color"] = color[s["Action"]]
-    parent_map = learn_affordance_structure(encode_columns(VARIABLES, states), VARIABLES, 3)
+    columns = encode_columns(VARIABLES, states)
+    parent_map = learn_affordance_structure(columns, ones(states), VARIABLES, 3)
     assert parent_map["Color"] == ("Action",)
     for i, var in enumerate(VARIABLES):
         earlier = [v.name for v in VARIABLES[:i]]
@@ -253,7 +284,7 @@ def test_k2_trace_is_the_family_score_of_the_parents_so_far(clean_corpus, alpha)
         assert len(trace) == len(parents) + 1
         assert any(
             all(
-                trace[i] == family_log_score(w, [by_name[p] for p in order[:i]], dataset)
+                trace[i] == family_score(w, [by_name[p] for p in order[:i]], dataset)
                 for i in range(len(trace))
             )
             for order in permutations(parents)
@@ -262,6 +293,66 @@ def test_k2_trace_is_the_family_score_of_the_parents_so_far(clean_corpus, alpha)
         assert trace[-1] == pytest.approx(slow, rel=1e-12)
         linked += len(parents) > 0
     assert linked >= 5
+
+
+def test_family_score_empty_dataset_is_zero():
+    assert family_score(binary("w"), [binary("A")], []) == 0.0
+
+
+def test_family_score_prefers_true_parent_of_determined_word():
+    rng = np.random.default_rng(3)
+    records = []
+    for _ in range(200):
+        a = "t" if rng.random() < 0.5 else "f"
+        records.append({"A": a, "w": a})
+    w, a = binary("w"), binary("A")
+    with_parent = family_score(w, [a], records)
+    without = family_score(w, [], records)
+    assert with_parent > without
+    # both values agree with the slow reference implementation
+    assert abs(with_parent - oracle_family_score(records, "w", ["f", "t"], ["A"], 1.0)) < 1e-9
+    assert abs(without - oracle_family_score(records, "w", ["f", "t"], [], 1.0)) < 1e-9
+
+
+def test_family_score_order_invariance():
+    rng = np.random.default_rng(4)
+    records = [
+        {"A": rng.choice(["f", "t"]), "w": rng.choice(["f", "t"])} for _ in range(60)
+    ]
+    w, a = binary("w"), binary("A")
+    s1 = family_score(w, [a], records)
+    rng.shuffle(records)
+    s2 = family_score(w, [a], records)
+    assert s1 == s2
+
+
+def test_family_score_parent_relabeling_invariance():
+    rng = np.random.default_rng(9)
+    records = [
+        {"A": rng.choice(["f", "t"]), "w": rng.choice(["f", "t"])} for _ in range(80)
+    ]
+    w = binary("w")
+    s1 = family_score(w, [Variable("A", ("f", "t"))], records)
+    relabeled = [{"A": {"f": "t", "t": "f"}[r["A"]], "w": r["w"]} for r in records]
+    s2 = family_score(w, [Variable("A", ("f", "t"))], relabeled)
+    assert abs(s1 - s2) < 1e-12
+
+
+def test_family_score_independent_word_prefers_empty_parents():
+    # the word is sampled without looking at the state; over seeded
+    # regenerations the empty parent set should win nearly always
+    world = default_world()
+    wins = 0
+    trials = 20
+    for seed in range(trials):
+        states = sample_experiences(world, 2000, seed)
+        rng = np.random.default_rng(1000 + seed)
+        records = [dict(s, w="t" if rng.random() < 0.3 else "f") for s in states]
+        w = binary("w")
+        action = next(v for v in affordance_variables() if v.name == "Action")
+        if family_score(w, [], records) > family_score(w, [action], records):
+            wins += 1
+    assert wins >= 0.95 * trials
 
 
 def test_family_score_closed_form_for_binary_family_at_alpha_one():
@@ -279,7 +370,7 @@ def test_family_score_closed_form_for_binary_family_at_alpha_one():
         math.log(math.factorial(a) * math.factorial(b)) - math.log(math.factorial(a + b + 1))
         for a, b in rows.values()
     )
-    score = family_log_score(word_variable("w"), parents, records)
+    score = family_score(word_variable("w"), parents, records)
     assert score == pytest.approx(expected, rel=1e-13)
 
 
@@ -327,7 +418,10 @@ def test_batched_word_search_matches_per_word_greedy_reference(
                 bag.add(word)
         experiences.append(Experience(state=state, description=frozenset(bag)))
     affordance = fit_cpts(
-        make_network(_ORACLE_VARIABLES, {}), encode_columns(_ORACLE_VARIABLES, states), 1.0
+        make_network(_ORACLE_VARIABLES, {}),
+        encode_columns(_ORACLE_VARIABLES, states),
+        ones(states),
+        1.0,
     )
     corpus = EncodedCorpus.encode(experiences, _ORACLE_VARIABLES)
     net = learn_word_layer(affordance, corpus, max_parents)
@@ -445,21 +539,21 @@ def test_state_level_training_matches_record_level_counts(
     names = [v.name for v in _ORACLE_VARIABLES]
     states = [e.state for e in experiences]
     state_map = learn_affordance_structure(
-        corpus.columns, _ORACLE_VARIABLES, max_parents, corpus.weights
+        corpus.columns, corpus.weights, _ORACLE_VARIABLES, max_parents
     )
     record_map = learn_affordance_structure(
-        encode_columns(_ORACLE_VARIABLES, states), _ORACLE_VARIABLES, max_parents
+        encode_columns(_ORACLE_VARIABLES, states), ones(states), _ORACLE_VARIABLES, max_parents
     )
     assert state_map == record_map
     affordance = fit_cpts(
-        make_network(_ORACLE_VARIABLES, state_map), corpus.columns, pseudocount, corpus.weights
+        make_network(_ORACLE_VARIABLES, state_map), corpus.columns, corpus.weights, pseudocount
     )
     net = learn_word_layer(affordance, corpus, max_parents)
     records = [
         dict(e.state, **{w: "present" if w in e.description else "absent" for w in corpus.words})
         for e in experiences
     ]
-    refit = fit_cpts(net, encode_columns(net.variables, records), pseudocount)
+    refit = fit_cpts(net, encode_columns(net.variables, records), ones(records), pseudocount)
     for name in net.names():
         assert np.array_equal(net.cpts[name], refit.cpts[name])
     searched = _word_layer_parents(net, corpus, max_parents)
@@ -475,6 +569,32 @@ def test_config_validation():
     dataset = indicator_dataset(sample_experiences(WORLD, 50, 3), "Action", "tap")
     with pytest.raises(ValueError, match="max_parents"):
         k2_select_parents(word_variable("w"), list(VARIABLES), dataset, max_parents=-1)
+
+
+def test_structure_owns_the_learning_kernel():
+    # counting, fitting and the family score live in `structure` alone:
+    # `network` defines none of them, and `structure` reads no private
+    # name of `network`
+    import ast
+
+    import wordground.network
+    import wordground.structure
+
+    kernel = (
+        "encode_columns", "_encode_column", "_configs", "_value_entries", "_count_families",
+        "_cpt", "_group_by", "_fit_families", "fit_cpts", "K2_ALPHA", "_score_terms",
+        "_observed_scores", "_record_weights", "family_counts", "family_log_score",
+    )
+    assert not [name for name in kernel if hasattr(wordground.network, name)]
+    tree = ast.parse(Path(wordground.structure.__file__).read_text(encoding="utf-8"))
+    private = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "network"
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
 
 
 # -- word layer ---------------------------------------------------------------------
@@ -498,11 +618,11 @@ def test_train_model_counts_every_record(clean_corpus, learn_structure):
     columns = encode_columns(VARIABLES, [e.state for e in experiences])
     net = train_model(experiences, learn_structure=learn_structure)
     parent_map = (
-        learn_affordance_structure(columns, VARIABLES)
+        learn_affordance_structure(columns, ones(experiences), VARIABLES)
         if learn_structure
         else default_affordance_parents()
     )
-    refit = fit_cpts(make_network(VARIABLES, parent_map), columns, 1.0)
+    refit = fit_cpts(make_network(VARIABLES, parent_map), columns, ones(experiences), 1.0)
     for v in VARIABLES:
         assert net.parents[v.name] == refit.parents[v.name]
         assert np.array_equal(net.cpts[v.name], refit.cpts[v.name])
@@ -525,12 +645,11 @@ def test_word_layer_never_links_words_or_exceeds_cap(clean_model):
 
 
 def test_word_layer_empty_vocabulary_returns_affordance_net_unchanged(clean_corpus):
-    from wordground.network import default_affordance_parents, fit_cpts, make_network
-
     states = [e.state for e in clean_corpus]
     aff = fit_cpts(
         make_network(VARIABLES, default_affordance_parents()),
         encode_columns(VARIABLES, states),
+        ones(states),
         1.0,
     )
     silent = [Experience(state=s, description=frozenset()) for s in states]
@@ -548,11 +667,10 @@ def test_word_layer_sparse_words_skip_search():
         Experience(state=s, description=frozenset(["rare"] if i < 2 else []))
         for i, s in enumerate(states)
     ]
-    from wordground.network import default_affordance_parents, fit_cpts, make_network
-
     aff = fit_cpts(
         make_network(VARIABLES, default_affordance_parents()),
         encode_columns(VARIABLES, [e.state for e in experiences]),
+        ones(experiences),
         1.0,
     )
     out = learn_word_layer(aff, EncodedCorpus.encode(experiences))
@@ -602,13 +720,15 @@ def test_affordance_structure_finds_action_driving_effect():
     # replace the contact column with a deterministic function of the action
     for s in states:
         s["Contact"] = "long" if s["Action"] == "grasp" else "short"
-    parent_map = learn_affordance_structure(encode_columns(VARIABLES, states), VARIABLES)
+    columns = encode_columns(VARIABLES, states)
+    parent_map = learn_affordance_structure(columns, ones(states), VARIABLES)
     assert "Action" in parent_map["Contact"] or "HandVel" in parent_map["Contact"]
 
 
 def test_affordance_structure_leaves_color_isolated():
     states = sample_experiences(WORLD, 1270, 13)
-    parent_map = learn_affordance_structure(encode_columns(VARIABLES, states), VARIABLES)
+    columns = encode_columns(VARIABLES, states)
+    parent_map = learn_affordance_structure(columns, ones(states), VARIABLES)
     assert parent_map["Color"] == ()
     for name, parents in parent_map.items():
         assert "Color" not in parents
@@ -616,13 +736,15 @@ def test_affordance_structure_leaves_color_isolated():
 
 def test_affordance_structure_single_record_gives_empty_maps():
     states = sample_experiences(WORLD, 1, 2)
-    parent_map = learn_affordance_structure(encode_columns(VARIABLES, states), VARIABLES)
+    columns = encode_columns(VARIABLES, states)
+    parent_map = learn_affordance_structure(columns, ones(states), VARIABLES)
     assert all(parents == () for parents in parent_map.values())
 
 
 def test_affordance_structure_respects_ordering():
     states = sample_experiences(WORLD, 1000, 23)
-    parent_map = learn_affordance_structure(encode_columns(VARIABLES, states), VARIABLES)
+    columns = encode_columns(VARIABLES, states)
+    parent_map = learn_affordance_structure(columns, ones(states), VARIABLES)
     order = {v.name: i for i, v in enumerate(VARIABLES)}
     for child, parents in parent_map.items():
         for p in parents:

@@ -53,7 +53,6 @@ _EXPORTS = {
         "default_affordance_parents",
         "joint_probability",
         "load_network",
-        "make_network",
         "marginal",
         "save_network",
     ),

@@ -21,7 +21,7 @@ import numpy as np
 
 from .grounding import BagOfWords, Experience, _nonblank_lines, bag_of_words
 from .inference import CANONICAL_CELL_ORDER, _bag_evidence, default_cells
-from .network import Network, StateTable, affordance_variables, make_network
+from .network import Network, StateTable, affordance_variables
 from .structure import EncodedCorpus, _attach_words, _best_single_parents, fit_cpts, train_model
 
 DEFAULT_SIZES = (100, 300, 500, 700, 900, 1100, 1270)
@@ -118,8 +118,7 @@ def build_baseline_network(
     """
     variables = affordance_variables()
     corpus = EncodedCorpus.encode(dataset, variables)
-    aff = make_network(variables, {v.name: () for v in variables})
-    aff = fit_cpts(aff, corpus.columns, corpus.weights, pseudocount)
+    aff = fit_cpts(variables, {}, corpus.columns, corpus.weights, pseudocount)
     best = _best_single_parents(corpus, variables)
     parents = {word: (parent,) for word, parent in zip(corpus.words, best)}
     return _attach_words(aff, corpus, parents)

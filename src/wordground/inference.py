@@ -135,7 +135,9 @@ def _scene_scorer(
             raise ValueError(f"duplicate scene object id {obj_id!r}")
     cells = default_cells(network)
     cell_vars = [network.variable(c) for c in cells]
-    action_var = next(v for v in cell_vars if v.kind == "action")
+    action_var = next((v for v in cell_vars if v.kind == "action"), None)
+    if action_var is None:
+        raise ValueError("the model has no action variable")
     for obj in scene:
         for v in cell_vars:
             if v is not action_var and v.name not in obj.features:

@@ -8,7 +8,7 @@ behind every query, scoring a batch of evidence sets per call), and the
 JSON model file. Learning a network from data (counting, CPT fitting and
 the K2 score) is `structure`'s.
 
-Networks are immutable after construction: fitting returns a new network,
+Networks are immutable after construction: fitting builds a new network,
 and all query operations are read-only. A model file with a key given twice,
 or one the format does not define, does not load.
 """
@@ -218,44 +218,6 @@ class Network:
 
     def affordance_names(self) -> tuple[str, ...]:
         return tuple(v.name for v in self.variables if v.kind != "word")
-
-    # -- derived networks --------------------------------------------------
-
-    def with_word_layer(
-        self,
-        words: Sequence[Variable],
-        word_parents: Mapping[str, Sequence[str]],
-        word_cpts: Mapping[str, np.ndarray],
-    ) -> "Network":
-        """New network adding word nodes on top of this one, leaving the
-        existing variables, structure, and CPTs untouched."""
-        variables = list(self.variables) + list(words)
-        parents = dict(self.parents)
-        cpts = dict(self.cpts)
-        for w in words:
-            parents[w.name] = tuple(word_parents.get(w.name, ()))
-            cpts[w.name] = word_cpts[w.name]
-        return Network(variables, parents, cpts, self.pseudocount)
-
-
-# -- construction ------------------------------------------------------------
-
-
-def make_network(
-    variables: Sequence[Variable], parent_map: Mapping[str, Sequence[str]]
-) -> Network:
-    """Network with the given structure and uniform placeholder CPTs."""
-    variables = tuple(variables)
-    by_name = {v.name: v for v in variables}
-    for child, ps in parent_map.items():
-        for p in ps:
-            if p not in by_name:
-                raise ValueError(f"unknown variable name {p!r} in parents of {child!r}")
-    cpts = {}
-    for v in variables:
-        n = math.prod(by_name[p].cardinality for p in parent_map.get(v.name, ()))
-        cpts[v.name] = np.full((n, v.cardinality), 1.0 / v.cardinality)
-    return Network(variables, parent_map, cpts)
 
 
 # -- inference --------------------------------------------------------------

@@ -54,7 +54,6 @@ from .network import (
     Variable,
     affordance_variables,
     default_affordance_parents,
-    make_network,
     word_variable,
 )
 
@@ -205,34 +204,41 @@ def _fit_families(
 
 
 def fit_cpts(
-    network: Network,
+    variables: Sequence[Variable],
+    parents: Mapping[str, Sequence[str]],
     columns: Mapping[str, np.ndarray],
     weights: np.ndarray,
     pseudocount: float = 1.0,
 ) -> Network:
-    """Refit every CPT from encoded columns, keeping the structure.
-    `columns` holds the value indices of distinct states, as
+    """Network over `variables` with the structure `parents`, in which a
+    variable not named has no parents, and every CPT fitted from encoded
+    columns. `columns` holds the value indices of distinct states, as
     `encode_columns` returns them, and `weights` how many records each
     state counts as. The variables with the same number of values are
-    counted together.
+    counted together; the `Network` constructor checks the structure.
 
     Each CPT entry becomes ``(count + a) / (row_total + a * cardinality)``
     with ``a = pseudocount``; with ``a == 0``, rows for parent configurations
     never observed are uniform (see `_cpt`).
     """
+    by_name = {v.name: v for v in variables}
     cpts = {}
-    for r in sorted({v.cardinality for v in network.variables}):
-        targets = [v for v in network.variables if v.cardinality == r]
+    for r in sorted({v.cardinality for v in variables}):
+        targets = [v for v in variables if v.cardinality == r]
+        try:
+            parent_sets = [tuple(by_name[p] for p in parents.get(v.name, ())) for v in targets]
+        except KeyError as exc:
+            raise ValueError(f"unknown variable name {exc.args[0]!r} in parent map") from None
         tables = _fit_families(
             _value_entries(np.stack([columns[v.name] for v in targets], axis=1), weights),
             weights,
             r,
-            [tuple(network.variable(p) for p in network.parents[v.name]) for v in targets],
+            parent_sets,
             columns,
             pseudocount,
         )
         cpts.update(zip((v.name for v in targets), tables))
-    return Network(network.variables, network.parents, cpts, float(pseudocount))
+    return Network(variables, parents, cpts, float(pseudocount))
 
 
 # -- K2 family score --------------------------------------------------------
@@ -534,9 +540,12 @@ def _attach_words(
         corpus.columns,
         affordance_network.pseudocount,
     )
-    word_vars = [word_variable(word) for word in corpus.words]
-    word_cpts = {w.name: table for w, table in zip(word_vars, tables)}
-    return affordance_network.with_word_layer(word_vars, word_parents, word_cpts)
+    return Network(
+        affordance_network.variables + tuple(map(word_variable, corpus.words)),
+        {**affordance_network.parents, **word_parents},
+        {**affordance_network.cpts, **dict(zip(corpus.words, tables))},
+        affordance_network.pseudocount,
+    )
 
 
 def learn_affordance_structure(
@@ -584,9 +593,7 @@ def train_model(
         )
     else:
         parent_map = default_affordance_parents()
-    affordance_net = fit_cpts(
-        make_network(variables, parent_map), corpus.columns, corpus.weights, pseudocount
-    )
+    affordance_net = fit_cpts(variables, parent_map, corpus.columns, corpus.weights, pseudocount)
     return learn_word_layer(affordance_net, corpus, max_parents)
 
 

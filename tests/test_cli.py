@@ -358,6 +358,8 @@ def test_instruct_rejects_malformed_model_file(trained, workdir, capsys):
     string_values["variables"][2]["values"] = "sb"
     misspelt_key = json.loads(json.dumps(model))
     misspelt_key["variables"][0]["nmae"] = "Actoin"
+    no_action = json.loads(json.dumps(model))
+    no_action["variables"][0]["kind"] = "feature"
     cases = [
         [],
         {**model, "variables": 5},
@@ -374,7 +376,11 @@ def test_instruct_rejects_malformed_model_file(trained, workdir, capsys):
     texts.append(
         json.dumps(model).replace('"cpts": {', '"cpts": {"Action": [[1.0, 0.0, 0.0]], ', 1)
     )
-    for text in texts:
+    errors = ["error: model file"] * len(texts)
+    # a model that loads but has no action to choose
+    texts.append(json.dumps(no_action))
+    errors.append("error: the model has no action variable")
+    for text, error in zip(texts, errors):
         bad.write_text(text, encoding="utf-8")
         code = run(
             "instruct", "--model", str(bad), "--scene", str(scene_path),
@@ -382,8 +388,27 @@ def test_instruct_rejects_malformed_model_file(trained, workdir, capsys):
         )
         captured = capsys.readouterr()
         assert code == 2, captured.err
-        assert captured.err.startswith("error: model file")
+        assert captured.err.startswith(error)
         assert captured.out == ""
+
+
+def test_rescore_and_repl_reject_model_without_action(trained, workdir, capsys, monkeypatch):
+    import io
+
+    root, _, model_path, scene_path = trained
+    model = json.loads(model_path.read_text(encoding="utf-8"))
+    model["variables"][0]["kind"] = "feature"
+    bad = workdir / "no_action.json"
+    bad.write_text(json.dumps(model), encoding="utf-8")
+    nbest = workdir / "nbest.txt"
+    nbest.write_text("0.5|tap the ball\n", encoding="utf-8")
+    query = ["--model", str(bad), "--scene", str(scene_path)]
+    monkeypatch.setattr("sys.stdin", io.StringIO("tap the ball\n"))
+    for argv in (["rescore", *query, "--nbest", str(nbest)], ["repl", *query]):
+        code = run(*argv)
+        captured = capsys.readouterr()
+        assert code == 2, captured.err
+        assert captured.err == "error: the model has no action variable\n"
 
 
 def test_generate_rejects_malformed_lexicon(workdir, capsys):
@@ -529,7 +554,7 @@ def test_command_imports_only_the_modules_it_runs(trained, workdir, command):
         # each exported name, resolved on first use, is the object every
         # submodule holding that name holds, and stays in the package globals
         modules = [importlib.import_module(f"wordground.{m}") for m in SUBMODULES]
-        assert len(wordground.__all__) == 45
+        assert len(wordground.__all__) == 44
         for name in wordground.__all__:
             obj = getattr(wordground, name)
             holders = [vars(m)[name] for m in modules if name in vars(m)]

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -133,7 +134,9 @@ def test_baseline_counts_every_record(corpus):
         dict(e.state, **{w: "present" if w in e.description else "absent" for w in words})
         for e in experiences
     ]
-    refit = fit_cpts(net, encode_columns(net.variables, records), ones(records), 1.0)
+    refit = fit_cpts(
+        net.variables, net.parents, encode_columns(net.variables, records), ones(records), 1.0
+    )
     for name in net.names():
         assert np.array_equal(net.cpts[name], refit.cpts[name])
     variables = affordance_variables()
@@ -151,6 +154,25 @@ def test_baseline_color_word_picks_color(corpus):
     # effect words are forced into a single variable, losing their
     # multi-variable meaning
     assert len(net.parents["rising"]) == 1
+
+
+@pytest.mark.parametrize(
+    "fit",
+    [train_model, partial(train_model, learn_structure=True), build_baseline_network],
+    ids=["train_model", "learn_structure", "baseline"],
+)
+def test_each_fit_builds_two_networks(corpus, fit, monkeypatch):
+    # the affordance network, then the finished model with its word layer
+    built = []
+    init = Network.__init__
+
+    def counted_init(self, variables, *args, **kwargs):
+        built.append(len(variables))
+        init(self, variables, *args, **kwargs)
+
+    monkeypatch.setattr(Network, "__init__", counted_init)
+    net = fit(corpus[:100])
+    assert built == [8, len(net.variables)]
 
 
 # -- instruction files ----------------------------------------------------------------------

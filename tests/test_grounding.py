@@ -18,7 +18,6 @@ from wordground.network import (
     Network,
     StateTable,
     Variable,
-    make_network,
     word_variable,
 )
 from wordground.structure import encode_columns, fit_cpts
@@ -67,36 +66,36 @@ def test_word_likelihood_matches_laplace_frequency():
     # a parentless word present in 74 of 1270 records, alpha=1
     action = Variable("Action", ("grasp", "tap", "touch"), "action")
     w = word_variable("w")
-    net = make_network([action, w], {"Action": (), "w": ()})
+    variables, parents = [action, w], {}
     records = [
         {"Action": ("grasp", "tap", "touch")[i % 3], "w": "present" if i % 17 == 0 and i // 17 < 74 else "absent"}
         for i in range(1270)
     ]
     presences = sum(1 for r in records if r["w"] == "present")
     assert presences == 74
-    fitted = fit_cpts(net, encode_columns(net.variables, records), ones(records), 1.0)
+    fitted = fit_cpts(variables, parents, encode_columns(variables, records), ones(records), 1.0)
     assert abs(word_likelihood(fitted, "w", {"Action": "tap"}) - 75 / 1272) < 1e-15
 
 
 def test_word_likelihood_unseen_configuration_is_half():
     action = Variable("Action", ("grasp", "tap", "touch"), "action")
     w = word_variable("w")
-    net = make_network([action, w], {"Action": (), "w": ("Action",)})
+    variables, parents = [action, w], {"w": ("Action",)}
     records = [{"Action": "grasp", "w": "present"}] * 10
-    fitted = fit_cpts(net, encode_columns(net.variables, records), ones(records), 1.0)
+    fitted = fit_cpts(variables, parents, encode_columns(variables, records), ones(records), 1.0)
     assert word_likelihood(fitted, "w", {"Action": "tap"}) == 0.5
 
 
 def test_word_likelihood_deterministic_indicator_approaches_one():
     action = Variable("Action", ("grasp", "tap", "touch"), "action")
     w = word_variable("w")
-    net = make_network([action, w], {"Action": (), "w": ("Action",)})
+    variables, parents = [action, w], {"w": ("Action",)}
     records = [{"Action": "grasp", "w": "present"}] * 40 + [
         {"Action": "tap", "w": "absent"}
     ] * 40
-    ml = fit_cpts(net, encode_columns(net.variables, records), ones(records), 0.0)
+    ml = fit_cpts(variables, parents, encode_columns(variables, records), ones(records), 0.0)
     assert word_likelihood(ml, "w", {"Action": "grasp"}) == 1.0
-    tiny = fit_cpts(net, encode_columns(net.variables, records), ones(records), 1e-9)
+    tiny = fit_cpts(variables, parents, encode_columns(variables, records), ones(records), 1e-9)
     assert word_likelihood(tiny, "w", {"Action": "grasp"}) > 1 - 1e-6
 
 
@@ -125,10 +124,11 @@ def two_word_net(p, q):
 
 def smoothed_net(seed=6):
     rng = np.random.default_rng(seed)
-    net = make_network(
-        [Variable("Action", ("grasp", "tap", "touch"), "action"), word_variable("w1"), word_variable("w2")],
-        {"Action": (), "w1": ("Action",), "w2": ()},
-    )
+    variables = [
+        Variable("Action", ("grasp", "tap", "touch"), "action"),
+        word_variable("w1"),
+        word_variable("w2"),
+    ]
     records = [
         {
             "Action": rng.choice(["grasp", "tap", "touch"]),
@@ -137,7 +137,9 @@ def smoothed_net(seed=6):
         }
         for _ in range(50)
     ]
-    return fit_cpts(net, encode_columns(net.variables, records), ones(records), 1.0)
+    return fit_cpts(
+        variables, {"w1": ("Action",)}, encode_columns(variables, records), ones(records), 1.0
+    )
 
 
 STATE = {"Action": "tap"}

@@ -14,7 +14,6 @@ from wordground.network import (
     affordance_variables,
     default_affordance_parents,
     joint_probability,
-    make_network,
     marginal,
     network_from_json,
     network_to_json,
@@ -41,13 +40,11 @@ def binary(name):
 # -- construction -------------------------------------------------------------
 
 
-def test_make_network_single_node_uniform():
-    net = make_network([binary("A")], {"A": []})
-    assert np.allclose(net.cpts["A"], [[0.5, 0.5]])
-
-
-def test_make_network_default_affordance_domain():
-    net = make_network(affordance_variables(), default_affordance_parents())
+def test_fit_cpts_default_affordance_domain():
+    variables = affordance_variables()
+    net = fit_cpts(
+        variables, default_affordance_parents(), encode_columns(variables, []), ones([])
+    )
     assert len(net.variables) == 8
     assert net.parents["ObjVel"] == ("Action", "Shape", "Size")
     assert net.parents["Color"] == ()
@@ -55,27 +52,29 @@ def test_make_network_default_affordance_domain():
     assert net.cpts["Contact"].shape == (18, 2)
 
 
-def test_make_network_rejects_cycle():
+def test_fit_cpts_rejects_cycle():
+    variables = [binary("A"), binary("B")]
     with pytest.raises(ValueError, match="cycle"):
-        make_network([binary("A"), binary("B")], {"A": ["B"], "B": ["A"]})
+        fit_cpts(variables, {"A": ["B"], "B": ["A"]}, encode_columns(variables, []), ones([]))
 
 
-def test_make_network_rejects_word_parent_of_word():
+def test_fit_cpts_rejects_word_parent_of_word():
+    variables = [word_variable("w1"), word_variable("w2")]
     with pytest.raises(ValueError, match="word"):
-        make_network(
-            [word_variable("w1"), word_variable("w2")], {"w1": ["w2"], "w2": []}
-        )
+        fit_cpts(variables, {"w1": ["w2"], "w2": []}, encode_columns(variables, []), ones([]))
 
 
-def test_make_network_rejects_word_parent_of_state_variable():
+def test_fit_cpts_rejects_word_parent_of_state_variable():
     # Words are leaves: the state-table engine sums every unbound word out.
+    variables = [binary("A"), word_variable("w")]
     with pytest.raises(ValueError, match="word parent"):
-        make_network([binary("A"), word_variable("w")], {"A": ["w"], "w": []})
+        fit_cpts(variables, {"A": ["w"], "w": []}, encode_columns(variables, []), ones([]))
 
 
-def test_make_network_rejects_unknown_name():
-    with pytest.raises(ValueError, match="unknown"):
-        make_network([binary("A")], {"A": ["Nope"]})
+def test_fit_cpts_rejects_unknown_name():
+    variables = [binary("A")]
+    with pytest.raises(ValueError, match="unknown variable name 'Nope'"):
+        fit_cpts(variables, {"A": ["Nope"]}, encode_columns(variables, []), ones([]))
 
 
 @pytest.mark.parametrize(
@@ -104,73 +103,70 @@ def test_variable_validation():
 
 def test_fit_root_laplace_hand_count():
     # 3 of one value, 7 of the other, alpha=1: (3+1)/12 and (7+1)/12
-    net = make_network([binary("A")], {"A": []})
+    variables, parents = [binary("A")], {}
     data = [{"A": "f"}] * 3 + [{"A": "t"}] * 7
-    fitted = fit_cpts(net, encode_columns(net.variables, data), ones(data), 1.0)
+    fitted = fit_cpts(variables, parents, encode_columns(variables, data), ones(data), 1.0)
     assert np.allclose(fitted.cpts["A"], [[4 / 12, 8 / 12]], atol=1e-15)
 
 
 def test_fit_empty_dataset_is_uniform():
-    net = make_network([binary("A"), binary("B")], {"A": [], "B": ["A"]})
-    fitted = fit_cpts(net, encode_columns(net.variables, []), ones([]), 1.0)
+    variables, parents = [binary("A"), binary("B")], {"B": ["A"]}
+    fitted = fit_cpts(variables, parents, encode_columns(variables, []), ones([]), 1.0)
     assert np.allclose(fitted.cpts["A"], [[0.5, 0.5]])
     assert np.allclose(fitted.cpts["B"], [[0.5, 0.5], [0.5, 0.5]])
 
 
 def test_fit_deterministic_child_small_alpha():
-    net = make_network([binary("A"), binary("B")], {"A": [], "B": ["A"]})
+    variables, parents = [binary("A"), binary("B")], {"B": ["A"]}
     data = [{"A": "f", "B": "f"}] * 50 + [{"A": "t", "B": "t"}] * 50
-    fitted = fit_cpts(net, encode_columns(net.variables, data), ones(data), 0.001)
+    fitted = fit_cpts(variables, parents, encode_columns(variables, data), ones(data), 0.001)
     assert fitted.cpts["B"][0][0] >= 0.99998
     assert fitted.cpts["B"][1][1] >= 0.99998
 
 
 def test_fit_rows_sum_to_one():
     rng = np.random.default_rng(5)
-    net = make_network(
-        [binary("A"), Variable("B", ("x", "y", "z")), binary("C")],
-        {"A": [], "B": ["A"], "C": ["A", "B"]},
-    )
+    variables = [binary("A"), Variable("B", ("x", "y", "z")), binary("C")]
+    parents = {"B": ["A"], "C": ["A", "B"]}
     data = [
         {"A": rng.choice(["f", "t"]), "B": rng.choice(["x", "y", "z"]), "C": rng.choice(["f", "t"])}
         for _ in range(200)
     ]
     for alpha in (0.3, 1.0, 2.5):
-        fitted = fit_cpts(net, encode_columns(net.variables, data), ones(data), alpha)
+        fitted = fit_cpts(variables, parents, encode_columns(variables, data), ones(data), alpha)
         for name, table in fitted.cpts.items():
             assert np.all(np.abs(table.sum(axis=1) - 1.0) < 1e-12)
             assert np.all(table > 0)
 
 
 def test_fit_zero_pseudocount_gives_exact_zeros_and_uniform_unseen_rows():
-    net = make_network([binary("A"), binary("B")], {"A": [], "B": ["A"]})
+    variables, parents = [binary("A"), binary("B")], {"B": ["A"]}
     data = [{"A": "f", "B": "f"}] * 10
-    fitted = fit_cpts(net, encode_columns(net.variables, data), ones(data), 0.0)
+    fitted = fit_cpts(variables, parents, encode_columns(variables, data), ones(data), 0.0)
     assert fitted.cpts["B"][0][1] == 0.0  # B=t never seen under A=f
     assert np.allclose(fitted.cpts["B"][1], [0.5, 0.5])  # A=t row never observed
 
 
 def test_fit_rejects_bad_records():
-    net = make_network([binary("A")], {"A": []})
     with pytest.raises(ValueError, match="missing"):
-        encode_columns(net.variables, [{}])
+        encode_columns([binary("A")], [{}])
     with pytest.raises(ValueError, match="unknown value"):
-        encode_columns(net.variables, [{"A": "zebra"}])
+        encode_columns([binary("A")], [{"A": "zebra"}])
 
 
 @pytest.mark.parametrize("pseudocount", [float("nan"), float("inf"), -1.0])
 def test_fit_rejects_non_finite_or_negative_pseudocount(pseudocount):
-    net = make_network([binary("A"), binary("B")], {"A": [], "B": ["A"]})
+    variables, parents = [binary("A"), binary("B")], {"B": ["A"]}
     with pytest.raises(ValueError, match="pseudocount must be a finite number >= 0"):
         data = [{"A": "f", "B": "t"}]
-        fit_cpts(net, encode_columns(net.variables, data), ones(data), pseudocount)
+        fit_cpts(variables, parents, encode_columns(variables, data), ones(data), pseudocount)
 
 
 # -- joint probability -------------------------------------------------------------
 
 
 def test_joint_single_uniform_node():
-    net = make_network([binary("A")], {"A": []})
+    net = Network([binary("A")], {}, {"A": [[0.5, 0.5]]})
     assert joint_probability(net, {"A": "f"}) == 0.5
 
 
@@ -194,7 +190,7 @@ def test_joint_deterministic_chain_forced_path():
 
 
 def test_joint_rejects_partial_assignment():
-    net = make_network([binary("A"), binary("B")], {"A": [], "B": []})
+    net = Network([binary("A"), binary("B")], {}, {"A": [[0.5, 0.5]], "B": [[0.5, 0.5]]})
     with pytest.raises(ValueError, match="partial"):
         joint_probability(net, {"A": "f"})
 
@@ -203,9 +199,9 @@ def test_joint_rejects_partial_assignment():
 
 
 def test_marginal_of_root_is_cpt_row():
-    net = make_network([Variable("A", ("x", "y", "z")), binary("B")], {"A": [], "B": ["A"]})
+    variables, parents = [Variable("A", ("x", "y", "z")), binary("B")], {"B": ["A"]}
     data = [{"A": "x", "B": "f"}] * 5 + [{"A": "y", "B": "t"}] * 3 + [{"A": "z", "B": "f"}] * 2
-    fitted = fit_cpts(net, encode_columns(net.variables, data), ones(data), 1.0)
+    fitted = fit_cpts(variables, parents, encode_columns(variables, data), ones(data), 1.0)
     dist = marginal(fitted, ["A"])
     for i, value in enumerate(("x", "y", "z")):
         assert abs(dist[(value,)] - fitted.cpts["A"][0][i]) < 1e-12
@@ -228,7 +224,7 @@ def test_marginal_zero_probability_evidence_returns_all_zero():
 
 
 def test_marginal_rejects_query_evidence_overlap():
-    net = make_network([binary("A")], {"A": []})
+    net = Network([binary("A")], {}, {"A": [[0.5, 0.5]]})
     with pytest.raises(ValueError, match="overlap"):
         marginal(net, ["A"], {"A": "f"})
 
@@ -433,7 +429,8 @@ def test_model_file_roundtrip_fitted_domain_net():
         "Contact": "long",
     }
     net = fit_cpts(
-        make_network(affordance_variables(), default_affordance_parents()),
+        affordance_variables(),
+        default_affordance_parents(),
         encode_columns(affordance_variables(), [record] * 3),
         ones([record] * 3),
         1.0,
@@ -444,7 +441,8 @@ def test_model_file_roundtrip_fitted_domain_net():
 
 def fitted_domain_json():
     net = fit_cpts(
-        make_network(affordance_variables(), default_affordance_parents()),
+        affordance_variables(),
+        default_affordance_parents(),
         encode_columns(affordance_variables(), []),
         ones([]),
         1.0,

@@ -19,7 +19,6 @@ from wordground.network import (
     Variable,
     affordance_variables,
     default_affordance_parents,
-    make_network,
     word_variable,
 )
 from wordground.structure import (
@@ -418,7 +417,8 @@ def test_batched_word_search_matches_per_word_greedy_reference(
                 bag.add(word)
         experiences.append(Experience(state=state, description=frozenset(bag)))
     affordance = fit_cpts(
-        make_network(_ORACLE_VARIABLES, {}),
+        _ORACLE_VARIABLES,
+        {},
         encode_columns(_ORACLE_VARIABLES, states),
         ones(states),
         1.0,
@@ -546,14 +546,17 @@ def test_state_level_training_matches_record_level_counts(
     )
     assert state_map == record_map
     affordance = fit_cpts(
-        make_network(_ORACLE_VARIABLES, state_map), corpus.columns, corpus.weights, pseudocount
+        _ORACLE_VARIABLES, state_map, corpus.columns, corpus.weights, pseudocount
     )
     net = learn_word_layer(affordance, corpus, max_parents)
     records = [
         dict(e.state, **{w: "present" if w in e.description else "absent" for w in corpus.words})
         for e in experiences
     ]
-    refit = fit_cpts(net, encode_columns(net.variables, records), ones(records), pseudocount)
+    refit = fit_cpts(
+        net.variables, net.parents, encode_columns(net.variables, records), ones(records),
+        pseudocount,
+    )
     for name in net.names():
         assert np.array_equal(net.cpts[name], refit.cpts[name])
     searched = _word_layer_parents(net, corpus, max_parents)
@@ -622,7 +625,7 @@ def test_train_model_counts_every_record(clean_corpus, learn_structure):
         if learn_structure
         else default_affordance_parents()
     )
-    refit = fit_cpts(make_network(VARIABLES, parent_map), columns, ones(experiences), 1.0)
+    refit = fit_cpts(VARIABLES, parent_map, columns, ones(experiences), 1.0)
     for v in VARIABLES:
         assert net.parents[v.name] == refit.parents[v.name]
         assert np.array_equal(net.cpts[v.name], refit.cpts[v.name])
@@ -647,7 +650,8 @@ def test_word_layer_never_links_words_or_exceeds_cap(clean_model):
 def test_word_layer_empty_vocabulary_returns_affordance_net_unchanged(clean_corpus):
     states = [e.state for e in clean_corpus]
     aff = fit_cpts(
-        make_network(VARIABLES, default_affordance_parents()),
+        VARIABLES,
+        default_affordance_parents(),
         encode_columns(VARIABLES, states),
         ones(states),
         1.0,
@@ -668,7 +672,8 @@ def test_word_layer_sparse_words_skip_search():
         for i, s in enumerate(states)
     ]
     aff = fit_cpts(
-        make_network(VARIABLES, default_affordance_parents()),
+        VARIABLES,
+        default_affordance_parents(),
         encode_columns(VARIABLES, [e.state for e in experiences]),
         ones(experiences),
         1.0,

@@ -40,6 +40,13 @@ def binary(name):
 # -- construction -------------------------------------------------------------
 
 
+def test_make_network_single_node_uniform():
+    # A lone root fitted on no records is the uniform distribution.
+    variables = [binary("A")]
+    net = fit_cpts(variables, {"A": []}, encode_columns(variables, []), ones([]))
+    assert np.allclose(net.cpts["A"], [[0.5, 0.5]])
+
+
 def test_fit_cpts_default_affordance_domain():
     variables = affordance_variables()
     net = fit_cpts(

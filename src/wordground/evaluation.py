@@ -1,19 +1,19 @@
 """Quantitative evaluation against a judged instruction set.
 
 Each instruction's judgement is a boolean mask on the (action, color, size,
-shape) cell grid, in `CANONICAL_CELL_ORDER`, built once when the
-instruction is parsed. One `StateTable.posterior` call scores every
-instruction of a model. Soft accuracy is the posterior mass a model assigns
-to the cells in the mask; hard accuracy is the fraction of instructions
-whose single best cell is in it. Impossible requests, with an all-False
-mask, are scored separately as a detection rate and never enter the
-soft/hard averages.
+shape) cell grid, in `CANONICAL_CELL_ORDER`, and the same cells as flat
+indices in grid order, both built once when the instruction is made. One
+`StateTable.posterior` call scores every instruction of a model. Soft
+accuracy is the posterior mass a model assigns to the cells, summed in grid
+order; hard accuracy is the fraction of instructions whose single best cell
+is in the mask. Impossible requests, with an all-False mask, are scored
+separately as a detection rate and never enter the soft/hard averages.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 from typing import Sequence
 
@@ -30,7 +30,8 @@ DEFAULT_SIZES = (100, 300, 500, 700, 900, 1100, 1270)
 @dataclass(frozen=True, eq=False)
 class Instruction:
     """A word bag plus the judged compatible outcome cells: a read-only
-    boolean array over the cell grid in `CANONICAL_CELL_ORDER`.
+    boolean array over the cell grid in `CANONICAL_CELL_ORDER`, and the
+    same cells as flat indices into the grid, in grid order (`cells`).
 
     An all-False mask marks a request judged impossible.
     """
@@ -38,10 +39,14 @@ class Instruction:
     bag: BagOfWords
     compatible: np.ndarray
     text: str = ""
+    cells: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "cells", np.flatnonzero(self.compatible))
 
     @property
     def impossible(self) -> bool:
-        return not self.compatible.any()
+        return not self.cells.size
 
 
 @dataclass(frozen=True)
@@ -73,14 +78,15 @@ def evaluate_instructions(
 ) -> EvalResult:
     """Soft and hard accuracy plus impossible-request detection rate.
 
-    The soft mass is summed over the instruction's mask in grid order.
+    The soft mass is summed over the instruction's cells in grid order.
     np.argmax returns the first maximum in row-major order, which makes the
     best-cell tie-break deterministic: earlier values of earlier variables
     win.
     """
     evidences = [_bag_evidence(network, ins.bag) for ins in instructions]
     post = StateTable(network).posterior(evidences, default_cells(network))
-    best = post.reshape(len(post), math.prod(post.shape[1:])).argmax(axis=1)
+    post = post.reshape(len(post), math.prod(post.shape[1:]))
+    best = post.argmax(axis=1)
     softs: list[float] = []
     hards: list[float] = []
     detected = 0
@@ -90,7 +96,7 @@ def evaluate_instructions(
             n_impossible += 1
             detected += float(p.sum()) == 0.0
             continue
-        softs.append(float(p[ins.compatible].sum()))
+        softs.append(float(p[ins.cells].sum()))
         hards.append(1.0 if ins.compatible.flat[b] else 0.0)
     if not softs:
         raise ValueError("instruction set has no possible instructions to score")
@@ -145,7 +151,8 @@ def staged_learning(
     """
     if repetitions < 1:
         raise ValueError(f"repetitions must be at least 1, got {repetitions}")
-    encoded = EncodedCorpus.encode(corpus)
+    if not corpus:
+        raise ValueError("corpus has no records")
     if not sizes:
         raise ValueError(f"no training sizes to evaluate on a corpus of {len(corpus)} records")
     for size in sizes:
@@ -153,6 +160,7 @@ def staged_learning(
             raise ValueError(f"training size must be at least 1, got {size}")
         if size > len(corpus):
             raise ValueError(f"training size {size} exceeds corpus size {len(corpus)}")
+    encoded = EncodedCorpus.encode(corpus)
     points = []
     for size in sizes:
         reps = 1 if size == len(corpus) else repetitions

@@ -89,19 +89,16 @@ class ActionObjectRanking:
         return self.entries[0]
 
 
-def _is_word(network: Network, name: str) -> bool:
-    return name in network and network.variable(name).kind == "word"
-
-
 def _bag_evidence(network: Network, bag: Iterable[str]) -> dict[str, str]:
     """The bag's known words, each bound to present. Unknown words are
     skipped with one warning, since instructions may contain words outside
     the training vocabulary."""
     words = sorted(set(bag))
-    unknown = [w for w in words if not _is_word(network, w)]
+    known = network.word_set
+    unknown = [w for w in words if w not in known]
     if unknown:
         logger.warning("skipping unknown words: %s", ", ".join(unknown))
-    return {w: PRESENT for w in words if w not in unknown}
+    return {w: PRESENT for w in words if w in known}
 
 
 def predict_compatible_set(
@@ -151,7 +148,7 @@ def _scene_scorer(
 
     bags = [set(bag) for bag in bags]
     for bag in bags:
-        if bag and not any(_is_word(network, w) for w in bag):
+        if bag and network.word_set.isdisjoint(bag):
             raise UnknownWordsError(f"the model knows none of the words: {', '.join(sorted(bag))}")
     evidences = [{}] + [_bag_evidence(network, bag) for bag in bags]
     joint = StateTable(network).joint(evidences, cells)

@@ -169,6 +169,8 @@ class Network:
             self.parents[v.name] = ps
         self._topo = _toposort([v.name for v in self.variables], self.parents)
         self.pseudocount = float(pseudocount)
+        # the names of the word variables, for membership tests
+        self.word_set = frozenset(v.name for v in self.variables if v.kind == "word")
 
         self.cpts: dict[str, np.ndarray] = {}
         for v in self.variables:
@@ -273,17 +275,18 @@ class StateTable:
         the evidence or on the other rows."""
         mass = np.empty((len(evidences), self.p_x.size))
         mass[:] = self.p_x
-        rows_of: dict[tuple[str, int], list[np.ndarray]] = {}
+        words = self.network.word_set
+        rows_of: dict[tuple[str, str], list[np.ndarray]] = {}
         for row, evidence in zip(mass, evidences):
             for name, value in evidence.items():
-                v = self.network.variable(name)
-                i = v.index_of(value)
-                if v.kind == "word":
-                    rows_of.setdefault((name, i), []).append(row)
+                if name in words:
+                    rows_of.setdefault((name, value), []).append(row)
                 else:
+                    i = self.network.variable(name).index_of(value)
                     np.multiply(row, self._index((name,)) == i, out=row)
         # words in sorted order, each gathered once for all the rows it binds
-        for (name, i), rows in sorted(rows_of.items()):
+        for (name, value), rows in sorted(rows_of.items()):
+            i = self.network.variable(name).index_of(value)
             factor = self.network.cpts[name][:, i][self._index(self.network.parents[name])]
             for row in rows:
                 np.multiply(row, factor, out=row)

@@ -19,15 +19,21 @@ columns of each distinct state (`encode_columns`), its number of records,
 and a states x words matrix of how many of its descriptions hold each word,
 the one word-presence encoding, which the search and the word CPT fit
 share. A learning curve encodes its corpus once and re-weights the same
-states for each index subset. The word layer holds exactly the corpus's own
-words, in sorted order.
+states for each index subset. What does not depend on the weights is kept
+with the encoding and shared by its subsets: each word's variable, and the
+configuration index of every parent set over the states, memoised by parent
+names (`_configs`), so the models of a curve compute each index once. The
+word layer holds exactly the corpus's own words, in sorted order.
 
-One search (`_k2_search`) serves a batch of targets at once. At each greedy
-step the targets still searching are grouped by their current parent set,
-and every candidate of every group is counted in one sparse pass
-(`_count_families`, the one counting pass behind every score and fit): one
-weighted `bincount` gives the row totals and one over the targets' nonzero
-values the counts of values 1..r-1 (value 0 is the rest of the row total).
+The affordance fit (`fit_cpts`) counts each family with one weighted
+`bincount` over the states. One search (`_k2_search`) serves a batch of
+targets at once. At each greedy step the targets still searching are
+grouped by their current parent set, and every candidate of every group is
+counted in one sparse pass (`_count_families`, the batched counting pass
+behind every score and the word CPT fit, which counts every word in one
+such pass): one weighted `bincount` gives the row totals and one over the
+targets' nonzero values the counts of values 1..r-1 (value 0 is the rest of
+the row total).
 The score's log-gamma terms come from a table built with `math.lgamma` once
 per (alpha, r, records) and cached (`_score_terms`). Each score adds its
 terms one after another in ascending order (`_observed_scores`): an
@@ -41,7 +47,9 @@ scores the earlier wins.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -87,17 +95,35 @@ def encode_columns(
     return {v.name: _encode_column(v, records) for v in variables}
 
 
-def _configs(
-    parent_sets: Sequence[Sequence[Variable]], columns: Mapping[str, np.ndarray], n_records: int
+def _config_index(
+    parents: Sequence[Variable], columns: Mapping[str, np.ndarray], n_states: int
 ) -> np.ndarray:
-    """Parent-configuration index of every record under each parent set,
-    row-major over the set's parents, shape (sets, records)."""
-    configs = np.zeros((len(parent_sets), n_records), dtype=np.int64)
-    for row, parents in zip(configs, parent_sets):
-        for p in parents:
-            row *= p.cardinality
-            row += columns[p.name]
-    return configs
+    """Configuration index of every state under `parents`, row-major over
+    them (the first varies slowest)."""
+    index = np.zeros(n_states, dtype=np.int64)
+    for p in parents:
+        index *= p.cardinality
+        index += columns[p.name]
+    return index
+
+
+def _configs(
+    parent_sets: Sequence[Sequence[Variable]],
+    columns: Mapping[str, np.ndarray],
+    n_states: int,
+    memo: dict[tuple[str, ...], np.ndarray],
+) -> np.ndarray:
+    """`_config_index` of each parent set, shape (sets, states). `memo`
+    keeps the index of every parent set it is asked for, keyed by the
+    parent names, for later calls on the same `columns`."""
+    rows = []
+    for parents in parent_sets:
+        key = tuple(p.name for p in parents)
+        row = memo.get(key)
+        if row is None:
+            row = memo[key] = _config_index(parents, columns, n_states)
+        rows.append(row)
+    return np.array(rows, dtype=np.int64).reshape(len(rows), n_states)
 
 
 def _value_entries(
@@ -120,7 +146,8 @@ def _count_families(
     width: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Family counts of every target under each coding of its group's
-    parent configurations, the one counting pass behind every score and fit.
+    parent configurations, the batched counting pass behind every score and
+    the word CPT fit.
 
     `configs` has shape (states, groups, codings), entries below `width`;
     `weights` gives each state's number of records, `group` each target's
@@ -183,26 +210,6 @@ def _group_by(keys) -> tuple[list, np.ndarray]:
     return list(index), group
 
 
-def _fit_families(
-    entries: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-    weights: np.ndarray,
-    r: int,
-    parent_sets: Sequence[tuple[Variable, ...]],
-    columns: Mapping[str, np.ndarray],
-    pseudocount: float,
-) -> list[np.ndarray]:
-    """CPTs of a batch of targets with `r` values each, one per parent set
-    in `parent_sets`, all counted in one `_count_families` pass in which
-    targets with the same parent set share a group. `entries`, `weights`
-    and `columns` are as there; the estimator is `_cpt`."""
-    keys, group = _group_by(parent_sets)
-    rows = [math.prod(p.cardinality for p in key) for key in keys]
-    configs = _configs(keys, columns, len(weights)).T[:, :, None]
-    counts, _ = _count_families(entries, weights, r, configs, group, max(rows, default=1))
-    tables = _cpt(counts[:, 0], pseudocount)
-    return [tables[j, : rows[g]] for j, g in enumerate(group.tolist())]
-
-
 def fit_cpts(
     variables: Sequence[Variable],
     parents: Mapping[str, Sequence[str]],
@@ -214,8 +221,8 @@ def fit_cpts(
     variable not named has no parents, and every CPT fitted from encoded
     columns. `columns` holds the value indices of distinct states, as
     `encode_columns` returns them, and `weights` how many records each
-    state counts as. The variables with the same number of values are
-    counted together; the `Network` constructor checks the structure.
+    state counts as. Each family is counted with one weighted `bincount`
+    over the states; the `Network` constructor checks the structure.
 
     Each CPT entry becomes ``(count + a) / (row_total + a * cardinality)``
     with ``a = pseudocount``; with ``a == 0``, rows for parent configurations
@@ -223,21 +230,17 @@ def fit_cpts(
     """
     by_name = {v.name: v for v in variables}
     cpts = {}
-    for r in sorted({v.cardinality for v in variables}):
-        targets = [v for v in variables if v.cardinality == r]
+    for v in variables:
         try:
-            parent_sets = [tuple(by_name[p] for p in parents.get(v.name, ())) for v in targets]
+            family = [by_name[p] for p in parents.get(v.name, ())] + [v]
         except KeyError as exc:
             raise ValueError(f"unknown variable name {exc.args[0]!r} in parent map") from None
-        tables = _fit_families(
-            _value_entries(np.stack([columns[v.name] for v in targets], axis=1), weights),
-            weights,
-            r,
-            parent_sets,
-            columns,
-            pseudocount,
+        counts = np.bincount(
+            _config_index(family, columns, len(weights)),
+            weights=weights,
+            minlength=math.prod(p.cardinality for p in family),
         )
-        cpts.update(zip((v.name for v in targets), tables))
+        cpts[v.name] = _cpt(counts.reshape(-1, v.cardinality), pseudocount)
     return Network(variables, parents, cpts, float(pseudocount))
 
 
@@ -292,6 +295,23 @@ MIN_WORD_OCCURRENCES = 3
 
 
 @dataclass(frozen=True, eq=False)
+class _Encoding:
+    """What an encoded corpus shares with its subsets, none of it
+    depending on the records' weights: the encoded records, the variable
+    of every word, and the memo of configuration indices over the states
+    (`_configs`), which lives and dies with the corpus and its subsets."""
+
+    # the state of each record, and the record and
+    # state * len(word_variables) + word of each word of a description
+    states: np.ndarray
+    entry_rows: np.ndarray
+    cells: np.ndarray
+    # every word of the corpus, sorted, and its presence variable
+    word_variables: dict[str, Variable]
+    configs: dict[tuple[str, ...], np.ndarray] = field(default_factory=dict)
+
+
+@dataclass(frozen=True, eq=False)
 class EncodedCorpus:
     """Experiences encoded once for training, as the sufficient statistics
     of every family count.
@@ -309,10 +329,7 @@ class EncodedCorpus:
     weights: np.ndarray
     words: tuple[str, ...]
     word_counts: np.ndarray
-    # the encoded records: the state of each, and the record and
-    # state * len(_words) + word of each word of a description
-    _records: tuple[np.ndarray, np.ndarray, np.ndarray] = field(repr=False)
-    _words: tuple[str, ...] = field(repr=False)
+    _encoding: _Encoding = field(repr=False)
     # the encoded record behind each record of this corpus
     _rows: np.ndarray = field(repr=False)
 
@@ -322,25 +339,45 @@ class EncodedCorpus:
     ) -> "EncodedCorpus":
         if not experiences:
             raise ValueError("corpus has no records")
-        columns = encode_columns(variables, [exp.state for exp in experiences])
-        codes = _configs([variables], columns, len(experiences))[0]
-        _, first, states = np.unique(codes, return_index=True, return_inverse=True)
+        # number each distinct state by its first record, then renumber the
+        # states in ascending order of their configuration index
+        names = [v.name for v in variables]
+        key = (
+            operator.itemgetter(*names)
+            if len(names) > 1
+            else lambda state: tuple(state[n] for n in names)
+        )
+        lookups = [{val: i for i, val in enumerate(v.values)} for v in variables]
+        number: dict[tuple[str, ...], int] = {}
+        try:
+            first = [number.setdefault(key(exp.state), len(number)) for exp in experiences]
+            codes = np.array(
+                [[lookup[val] for lookup, val in zip(lookups, values)] for values in number],
+                dtype=np.int64,
+            ).reshape(len(number), len(variables))
+        except KeyError:
+            # the column encoder names the first record at fault
+            encode_columns(variables, [exp.state for exp in experiences])
+            raise
+        columns = {v.name: codes[:, j] for j, v in enumerate(variables)}
+        order = np.argsort(_config_index(variables, columns, len(number)))
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        states = rank[first]
         words = tuple(corpus_vocabulary(experiences))
+        heard = list(itertools.chain.from_iterable(exp.description for exp in experiences))
         index = {w: j for j, w in enumerate(words)}
-        entry_rows = np.array(
-            [i for i, exp in enumerate(experiences) for _ in exp.description], dtype=np.int64
+        entry_rows = np.repeat(
+            np.arange(len(experiences)), [len(exp.description) for exp in experiences]
         )
-        entry_words = np.array(
-            [index[w] for exp in experiences for w in exp.description], dtype=np.int64
-        )
+        entry_words = np.fromiter(map(index.__getitem__, heard), np.int64, len(heard))
         cells = states[entry_rows] * len(words) + entry_words
         return cls(
-            {name: col[first] for name, col in columns.items()},
+            {name: col[order] for name, col in columns.items()},
             np.bincount(states),
             words,
-            np.bincount(cells, minlength=len(first) * len(words)).reshape(len(first), len(words)),
-            (states, entry_rows, cells),
-            words,
+            np.bincount(cells, minlength=len(order) * len(words)).reshape(len(order), len(words)),
+            _Encoding(states, entry_rows, cells, {w: word_variable(w) for w in words}),
             np.arange(len(experiences)),
         )
 
@@ -349,20 +386,19 @@ class EncodedCorpus:
         state none of them is in keeps weight 0); the words are those that
         occur in them."""
         rows = self._rows[indices]
-        states, entry_rows, cells = self._records
-        n_states = len(self.weights)
-        picked = np.bincount(rows, minlength=len(states))
+        enc = self._encoding
+        n_states, n_words = len(self.weights), len(enc.word_variables)
+        picked = np.bincount(rows, minlength=len(enc.states))
         word_counts = np.bincount(
-            cells, weights=picked[entry_rows], minlength=n_states * len(self._words)
-        ).astype(np.int64).reshape(n_states, len(self._words))
+            enc.cells, weights=picked[enc.entry_rows], minlength=n_states * n_words
+        ).astype(np.int64).reshape(n_states, n_words)
         seen = word_counts.any(axis=0)
         return EncodedCorpus(
             self.columns,
-            np.bincount(states[rows], minlength=n_states),
-            tuple(w for w, s in zip(self._words, seen) if s),
+            np.bincount(enc.states[rows], minlength=n_states),
+            tuple(w for w, s in zip(enc.word_variables, seen.tolist()) if s),
             word_counts[:, seen],
-            self._records,
-            self._words,
+            enc,
             rows,
         )
 
@@ -385,18 +421,20 @@ def _k2_search(
     candidates: Sequence[Variable],
     columns: Mapping[str, np.ndarray],
     weights: np.ndarray,
+    memo: dict[tuple[str, ...], np.ndarray],
     max_parents: int = 3,
 ) -> list[tuple[tuple[str, ...], list[float]]]:
     """Greedy K2 search for a batch of `n_targets` targets with `r` values
     each.
 
     `columns` and `weights` hold the states and their numbers of records,
-    `entries` the targets' values in them (`_value_entries`,
-    `_word_entries`) and `candidates` the parents to draw from in tie-break
-    order. Each step adds, per target, the first candidate with the highest
-    score if that score is strictly above the current one, up to
-    `max_parents`. Returns per target its parents, in candidate order, and
-    its score after each step, starting with no parents.
+    `memo` the configuration indices of `columns` (`_configs`), `entries`
+    the targets' values in the states (`_value_entries`, `_word_entries`)
+    and `candidates` the parents to draw from in tie-break order. Each step
+    adds, per target, the first candidate with the highest score if that
+    score is strictly above the current one, up to `max_parents`. Returns
+    per target its parents, in candidate order, and its score after each
+    step, starting with no parents.
     """
     if max_parents < 0:
         raise ValueError(f"max_parents must be >= 0, got {max_parents}")
@@ -404,7 +442,7 @@ def _k2_search(
     # coding 0 keeps the current parent set; coding 1 + i adds candidate i
     extensions = [()] + ([[c] for c in candidates] if max_parents else [])
     cards = np.array([math.prod(c.cardinality for c in e) for e in extensions], dtype=np.int64)
-    extend = _configs(extensions, columns, len(weights)).T
+    extend = _configs(extensions, columns, len(weights), memo).T
     state, tgt, value, multiplicity = entries
     chosen: list[list[int]] = [[] for _ in range(n_targets)]
     traces: list[list[float]] = []
@@ -413,7 +451,9 @@ def _k2_search(
         if not searching.size:
             break
         keys, group = _group_by(tuple(chosen[t]) for t in searching.tolist())
-        bases = _configs([[candidates[i] for i in key] for key in keys], columns, len(weights))
+        bases = _configs(
+            [[candidates[i] for i in key] for key in keys], columns, len(weights), memo
+        )
         width = max(math.prod(candidates[i].cardinality for i in key) for key in keys)
         width *= int(cards.max())
         counts, totals = _count_families(
@@ -450,7 +490,9 @@ def _best_single_parents(corpus: EncodedCorpus, candidates: Sequence[Variable]) 
     """Per word of the corpus, the candidate whose one-parent family scores
     highest, even if no parent at all scores higher; the earlier candidate
     wins a tie."""
-    singles = _configs([[c] for c in candidates], corpus.columns, len(corpus.weights)).T[:, None]
+    singles = _configs(
+        [[c] for c in candidates], corpus.columns, len(corpus.weights), corpus._encoding.configs
+    ).T[:, None]
     one_group = np.zeros(len(corpus.words), dtype=np.int64)
     width = max(c.cardinality for c in candidates)
     counts, totals = _count_families(
@@ -475,7 +517,7 @@ def k2_select_parents(
         raise ValueError("target variable cannot be its own candidate parent")
     columns = encode_columns([target_variable] + list(candidates), dataset)
     weights = np.ones(len(dataset), dtype=np.int64)
-    return _node_parents(target_variable, candidates, columns, weights, max_parents)
+    return _node_parents(target_variable, candidates, columns, weights, {}, max_parents)
 
 
 def _node_parents(
@@ -483,12 +525,13 @@ def _node_parents(
     candidates: Sequence[Variable],
     columns: Mapping[str, np.ndarray],
     weights: np.ndarray,
+    memo: dict[tuple[str, ...], np.ndarray],
     max_parents: int,
 ) -> tuple[str, ...]:
     """`_k2_search` for one node whose values are in `columns`."""
     entries = _value_entries(columns[target.name][:, None], weights)
     [(parents, _)] = _k2_search(
-        entries, 1, target.cardinality, list(candidates), columns, weights, max_parents
+        entries, 1, target.cardinality, list(candidates), columns, weights, memo, max_parents
     )
     return parents
 
@@ -516,6 +559,7 @@ def learn_word_layer(
         candidates,
         corpus.columns,
         corpus.weights,
+        corpus._encoding.configs,
         max_parents,
     )
     parents = {word: () for word in corpus.words}
@@ -531,19 +575,29 @@ def _attach_words(
 ) -> Network:
     """Add one presence node per word of the corpus to the affordance
     network, each word's CPT given its parents fitted with the affordance
-    network's pseudocount, all words in one counting pass."""
-    tables = _fit_families(
+    network's pseudocount, all words in one `_count_families` pass in which
+    the words with the same parents share a group."""
+    keys, group = _group_by(word_parents[w] for w in corpus.words)
+    parent_sets = [[affordance_network.variable(p) for p in key] for key in keys]
+    rows = [math.prod(p.cardinality for p in parents) for parents in parent_sets]
+    enc = corpus._encoding
+    configs = _configs(parent_sets, corpus.columns, len(corpus.weights), enc.configs)
+    counts, _ = _count_families(
         _word_entries(corpus.word_counts),
         corpus.weights,
         2,
-        [tuple(affordance_network.variable(p) for p in word_parents[w]) for w in corpus.words],
-        corpus.columns,
-        affordance_network.pseudocount,
+        configs.T[:, :, None],
+        group,
+        max(rows, default=1),
     )
+    tables = _cpt(counts[:, 0], affordance_network.pseudocount)
+    cpts = dict(affordance_network.cpts)
+    for j, (w, g) in enumerate(zip(corpus.words, group.tolist())):
+        cpts[w] = tables[j, : rows[g]]
     return Network(
-        affordance_network.variables + tuple(map(word_variable, corpus.words)),
+        affordance_network.variables + tuple(enc.word_variables[w] for w in corpus.words),
         {**affordance_network.parents, **word_parents},
-        {**affordance_network.cpts, **dict(zip(corpus.words, tables))},
+        cpts,
         affordance_network.pseudocount,
     )
 
@@ -561,8 +615,9 @@ def learn_affordance_structure(
     indices of distinct states, as `encode_columns` returns them, and
     `weights` how many records each state counts as.
     """
+    memo: dict[tuple[str, ...], np.ndarray] = {}
     return {
-        var.name: _node_parents(var, ordering[:i], columns, weights, max_parents)
+        var.name: _node_parents(var, ordering[:i], columns, weights, memo, max_parents)
         for i, var in enumerate(ordering)
     }
 

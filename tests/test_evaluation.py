@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -6,9 +7,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wordground
+from wordground import evaluation
 from wordground.datagen import build_corpus, default_lexicon, default_world
 from wordground.evaluation import (
     DEFAULT_SIZES,
@@ -22,8 +25,8 @@ from wordground.evaluation import (
     staged_learning,
 )
 from wordground.grounding import bag_of_words
-from wordground.inference import CANONICAL_CELL_ORDER
-from wordground.network import Network, affordance_variables
+from wordground.inference import CANONICAL_CELL_ORDER, _bag_evidence, default_cells
+from wordground.network import Network, StateTable, affordance_variables
 from wordground.structure import encode_columns, fit_cpts, train_model
 
 from oracles import oracle_cell_mask
@@ -101,6 +104,28 @@ def test_hard_accuracy_needs_scorable_instructions():
     )
     with pytest.raises(ValueError):
         evaluate_instructions(net, [impossible])
+
+
+@pytest.mark.parametrize("n_cells", [(1, 7), (8, 72)], ids=["under_8", "8_or_more"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_soft_mass_over_flat_cells_equals_mask_sum(model, n_cells, data):
+    # an instruction's cells are its mask's flat indices in grid order, so
+    # the soft mass is bit for bit the sum over the boolean mask; numpy
+    # sums 8 or more elements pairwise, fewer one after another
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    size = int(rng.integers(n_cells[0], n_cells[1] + 1))
+    mask = np.zeros(math.prod(map(len, CELL_DOMAINS)), dtype=bool)
+    mask[rng.choice(mask.size, size=size, replace=False)] = True
+    mask = mask.reshape([len(d) for d in CELL_DOMAINS])
+    bag = data.draw(st.sampled_from([ins.bag for ins in default_instructions()]))
+    ins = Instruction(bag=bag, compatible=mask)
+    assert ins.cells.tolist() == [i for i, m in enumerate(mask.ravel().tolist()) if m]
+    post = StateTable(model).posterior(
+        [_bag_evidence(model, bag)], default_cells(model)
+    )[0]
+    assert evaluate_instructions(model, [ins]).soft == float(post[mask].sum())
 
 
 def test_evaluate_instructions_consistent_with_single_ops(model):
@@ -272,6 +297,49 @@ def test_staged_learning_rejects_oversized_request(corpus):
 def test_staged_learning_rejects_non_positive_counts(corpus, kwargs, message):
     with pytest.raises(ValueError, match=message):
         staged_learning(corpus, default_instructions(), **kwargs)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        (dict(sizes=(40,), repetitions=0), "repetitions"),
+        (dict(sizes=()), "no training sizes"),
+        (dict(sizes=(40, 0)), "training size must be at least 1"),
+        (dict(sizes=(40, 10**6)), "exceeds corpus size"),
+    ],
+)
+def test_staged_learning_checks_arguments_before_encoding(corpus, kwargs, message, monkeypatch):
+    encoded = []
+    monkeypatch.setattr(
+        evaluation.EncodedCorpus, "encode", classmethod(lambda cls, *a: encoded.append(a))
+    )
+    with pytest.raises(ValueError, match=message):
+        staged_learning(corpus, default_instructions(), **kwargs)
+    assert encoded == []
+
+
+def test_staged_learning_leaves_no_module_state_grown(corpus):
+    # the same curve again, on a new encoding of the corpus, grows no cache
+    # or container at module level: a curve's memo lives and dies with its
+    # encoded corpus
+    modules = [sys.modules[f"wordground.{m}"] for m in wordground._EXPORTS]
+
+    def module_state():
+        state = {}
+        for mod in modules:
+            state[mod.__name__] = sorted(vars(mod))
+            for name, value in vars(mod).items():
+                if hasattr(value, "cache_info"):
+                    state[mod.__name__, name] = value.cache_info().currsize
+                elif isinstance(value, (dict, list, set)):
+                    state[mod.__name__, name] = len(value)
+        return state
+
+    kwargs = dict(sizes=(40, 80), repetitions=2, seed=4)
+    staged_learning(corpus, default_instructions(), **kwargs)
+    before = module_state()
+    staged_learning(corpus, default_instructions(), **kwargs)
+    assert module_state() == before
 
 
 def test_default_sizes_match_protocol():

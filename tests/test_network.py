@@ -1,4 +1,5 @@
 import json
+import math
 from itertools import product
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wordground.network import (
+    WORD_VALUES,
     Network,
     StateTable,
     Variable,
@@ -159,6 +161,59 @@ def test_fit_rejects_bad_records():
         encode_columns([binary("A")], [{}])
     with pytest.raises(ValueError, match="unknown value"):
         encode_columns([binary("A")], [{"A": "zebra"}])
+
+
+def record_level_cpt(values_map, parents, name, records, a):
+    """CPT of `name` counted record by record: (count + a) / (row total +
+    a * r), and a uniform row for a configuration no record has at a = 0."""
+    values = values_map[name]
+    counts = [[0] * len(values) for _ in range(math.prod(len(values_map[p]) for p in parents))]
+    for rec in records:
+        row = 0
+        for p in parents:
+            row = row * len(values_map[p]) + values_map[p].index(rec[p])
+        counts[row][values.index(rec[name])] += 1
+    return [
+        [1.0 / len(values)] * len(values)
+        if a == 0 and not sum(row)
+        else [(c + a) / (sum(row) + a * len(values)) for c in row]
+        for row in counts
+    ]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_nodes=st.integers(1, 5),
+    n_records=st.integers(0, 40),
+    pseudocount=st.sampled_from([0.0, 1.0, 0.25]),
+)
+def test_fit_cpts_equals_record_level_count(seed, n_nodes, n_records, pseudocount):
+    # fitted from weighted distinct states, every CPT is bit for bit the
+    # one counted record by record, under a random parent map whose parent
+    # lists come out of declaration order; few records leave configurations
+    # unobserved
+    rng = np.random.default_rng(seed)
+    values_map, parents_map, _ = random_mixed_net(rng, n_nodes)
+    variables = [
+        Variable(n, tuple(v), "word" if tuple(v) == WORD_VALUES else "feature")
+        for n, v in values_map.items()
+    ]
+    records = [
+        {n: v[rng.integers(len(v))] for n, v in values_map.items()} for _ in range(n_records)
+    ]
+    distinct = {}
+    for rec in records:
+        key = tuple(rec.values())
+        distinct[key] = distinct.get(key, 0) + 1
+    states = [dict(zip(values_map, key)) for key in distinct]
+    weights = np.array(list(distinct.values()), dtype=np.int64)
+    fitted = fit_cpts(
+        variables, parents_map, encode_columns(variables, states), weights, pseudocount
+    )
+    for name, parents in parents_map.items():
+        expected = record_level_cpt(values_map, parents, name, records, pseudocount)
+        assert fitted.cpts[name].tolist() == expected
 
 
 @pytest.mark.parametrize("pseudocount", [float("nan"), float("inf"), -1.0])

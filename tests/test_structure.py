@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 from itertools import permutations
 from pathlib import Path
 
@@ -25,7 +27,7 @@ from wordground.structure import (
     K2_ALPHA,
     MIN_WORD_OCCURRENCES,
     EncodedCorpus,
-    _configs,
+    _config_index,
     _count_families,
     _k2_search,
     _observed_scores,
@@ -68,7 +70,7 @@ def family_score(variable, parent_set, records):
         _value_entries(columns[variable.name][:, None], weights),
         weights,
         variable.cardinality,
-        _configs([parent_set], columns, len(records)).T[:, :, None],
+        _config_index(parent_set, columns, len(records))[:, None, None],
         np.zeros(1, dtype=np.int64),
         math.prod(p.cardinality for p in parent_set),
     )
@@ -148,7 +150,7 @@ def test_k2_score_trace_strictly_increasing():
     columns = encode_columns([w] + list(VARIABLES), dataset)
     weights = ones(dataset)
     entries = _value_entries(columns["w"][:, None], weights)
-    [(_, trace)] = _k2_search(entries, 1, 2, list(VARIABLES), columns, weights)
+    [(_, trace)] = _k2_search(entries, 1, 2, list(VARIABLES), columns, weights, {})
     assert all(b > a for a, b in zip(trace, trace[1:]))
 
 
@@ -271,6 +273,7 @@ def test_k2_trace_is_the_family_score_of_the_parents_so_far(clean_corpus, alpha)
         list(VARIABLES),
         corpus.columns,
         corpus.weights,
+        {},
     )
     by_name = {v.name: v for v in VARIABLES}
     linked = 0
@@ -451,6 +454,7 @@ def _word_layer_parents(net, corpus, max_parents):
         [net.variable(n) for n in net.affordance_names()],
         corpus.columns,
         corpus.weights,
+        {},
         max_parents,
     )
     parents = {w: p for w, (p, _) in zip(corpus.words, found)}
@@ -490,6 +494,57 @@ def _state_statistics(corpus):
             counts = {w: int(c) for w, c in zip(corpus.words, corpus.word_counts[s]) if c}
             stats[key] = (weight, counts)
     return stats
+
+
+def test_encode_numbers_states_in_configuration_order():
+    # one state per distinct value tuple, numbered in ascending order of
+    # its configuration index, whatever the order of the records
+    rng = np.random.default_rng(8)
+    experiences = _repeated_corpus(rng, 10, 3)
+    corpus = EncodedCorpus.encode(experiences, _ORACLE_VARIABLES)
+    codes = _config_index(_ORACLE_VARIABLES, corpus.columns, len(corpus.weights))
+    assert np.all(np.diff(codes) > 0)
+    assert len(codes) == len({tuple(e.state.values()) for e in experiences})
+
+
+@pytest.mark.parametrize(
+    "records, message",
+    [
+        ([{"A": "a0", "B": "b0"}, {"B": "b1"}], "record 1 is missing a value for 'A'"),
+        (
+            [{"A": "a0", "B": "b9"}, {"A": "a9", "B": "b0"}],
+            "record 1 binds 'A' to unknown value 'a9'",
+        ),
+        ([{"A": "a0", "B": "b0"}, {"A": "a0"}, {"A": "a0", "B": "b9"}], "record 1 is missing"),
+    ],
+)
+def test_encode_names_the_first_record_at_fault(records, message):
+    # as the column encoder does: the first variable in declaration order
+    # with a bad value, at the first record that has one
+    variables = _ORACLE_VARIABLES[:2]
+    experiences = [Experience(state=r, description=frozenset()) for r in records]
+    with pytest.raises(ValueError, match=message):
+        EncodedCorpus.encode(experiences, variables)
+    with pytest.raises(ValueError, match=message):
+        encode_columns(variables, records)
+
+
+def test_configuration_memo_is_shared_by_subsets_and_freed_with_the_corpus(clean_corpus):
+    corpus = EncodedCorpus.encode(clean_corpus[:300])
+    first, second = corpus.subset(np.arange(0, 300, 2)), corpus.subset(np.arange(1, 300, 2))
+    assert first._encoding is corpus._encoding is second.subset(np.arange(50))._encoding
+    train_model(first)
+    memo = corpus._encoding.configs
+    seen = dict(memo)
+    assert seen
+    model = train_model(second)
+    # the second subset's model reuses every index the first one made
+    assert all(memo[key] is row for key, row in seen.items())
+    encoding, row = weakref.ref(corpus._encoding), weakref.ref(next(iter(memo.values())))
+    del corpus, first, second, memo, seen
+    gc.collect()
+    assert encoding() is None and row() is None
+    assert model.word_names()
 
 
 @settings(max_examples=60, deadline=None)

@@ -121,14 +121,12 @@ def _draw(rng: np.random.Generator, row: Sequence[float]) -> int:
 def sample_experiences(world: Network, n: int, seed) -> list[dict[str, str]]:
     """Ancestral samples through the DAG; one stream, deterministic per seed."""
     rng = np.random.default_rng(seed)
-    order = world.topological_order()
     states = []
     for _ in range(n):
         state: dict[str, str] = {}
-        for name in order:
-            v = world.variable(name)
-            row = world.cpt_row(name, state)
-            state[name] = v.values[_draw(rng, row)]
+        # declaration order puts every parent before its child
+        for v in world.variables:
+            state[v.name] = v.values[_draw(rng, world.cpt_row(v.name, state))]
         states.append(state)
     return states
 
@@ -342,9 +340,9 @@ class NoiseProfile:
             raise ValueError("noise rates must be >= 0")
 
 
-def default_noise_profile(lexicon: Lexicon | None = None) -> NoiseProfile:
-    """A false rejection every 1.2 utterances, a false acceptance every 1.3."""
-    lexicon = lexicon or default_lexicon()
+def default_noise_profile(lexicon: Lexicon) -> NoiseProfile:
+    """A false rejection every 1.2 utterances, a false acceptance every 1.3,
+    inserting words of `lexicon`."""
     return NoiseProfile(
         false_rejection_rate=1 / 1.2,
         false_acceptance_rate=1 / 1.3,

@@ -117,26 +117,11 @@ def default_affordance_parents() -> dict[str, tuple[str, ...]]:
     }
 
 
-def _toposort(names: Sequence[str], parents: Mapping[str, Sequence[str]]) -> list[str]:
-    """Kahn's algorithm with stable (declaration-order) tie-breaks."""
-    remaining = {n: set(parents.get(n, ())) for n in names}
-    order: list[str] = []
-    while remaining:
-        ready = [n for n in names if n in remaining and not remaining[n]]
-        if not ready:
-            cycle = ", ".join(sorted(remaining))
-            raise ValueError(f"cycle detected among variables: {cycle}")
-        for n in ready:
-            order.append(n)
-            del remaining[n]
-        for deps in remaining.values():
-            deps.difference_update(ready)
-    return order
-
-
 class Network:
     """A DAG of discrete variables with one CPT per variable.
 
+    Every parent is declared before its child, so declaration order is a
+    topological order; the rule also excludes cycles and self-loops.
     CPTs are arrays of shape ``(n_parent_configs, cardinality)``; rows are
     indexed row-major over the parent list (first parent varies slowest).
     """
@@ -164,10 +149,15 @@ class Network:
                     raise ValueError(f"unknown variable name {p!r} in parents of {v.name!r}")
                 if self._by_name[p].kind == "word":
                     raise ValueError(f"variable {v.name!r} cannot have word parent {p!r}")
+                # self.parents holds the variables declared so far
+                if p not in self.parents:
+                    raise ValueError(
+                        f"parent {p!r} of {v.name!r} is not declared before it: "
+                        "variables are declared parents first, which rules out a cycle"
+                    )
             if len(set(ps)) != len(ps):
                 raise ValueError(f"duplicate parent in parents of {v.name!r}")
             self.parents[v.name] = ps
-        self._topo = _toposort([v.name for v in self.variables], self.parents)
         self.pseudocount = float(pseudocount)
         # the names of the word variables, for membership tests
         self.word_set = frozenset(v.name for v in self.variables if v.kind == "word")
@@ -192,28 +182,19 @@ class Network:
         except KeyError:
             raise ValueError(f"unknown variable name {name!r}") from None
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._by_name
-
     def names(self) -> tuple[str, ...]:
         return tuple(v.name for v in self.variables)
-
-    def topological_order(self) -> list[str]:
-        return list(self._topo)
 
     def n_parent_configs(self, name: str) -> int:
         return math.prod(self._by_name[p].cardinality for p in self.parents[name])
 
-    def parent_config_index(self, name: str, assignment: Assignment) -> int:
-        """Row index of `name`'s CPT under the given (parent-covering) assignment."""
+    def cpt_row(self, name: str, assignment: Assignment) -> np.ndarray:
+        """Row of `name`'s CPT under the given (parent-covering) assignment."""
         idx = 0
         for p in self.parents[name]:
             pv = self._by_name[p]
             idx = idx * pv.cardinality + pv.index_of(assignment[p])
-        return idx
-
-    def cpt_row(self, name: str, assignment: Assignment) -> np.ndarray:
-        return self.cpts[name][self.parent_config_index(name, assignment)]
+        return self.cpts[name][idx]
 
     def word_names(self) -> tuple[str, ...]:
         return tuple(v.name for v in self.variables if v.kind == "word")
@@ -401,18 +382,29 @@ def _json_variable(spec) -> Variable:
     return Variable(name, _json_strings(spec["values"], f"values of {name!r}"), spec["kind"])
 
 
+def _json_number(value) -> bool:
+    """Whether a parsed JSON value is a number; true and false are not."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _json_table(value, name: str) -> np.ndarray:
+    if not (isinstance(value, list) and all(isinstance(row, list) for row in value)):
+        raise ValueError(f"model file: CPT for {name!r} must be a list of rows")
+    bad = [x for row in value for x in row if not _json_number(x)]
+    if bad:
+        raise ValueError(f"model file: CPT for {name!r} has entry {bad[0]!r}, not a number")
     try:
         return np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
+    except (OverflowError, ValueError):
         raise ValueError(f"model file: CPT for {name!r} is not a table of numbers") from None
 
 
 def network_from_json(text: str) -> Network:
     """Network from a model file's text. Raises ValueError for a missing,
-    repeated or undefined key, a field of the wrong JSON type, a pseudocount
-    that is not a finite number >= 0, or a CPT row with non-finite or
-    negative entries or a sum more than 1e-9 away from 1."""
+    repeated or undefined key, a field of the wrong JSON type (a CPT entry
+    that is not a number among them), a variable listed before one of its
+    parents, a pseudocount that is not a finite number >= 0, or a CPT row
+    with non-finite or negative entries or a sum more than 1e-9 away from 1."""
     obj = json.loads(text, object_pairs_hook=_unique_keys)
     obj = _json_object(obj, "the top level", ("variables", "parents", "cpts", "pseudocount"))
     try:
@@ -430,8 +422,7 @@ def network_from_json(text: str) -> Network:
         pseudocount = obj["pseudocount"]
     except KeyError as exc:
         raise ValueError(f"model file is missing key {exc}") from None
-    is_number = isinstance(pseudocount, (int, float)) and not isinstance(pseudocount, bool)
-    if not (is_number and 0 <= pseudocount <= sys.float_info.max):
+    if not (_json_number(pseudocount) and 0 <= pseudocount <= sys.float_info.max):
         raise ValueError(
             f"model file: pseudocount must be a finite number >= 0, got {pseudocount!r}"
         )

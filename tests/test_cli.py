@@ -392,6 +392,44 @@ def test_instruct_rejects_malformed_model_file(trained, workdir, capsys):
         assert captured.out == ""
 
 
+@pytest.mark.parametrize("row", [["0.25", "0.75"], [True, False], [0.25, "0.75"]])
+def test_instruct_rejects_model_with_cpt_entry_that_is_not_a_number(
+    trained, workdir, capsys, row
+):
+    root, _, model_path, scene_path = trained
+    model = json.loads(model_path.read_text(encoding="utf-8"))
+    model["cpts"]["Shape"] = [row]
+    bad = workdir / "bad.json"
+    bad.write_text(json.dumps(model), encoding="utf-8")
+    code = run(
+        "instruct", "--model", str(bad), "--scene", str(scene_path),
+        "--words", "tap the ball",
+    )
+    captured = capsys.readouterr()
+    assert code == 2, captured.err
+    assert captured.err.startswith("error: model file: CPT for 'Shape'")
+    assert "not a number" in captured.err
+    assert captured.out == ""
+
+
+def test_instruct_rejects_model_with_child_declared_before_parent(trained, workdir, capsys):
+    root, _, model_path, scene_path = trained
+    model = json.loads(model_path.read_text(encoding="utf-8"))
+    objvel = next(v for v in model["variables"] if v["name"] == "ObjVel")
+    model["variables"].remove(objvel)
+    model["variables"].insert(0, objvel)
+    bad = workdir / "bad.json"
+    bad.write_text(json.dumps(model), encoding="utf-8")
+    code = run(
+        "instruct", "--model", str(bad), "--scene", str(scene_path),
+        "--words", "tap the ball",
+    )
+    captured = capsys.readouterr()
+    assert code == 2, captured.err
+    assert "'Action' of 'ObjVel'" in captured.err
+    assert captured.out == ""
+
+
 def test_rescore_and_repl_reject_model_without_action(trained, workdir, capsys, monkeypatch):
     import io
 

@@ -67,6 +67,40 @@ def test_fit_cpts_rejects_cycle():
         fit_cpts(variables, {"A": ["B"], "B": ["A"]}, encode_columns(variables, []), ones([]))
 
 
+@pytest.mark.parametrize(
+    "names, parents, message",
+    [
+        ("A", {"A": ["A"]}, "parent 'A' of 'A'"),
+        ("ABC", {"A": ["C"], "B": ["A"], "C": ["B"]}, "parent 'C' of 'A'"),
+        # acyclic, but the child is declared first
+        ("BA", {"B": ["A"]}, "parent 'A' of 'B'"),
+    ],
+)
+def test_fit_cpts_rejects_parent_declared_after_child(names, parents, message):
+    variables = [binary(n) for n in names]
+    with pytest.raises(ValueError, match=f"{message} is not declared before it"):
+        fit_cpts(variables, parents, encode_columns(variables, []), ones([]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n_nodes=st.integers(1, 5))
+def test_network_accepts_exactly_parents_declared_first(data, n_nodes):
+    # any parent sets, self-loops and cycles included, in any declaration order
+    names = [f"V{i}" for i in range(n_nodes)]
+    parents = {
+        n: data.draw(st.lists(st.sampled_from(names), unique=True, max_size=3))
+        for n in names
+    }
+    order = data.draw(st.permutations(names))
+    cpts = {n: np.full((2 ** len(ps), 2), 0.5) for n, ps in parents.items()}
+    ok = all(order.index(p) < order.index(n) for n in names for p in parents[n])
+    if ok:
+        assert Network([binary(n) for n in order], parents, cpts).names() == tuple(order)
+    else:
+        with pytest.raises(ValueError, match="is not declared before it"):
+            Network([binary(n) for n in order], parents, cpts)
+
+
 def test_fit_cpts_rejects_word_parent_of_word():
     variables = [word_variable("w1"), word_variable("w2")]
     with pytest.raises(ValueError, match="word"):
@@ -589,6 +623,11 @@ TWICE = "<the entry, twice>"
         (("cpts", "Action"), TWICE, "duplicate key 'Action'"),
         (("variables", 0, "kind"), TWICE, "duplicate key 'kind'"),
         (("variables", 0, "nmae"), "Actoin", "variables has unknown key 'nmae'"),
+        (("cpts", "Action"), [[1.0, False, 0.0]], "entry False, not a number"),
+        (("cpts", "Action"), [[1.0, 0, None]], "entry None, not a number"),
+        (("cpts", "Action"), [1.0, 0.0, 0.0], "CPT for 'Action' must be a list of rows"),
+        # a JSON integer too large for a float
+        (("cpts", "Action"), [[10**400, 0, 0]], "CPT for 'Action' is not a table of numbers"),
     ],
 )
 def test_model_file_rejects_malformed_fields(path, value, message):

@@ -12,15 +12,13 @@ tapped, grasps may fail, and color never influences anything.
 
 from __future__ import annotations
 
-import functools
-import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .grounding import BagOfWords, Experience, bag_of_words
-from .network import Network, _unique_keys, affordance_variables
+from .network import Network, _json_loads, affordance_variables
 
 
 # -- ground-truth world ------------------------------------------------------
@@ -223,12 +221,11 @@ def default_lexicon() -> Lexicon:
 def load_lexicon(path) -> Lexicon:
     """Lexicon from a JSON file. Raises ValueError unless the file is an
     object with exactly the keys `concepts`, which maps to lists of strings,
-    and `filler_words`, which maps to numeric rates, and no object in it
-    gives a key twice."""
+    and `filler_words`, which maps to numeric rates, no object in it gives
+    a key twice and it is not nested too deeply to parse."""
     keys = ("concepts", "filler_words")
-    unique_keys = functools.partial(_unique_keys, kind="lexicon file")
     with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh, object_pairs_hook=unique_keys)
+        obj = _json_loads(fh.read(), "lexicon file")
     sections = []
     for key in keys:
         section = obj.get(key) if isinstance(obj, dict) else None

@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .network import _FILE_FIELDS
+from .network import _FILE_FIELDS, affordance_variables
 
 BagOfWords = frozenset[str]
 
@@ -58,6 +58,8 @@ _READABLE_LINE = re.compile(
     r"\|".join(",".join([_VALUE] * len(group)) for group in _FILE_FIELDS)
     + rf"\|(?:{_WORD}(?: {_WORD})*)?"
 )
+# The values a field may take.
+_VALUES = {v.name: v.values for v in affordance_variables()}
 
 
 def format_experience(experience: Experience) -> str:
@@ -71,11 +73,12 @@ def format_experience(experience: Experience) -> str:
     # The token count catches words that are empty or contain a space.
     text = parts[-1]
     readable = _READABLE_LINE.fullmatch(line) and len(text.split()) == len(words)
-    if not readable or text != text.lower():
+    known = all(state[name] in values for name, values in _VALUES.items())
+    if not (readable and known) or text != text.lower():
         raise ValueError(
-            f"cannot write record {line!r}: values and words must be nonempty, "
-            "without '|', ',' or whitespace, and words lowercase without "
-            f"trailing {_TERMINAL_PUNCTUATION!r}"
+            f"cannot write record {line!r}: values must be their variables' values, "
+            "and words nonempty, without '|', ',' or whitespace, lowercase and "
+            f"without trailing {_TERMINAL_PUNCTUATION!r}"
         )
     return line
 
@@ -93,6 +96,11 @@ def parse_experience(line: str, lineno: int | None = None) -> Experience:
                 f"malformed experience record{where}: "
                 f"expected {len(group)} values in {field!r}"
             )
+        for name, value in zip(group, values):
+            if value not in _VALUES[name]:
+                raise ValueError(
+                    f"malformed experience record{where}: {value!r} is not a {name} value"
+                )
         state.update(zip(group, values))
     return Experience(state=state, description=bag_of_words(fields[3].split()))
 
@@ -112,10 +120,3 @@ def _nonblank_lines(path) -> list[tuple[int, str]]:
 
 def load_corpus(path) -> list[Experience]:
     return [parse_experience(line, lineno) for lineno, line in _nonblank_lines(path)]
-
-
-def corpus_vocabulary(experiences: Iterable[Experience]) -> list[str]:
-    words: set[str] = set()
-    for exp in experiences:
-        words.update(exp.description)
-    return sorted(words)

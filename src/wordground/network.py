@@ -350,7 +350,7 @@ def network_to_json(network: Network) -> str:
     return "\n".join(out) + "\n}\n"
 
 
-def _unique_keys(pairs: list[tuple[str, object]], kind: str = "model file") -> dict:
+def _unique_keys(pairs: list[tuple[str, object]], kind: str) -> dict:
     """A JSON object's pairs as a dict, refusing a key given twice rather
     than keeping the last; the error names the `kind` of file read."""
     obj = dict(pairs)
@@ -358,6 +358,16 @@ def _unique_keys(pairs: list[tuple[str, object]], kind: str = "model file") -> d
         key = next(k for k, n in Counter(k for k, _ in pairs).items() if n > 1)
         raise ValueError(f"{kind}: duplicate key {key!r}")
     return obj
+
+
+def _json_loads(text: str, kind: str):
+    """The value of a JSON file's text. Raises ValueError, naming the `kind`
+    of file, for a key given twice in an object (`_unique_keys`) or nesting
+    deeper than the parser can recurse."""
+    try:
+        return json.loads(text, object_pairs_hook=functools.partial(_unique_keys, kind=kind))
+    except RecursionError:
+        raise ValueError(f"{kind} is nested too deeply") from None
 
 
 def _json_object(value, what: str, keys=None) -> dict:
@@ -403,9 +413,10 @@ def network_from_json(text: str) -> Network:
     """Network from a model file's text. Raises ValueError for a missing,
     repeated or undefined key, a field of the wrong JSON type (a CPT entry
     that is not a number among them), a variable listed before one of its
-    parents, a pseudocount that is not a finite number >= 0, or a CPT row
-    with non-finite or negative entries or a sum more than 1e-9 away from 1."""
-    obj = json.loads(text, object_pairs_hook=_unique_keys)
+    parents, a pseudocount that is not a finite number >= 0, a CPT row
+    with non-finite or negative entries or a sum more than 1e-9 away from 1,
+    or nesting too deep to parse."""
+    obj = _json_loads(text, "model file")
     obj = _json_object(obj, "the top level", ("variables", "parents", "cpts", "pseudocount"))
     try:
         if not isinstance(obj["variables"], list):

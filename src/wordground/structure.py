@@ -14,13 +14,16 @@ Every count is a sum over the distinct states of the training records,
 each weighted by its number of records: the family score and the CPT fit
 depend on the records only through these counts (Cooper & Herskovits 1992),
 so the counts are the sufficient statistics, cached per corpus (Moore &
-Lee 1998). The records are encoded once (`EncodedCorpus`): the value-index
-columns of each distinct state (`encode_columns`), its number of records,
-and a states x words matrix of how many of its descriptions hold each word,
-the one word-presence encoding, which the search and the word CPT fit
-share. A learning curve encodes its corpus once and re-weights the same
-states for each index subset. What does not depend on the weights is kept
-with the encoding and shared by its subsets: each word's variable, and the
+Lee 1998). The records are encoded once (`EncodedCorpus`), through the one
+record encoder, `encode_columns`: its value-index columns give each record
+a configuration index, and the distinct indices, in ascending order, are
+the states. Each state keeps its columns, its number of records and a row
+of the states x words matrix of how many of its descriptions hold each
+word, the one word-presence encoding, which the search and the word CPT fit
+share. A corpus and its index subsets come from one constructor, which
+weighs the same states by the records it is given, so a learning curve
+encodes its corpus once. What does not depend on the weights is kept with
+the encoding and shared by its subsets: each word's variable, and the
 configuration index of every parent set over the states, memoised by parent
 names (`_configs`), so the models of a curve compute each index once. The
 word layer holds exactly the corpus's own words, in sorted order.
@@ -49,13 +52,11 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .grounding import corpus_vocabulary
 from .network import (
     Assignment,
     Network,
@@ -126,17 +127,6 @@ def _configs(
     return np.array(rows, dtype=np.int64).reshape(len(rows), n_states)
 
 
-def _value_entries(
-    codes: np.ndarray, weights: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Count entries of targets given as value indices, `codes` of shape
-    (states, targets): the state, target, value minus one and multiplicity
-    of every nonzero value, each counting as its state's weight."""
-    flat = np.flatnonzero(codes)
-    state, tgt = np.divmod(flat, codes.shape[1])
-    return state, tgt, codes.ravel()[flat] - 1, weights[state]
-
-
 def _count_families(
     entries: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
     weights: np.ndarray,
@@ -152,7 +142,7 @@ def _count_families(
     `configs` has shape (states, groups, codings), entries below `width`;
     `weights` gives each state's number of records, `group` each target's
     group and `entries` the (state, target, value - 1, multiplicity) of the
-    targets' nonzero values, as `_value_entries` returns them. One weighted
+    targets' nonzero values, as `_entries` returns them. One weighted
     `bincount` gives the row totals and one the counts of values 1..r-1;
     value 0 is the rest of the row total. The sums are of integers, so they
     are exact. Returns the counts, shape (targets, codings, width, r), and
@@ -316,13 +306,15 @@ class EncodedCorpus:
     """Experiences encoded once for training, as the sufficient statistics
     of every family count.
 
-    `columns` holds each affordance variable's value index per distinct
-    state, `weights` the number of records in each state, `words` the
-    sorted words that occur in the descriptions and `word_counts` the
-    states x words matrix of how many of a state's descriptions hold each
-    word. `train_model` takes it in place of the experiences,
-    `learn_word_layer` takes only it, and `subset` selects records without
-    re-encoding them.
+    `encode` encodes the records with `encode_columns`; their distinct
+    configuration indices, in ascending order, are the states. `columns`
+    holds each affordance variable's value index per state, `weights` the
+    number of records in each state, `words` the sorted words that occur in
+    the descriptions and `word_counts` the states x words matrix of how
+    many of a state's descriptions hold each word. `train_model` takes it
+    in place of the experiences, `learn_word_layer` takes only it, and
+    `subset` selects records without re-encoding them; a corpus is the
+    subset of all its records.
     """
 
     columns: Mapping[str, np.ndarray]
@@ -339,79 +331,58 @@ class EncodedCorpus:
     ) -> "EncodedCorpus":
         if not experiences:
             raise ValueError("corpus has no records")
-        # number each distinct state by its first record, then renumber the
-        # states in ascending order of their configuration index
-        names = [v.name for v in variables]
-        key = (
-            operator.itemgetter(*names)
-            if len(names) > 1
-            else lambda state: tuple(state[n] for n in names)
-        )
-        lookups = [{val: i for i, val in enumerate(v.values)} for v in variables]
-        number: dict[tuple[str, ...], int] = {}
-        try:
-            first = [number.setdefault(key(exp.state), len(number)) for exp in experiences]
-            codes = np.array(
-                [[lookup[val] for lookup, val in zip(lookups, values)] for values in number],
-                dtype=np.int64,
-            ).reshape(len(number), len(variables))
-        except KeyError:
-            # the column encoder names the first record at fault
-            encode_columns(variables, [exp.state for exp in experiences])
-            raise
-        columns = {v.name: codes[:, j] for j, v in enumerate(variables)}
-        order = np.argsort(_config_index(variables, columns, len(number)))
-        rank = np.empty_like(order)
-        rank[order] = np.arange(len(order))
-        states = rank[first]
-        words = tuple(corpus_vocabulary(experiences))
+        records = encode_columns(variables, [exp.state for exp in experiences])
+        # the distinct states in ascending order of their configuration
+        # index, the first record of each and the state of every record
+        configs = _config_index(variables, records, len(experiences))
+        _, first, states = np.unique(configs, return_index=True, return_inverse=True)
         heard = list(itertools.chain.from_iterable(exp.description for exp in experiences))
+        words = sorted(set(heard))
         index = {w: j for j, w in enumerate(words)}
         entry_rows = np.repeat(
             np.arange(len(experiences)), [len(exp.description) for exp in experiences]
         )
         entry_words = np.fromiter(map(index.__getitem__, heard), np.int64, len(heard))
         cells = states[entry_rows] * len(words) + entry_words
-        return cls(
-            {name: col[order] for name, col in columns.items()},
-            np.bincount(states),
-            words,
-            np.bincount(cells, minlength=len(order) * len(words)).reshape(len(order), len(words)),
-            _Encoding(states, entry_rows, cells, {w: word_variable(w) for w in words}),
-            np.arange(len(experiences)),
-        )
+        enc = _Encoding(states, entry_rows, cells, {w: word_variable(w) for w in words})
+        columns = {name: col[first] for name, col in records.items()}
+        return cls._of_records(columns, len(first), enc, np.arange(len(experiences)))
 
-    def subset(self, indices: np.ndarray) -> "EncodedCorpus":
-        """The records at `indices`, re-weighted over the same states (a
-        state none of them is in keeps weight 0); the words are those that
-        occur in them."""
-        rows = self._rows[indices]
-        enc = self._encoding
-        n_states, n_words = len(self.weights), len(enc.word_variables)
+    @classmethod
+    def _of_records(
+        cls, columns: Mapping[str, np.ndarray], n_states: int, enc: _Encoding, rows: np.ndarray
+    ) -> "EncodedCorpus":
+        """The corpus of the encoded records `rows`, weighted over all
+        `n_states` states (a state none of them is in has weight 0), with
+        the words that occur in them; `encode` gives it all the records."""
+        n_words = len(enc.word_variables)
         picked = np.bincount(rows, minlength=len(enc.states))
         word_counts = np.bincount(
             enc.cells, weights=picked[enc.entry_rows], minlength=n_states * n_words
         ).astype(np.int64).reshape(n_states, n_words)
         seen = word_counts.any(axis=0)
-        return EncodedCorpus(
-            self.columns,
-            np.bincount(enc.states[rows], minlength=n_states),
-            tuple(w for w, s in zip(enc.word_variables, seen.tolist()) if s),
-            word_counts[:, seen],
-            enc,
-            rows,
-        )
+        weights = np.bincount(enc.states[rows], minlength=n_states)
+        words = tuple(w for w, s in zip(enc.word_variables, seen.tolist()) if s)
+        return cls(columns, weights, words, word_counts[:, seen], enc, rows)
+
+    def subset(self, indices: np.ndarray) -> "EncodedCorpus":
+        """The records at `indices`, re-weighted over the same states."""
+        rows = self._rows[indices]
+        return self._of_records(self.columns, len(self.weights), self._encoding, rows)
 
 
-def _word_entries(
-    word_counts: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Count entries of word targets from a states x words count matrix:
-    the state, word, value minus one (present is 1) and number of
-    descriptions of every word that some description of a state holds."""
-    flat = np.flatnonzero(word_counts)
-    state, tgt = np.divmod(flat, word_counts.shape[1])
-    return state, tgt, np.zeros_like(state), word_counts.ravel()[flat]
+def _entries(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Count entries of targets from a (states, targets, r - 1) array of
+    how many records of each state give each target each value 1..r-1:
+    the state, target, value minus one and count of every nonzero count.
+    Words pass their states x words counts, an affordance variable its
+    one-hot values times the states' weights. Floor division splits the
+    flat indices (`np.nonzero` and `np.divmod` take about twice as long)."""
+    flat = np.flatnonzero(counts)
+    n_targets, n_values = counts.shape[1:]
+    cell = flat // n_values  # state * n_targets + target
+    state = cell // n_targets
+    return state, cell - state * n_targets, flat - cell * n_values, counts.take(flat)
 
 
 def _k2_search(
@@ -429,12 +400,12 @@ def _k2_search(
 
     `columns` and `weights` hold the states and their numbers of records,
     `memo` the configuration indices of `columns` (`_configs`), `entries`
-    the targets' values in the states (`_value_entries`, `_word_entries`)
-    and `candidates` the parents to draw from in tie-break order. Each step
-    adds, per target, the first candidate with the highest score if that
-    score is strictly above the current one, up to `max_parents`. Returns
-    per target its parents, in candidate order, and its score after each
-    step, starting with no parents.
+    the targets' values in the states (`_entries`) and `candidates` the
+    parents to draw from in tie-break order. Each step adds, per target,
+    the first candidate with the highest score if that score is strictly
+    above the current one, up to `max_parents`. Returns per target its
+    parents, in candidate order, and its score after each step, starting
+    with no parents.
     """
     if max_parents < 0:
         raise ValueError(f"max_parents must be >= 0, got {max_parents}")
@@ -496,7 +467,7 @@ def _best_single_parents(corpus: EncodedCorpus, candidates: Sequence[Variable]) 
     one_group = np.zeros(len(corpus.words), dtype=np.int64)
     width = max(c.cardinality for c in candidates)
     counts, totals = _count_families(
-        _word_entries(corpus.word_counts), corpus.weights, 2, singles, one_group, width
+        _entries(corpus.word_counts[:, :, None]), corpus.weights, 2, singles, one_group, width
     )
     scores = _observed_scores(counts, totals, _score_terms(K2_ALPHA, 2, int(corpus.weights.sum())))
     return [candidates[i].name for i in np.argmax(scores, axis=1).tolist()]
@@ -529,7 +500,8 @@ def _node_parents(
     max_parents: int,
 ) -> tuple[str, ...]:
     """`_k2_search` for one node whose values are in `columns`."""
-    entries = _value_entries(columns[target.name][:, None], weights)
+    one_hot = columns[target.name][:, None, None] == np.arange(1, target.cardinality)
+    entries = _entries(one_hot * weights[:, None, None])
     [(parents, _)] = _k2_search(
         entries, 1, target.cardinality, list(candidates), columns, weights, memo, max_parents
     )
@@ -553,7 +525,7 @@ def learn_word_layer(
     candidates = [affordance_network.variable(n) for n in affordance_network.affordance_names()]
     searched = np.flatnonzero(corpus.word_counts.sum(axis=0) >= MIN_WORD_OCCURRENCES)
     found = _k2_search(
-        _word_entries(corpus.word_counts[:, searched]),
+        _entries(corpus.word_counts[:, searched, None]),
         len(searched),
         2,
         candidates,
@@ -583,7 +555,7 @@ def _attach_words(
     enc = corpus._encoding
     configs = _configs(parent_sets, corpus.columns, len(corpus.weights), enc.configs)
     counts, _ = _count_families(
-        _word_entries(corpus.word_counts),
+        _entries(corpus.word_counts[:, :, None]),
         corpus.weights,
         2,
         configs.T[:, :, None],

@@ -77,6 +77,30 @@ def test_train_rejects_malformed_corpus(workdir, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
+def test_train_and_eval_reject_corpus_value_outside_the_domain(workdir, capsys):
+    # the error names the file's line, not the record's index among the
+    # nonblank lines, and nothing is written
+    bad = workdir / "bad.txt"
+    bad.write_text(
+        "tap|yellow,small,box|slow,slow,slow,short|tap the box\n"
+        "\n"
+        "grasp|purple,small,box|slow,slow,slow,short|grasp the box\n",
+        encoding="utf-8",
+    )
+    out = workdir / "out"
+    for argv in (
+        ["train", "--corpus", str(bad), "--model", str(out)],
+        ["eval", "--corpus", str(bad), "--out", str(out), "--seed", "3"],
+    ):
+        code = run(*argv)
+        captured = capsys.readouterr()
+        assert code == 2, captured.err
+        assert captured.err == (
+            "error: malformed experience record at line 3: 'purple' is not a Color value\n"
+        )
+        assert not out.exists()
+
+
 def test_train_rejects_empty_corpus(workdir, capsys):
     empty = workdir / "empty.txt"
     empty.write_text("", encoding="utf-8")
@@ -476,6 +500,28 @@ def test_generate_rejects_malformed_lexicon(workdir, capsys):
         )
         assert code == 2
         assert "lexicon" in capsys.readouterr().err
+
+
+def test_model_and_lexicon_nested_too_deeply_are_input_errors(trained, workdir, capsys):
+    # deeper than the JSON parser can recurse
+    root, _, _, scene_path = trained
+    deep = workdir / "deep.json"
+    deep.write_text("[" * 100_000, encoding="utf-8")
+    for argv, kind in (
+        (
+            ["instruct", "--model", str(deep), "--scene", str(scene_path), "--words", "tap"],
+            "model file",
+        ),
+        (
+            ["generate", "--out", str(workdir / "data"), "--seed", "0", "--lexicon", str(deep)],
+            "lexicon file",
+        ),
+    ):
+        code = run(*argv)
+        captured = capsys.readouterr()
+        assert code == 2, captured.err
+        assert captured.err == f"error: {kind} is nested too deeply\n"
+        assert captured.out == ""
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from wordground.grounding import (
     Experience,
     bag_of_words,
-    corpus_vocabulary,
     format_experience,
     load_corpus,
     parse_experience,
@@ -18,6 +17,7 @@ from wordground.network import (
     Network,
     StateTable,
     Variable,
+    affordance_variables,
     word_variable,
 )
 from wordground.structure import encode_columns, fit_cpts
@@ -226,26 +226,24 @@ def test_parse_experience_reports_line_numbers():
         parse_experience("only|two|fields", lineno=3)
     with pytest.raises(ValueError, match="expected 3 values"):
         parse_experience("grasp|yellow,medium|slow,slow,slow,short|w")
-
-
-def test_corpus_vocabulary_sorted_union():
-    exps = [
-        Experience(state=dict(FULL_STATE), description=frozenset({"b", "a"})),
-        Experience(state=dict(FULL_STATE), description=frozenset({"c", "a"})),
-    ]
-    assert corpus_vocabulary(exps) == ["a", "b", "c"]
+    with pytest.raises(ValueError, match="line 4: 'purple' is not a Color value"):
+        parse_experience("grasp|purple,small,box|slow,slow,slow,short|w", lineno=4)
 
 
 STATE_NAMES = tuple(FULL_STATE)
 # Text with and without the characters the corpus format reserves.
 ANY_TEXT = st.text(alphabet="abZé.!|, \t\n", max_size=4)
-SAFE_TEXT = st.text(alphabet="abZé.!", min_size=1, max_size=4)
+# A state of the default domain, and a value of any of its variables.
+DOMAIN_STATE = st.fixed_dictionaries(
+    {v.name: st.sampled_from(v.values) for v in affordance_variables()}
+)
+ANY_VALUE = st.sampled_from([x for v in affordance_variables() for x in v.values])
 
 
 @given(
-    st.fixed_dictionaries({name: SAFE_TEXT for name in STATE_NAMES}),
+    DOMAIN_STATE,
     st.frozensets(ANY_TEXT, max_size=3),
-    st.none() | st.tuples(st.sampled_from(STATE_NAMES), ANY_TEXT),
+    st.none() | st.tuples(st.sampled_from(STATE_NAMES), ANY_TEXT | ANY_VALUE),
 )
 def test_corpus_writer_refuses_what_the_reader_cannot_read_back(
     tmp_path_factory, state, words, replaced
@@ -270,7 +268,7 @@ def test_format_experience_refuses_unreadable_words(word):
         format_experience(exp)
 
 
-@pytest.mark.parametrize("value", ["a|b", "a,b", "a b", ""])
+@pytest.mark.parametrize("value", ["a|b", "a,b", "a b", "", "purple"])
 def test_format_experience_refuses_unreadable_state_values(value):
     exp = Experience(state={**FULL_STATE, "Color": value}, description=frozenset({"the"}))
     with pytest.raises(ValueError, match="cannot write"):

@@ -1,6 +1,7 @@
 import gc
 import math
 import weakref
+from collections import Counter
 from itertools import permutations
 from pathlib import Path
 
@@ -29,11 +30,10 @@ from wordground.structure import (
     EncodedCorpus,
     _config_index,
     _count_families,
+    _entries,
     _k2_search,
     _observed_scores,
     _score_terms,
-    _value_entries,
-    _word_entries,
     encode_columns,
     fit_cpts,
     k2_select_parents,
@@ -66,8 +66,9 @@ def family_score(variable, parent_set, records):
     equals the search's score of that family bit for bit."""
     columns = encode_columns([variable] + list(parent_set), records)
     weights = ones(records)
+    one_hot = columns[variable.name][:, None, None] == np.arange(1, variable.cardinality)
     counts, totals = _count_families(
-        _value_entries(columns[variable.name][:, None], weights),
+        _entries(one_hot * weights[:, None, None]),
         weights,
         variable.cardinality,
         _config_index(parent_set, columns, len(records))[:, None, None],
@@ -149,7 +150,7 @@ def test_k2_score_trace_strictly_increasing():
     w = word_variable("w")
     columns = encode_columns([w] + list(VARIABLES), dataset)
     weights = ones(dataset)
-    entries = _value_entries(columns["w"][:, None], weights)
+    entries = _entries((columns["w"] * weights)[:, None, None])
     [(_, trace)] = _k2_search(entries, 1, 2, list(VARIABLES), columns, weights, {})
     assert all(b > a for a, b in zip(trace, trace[1:]))
 
@@ -267,7 +268,7 @@ def test_k2_trace_is_the_family_score_of_the_parents_so_far(clean_corpus, alpha)
     corpus = EncodedCorpus.encode(clean_corpus[:400])
     targets = [j for j, w in enumerate(corpus.words) if j % 3 == 0]
     found = _k2_search(
-        _word_entries(corpus.word_counts[:, targets]),
+        _entries(corpus.word_counts[:, targets, None]),
         len(targets),
         2,
         list(VARIABLES),
@@ -448,7 +449,7 @@ def _word_layer_parents(net, corpus, max_parents):
     checking that `net`, its word layer learnt with `max_parents`, holds
     them for the words heard often enough to be searched."""
     found = _k2_search(
-        _word_entries(corpus.word_counts),
+        _entries(corpus.word_counts[:, :, None]),
         len(corpus.words),
         2,
         [net.variable(n) for n in net.affordance_names()],
@@ -496,15 +497,40 @@ def _state_statistics(corpus):
     return stats
 
 
-def test_encode_numbers_states_in_configuration_order():
-    # one state per distinct value tuple, numbered in ascending order of
-    # its configuration index, whatever the order of the records
-    rng = np.random.default_rng(8)
-    experiences = _repeated_corpus(rng, 10, 3)
-    corpus = EncodedCorpus.encode(experiences, _ORACLE_VARIABLES)
-    codes = _config_index(_ORACLE_VARIABLES, corpus.columns, len(corpus.weights))
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_variables=st.integers(1, 3),
+    n_states=st.integers(1, 10),
+    n_words=st.integers(0, 4),
+)
+def test_encode_numbers_states_in_configuration_order(seed, n_variables, n_states, n_words):
+    # one state per distinct value tuple over the encoded variables (the
+    # records also bind the others), numbered in ascending order of its
+    # configuration index whatever the order of the records, weighted by
+    # its records and counting the words of their descriptions
+    variables = _ORACLE_VARIABLES[:n_variables]
+    experiences = _repeated_corpus(np.random.default_rng(seed), n_states, n_words)
+    corpus = EncodedCorpus.encode(experiences, variables)
+    codes = _config_index(variables, corpus.columns, len(corpus.weights))
     assert np.all(np.diff(codes) > 0)
-    assert len(codes) == len({tuple(e.state.values()) for e in experiences})
+    states = [
+        tuple(v.values[corpus.columns[v.name][s]] for v in variables)
+        for s in range(len(corpus.weights))
+    ]
+    key = [tuple(e.state[v.name] for v in variables) for e in experiences]
+    assert len(states) == len(set(key))
+    assert dict(zip(states, corpus.weights.tolist())) == Counter(key)
+    assert list(corpus.words) == sorted({w for e in experiences for w in e.description})
+    heard = Counter((k, w) for k, e in zip(key, experiences) for w in e.description)
+    assert corpus.word_counts.dtype == corpus.weights.dtype == np.int64
+    assert corpus.word_counts.shape == (len(states), len(corpus.words))
+    assert {
+        (s, w): c
+        for s, row in zip(states, corpus.word_counts.tolist())
+        for w, c in zip(corpus.words, row)
+        if c
+    } == heard
 
 
 @pytest.mark.parametrize(
@@ -639,9 +665,10 @@ def test_structure_owns_the_learning_kernel():
     import wordground.structure
 
     kernel = (
-        "encode_columns", "_encode_column", "_configs", "_value_entries", "_count_families",
-        "_cpt", "_group_by", "_fit_families", "fit_cpts", "K2_ALPHA", "_score_terms",
-        "_observed_scores", "_record_weights", "family_counts", "family_log_score",
+        "encode_columns", "_encode_column", "_configs", "_value_entries", "_entries",
+        "_count_families", "_cpt", "_group_by", "_fit_families", "fit_cpts", "K2_ALPHA",
+        "_score_terms", "_observed_scores", "_record_weights", "family_counts",
+        "family_log_score",
     )
     assert not [name for name in kernel if hasattr(wordground.network, name)]
     tree = ast.parse(Path(wordground.structure.__file__).read_text(encoding="utf-8"))

@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .grounding import _nonblank_lines, bag_of_words
+from .grounding import _VALUES, _nonblank_lines, bag_of_words
 from .network import _FILE_FIELDS, PRESENT, Network, StateTable, marginal
 
 logger = logging.getLogger(__name__)
@@ -246,11 +246,22 @@ def parse_scene_line(line: str, lineno: int | None = None) -> SceneObject:
         raise ValueError(
             f"malformed scene record{where}: expected {len(_SCENE_FIELDS)} feature values"
         )
+    for name, value in zip(_SCENE_FIELDS, values):
+        if value not in _VALUES[name]:
+            raise ValueError(f"malformed scene record{where}: {value!r} is not a {name} value")
     return SceneObject(id=parts[0], features=dict(zip(_SCENE_FIELDS, values)))
 
 
 def load_scene(path) -> list[SceneObject]:
-    return [parse_scene_line(line, lineno) for lineno, line in _nonblank_lines(path)]
+    scene: list[SceneObject] = []
+    for lineno, line in _nonblank_lines(path):
+        obj = parse_scene_line(line, lineno)
+        if any(seen.id == obj.id for seen in scene):
+            raise ValueError(
+                f"malformed scene record at line {lineno}: duplicate object id {obj.id!r}"
+            )
+        scene.append(obj)
+    return scene
 
 
 def parse_nbest_line(line: str, lineno: int | None = None) -> tuple[tuple[str, ...], float]:
@@ -261,7 +272,12 @@ def parse_nbest_line(line: str, lineno: int | None = None) -> tuple[tuple[str, .
     try:
         p = float(parts[0])
     except ValueError:
-        raise ValueError(f"malformed N-best record{where}: bad probability {parts[0]!r}") from None
+        p = np.nan
+    if not 0 < p < np.inf:
+        raise ValueError(
+            f"malformed N-best record{where}: "
+            f"acoustic probability must be finite and positive, got {parts[0]!r}"
+        )
     tokens = tuple(parts[1].split())
     if not bag_of_words(tokens):
         raise ValueError(f"malformed N-best record{where}: no words")

@@ -1,4 +1,3 @@
-import importlib
 import json
 import os
 import subprocess
@@ -288,16 +287,24 @@ def test_eval_writes_learning_curve(trained, capsys):
     assert len(lines) == 1 + 2 * 2
 
 
-def test_rescore_rejects_non_finite_acoustic_probability(trained, workdir, capsys):
+@pytest.mark.parametrize("p", ["nan", "inf", "0", "-1", "1e400"])
+def test_rescore_rejects_acoustic_probability_not_finite_and_positive(
+    trained, workdir, capsys, p
+):
     root, _, model_path, scene_path = trained
     nbest = workdir / "nbest.txt"
-    nbest.write_text("nan|tap the ball\n0.5|touch the box\n", encoding="utf-8")
+    nbest.write_text(f"0.5|tap the ball\n{p}|touch the box\n", encoding="utf-8")
     code = run(
         "rescore", "--model", str(model_path), "--scene", str(scene_path),
         "--nbest", str(nbest),
     )
     assert code == 2
-    assert "acoustic probability" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: malformed N-best record at line 2: "
+        f"acoustic probability must be finite and positive, got {p!r}\n"
+    )
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("line", ["0.5|", "0.5|   ", "0.5|. ,"])
@@ -354,7 +361,21 @@ def test_instruct_rejects_duplicate_scene_ids(trained, workdir, capsys):
     )
     assert code == 2
     captured = capsys.readouterr()
-    assert "duplicate scene object id" in captured.err
+    assert captured.err == "error: malformed scene record at line 2: duplicate object id 'a'\n"
+    assert captured.out == ""
+
+
+def test_instruct_rejects_scene_value_outside_the_domain(trained, workdir, capsys):
+    root, _, model_path, _ = trained
+    scene = workdir / "scene.txt"
+    scene.write_text("a|yellow,small,sphere\nball|purple,small,sphere\n", encoding="utf-8")
+    code = run(
+        "instruct", "--model", str(model_path), "--scene", str(scene),
+        "--words", "tap the ball",
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: malformed scene record at line 2: 'purple' is not a Color value\n"
     assert captured.out == ""
 
 
@@ -635,15 +656,3 @@ def test_command_imports_only_the_modules_it_runs(trained, workdir, command):
     assert not any(m.partition(".")[0] == "scipy" for m in loaded)
     if command == "import":
         assert not any(m.partition(".")[0] == "numpy" for m in loaded)
-        # each exported name, resolved on first use, is the object every
-        # submodule holding that name holds, and stays in the package globals
-        modules = [importlib.import_module(f"wordground.{m}") for m in SUBMODULES]
-        assert len(wordground.__all__) == 44
-        for name in wordground.__all__:
-            obj = getattr(wordground, name)
-            holders = [vars(m)[name] for m in modules if name in vars(m)]
-            assert holders and all(held is obj for held in holders), name
-            assert vars(wordground)[name] is obj
-        assert set(wordground.__all__) <= set(dir(wordground))
-        with pytest.raises(AttributeError):
-            wordground.no_such_name

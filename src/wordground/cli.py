@@ -61,15 +61,12 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
     corpus = grounding.load_corpus(args.corpus)
     model = structure.train_model(
-        corpus,
-        pseudocount=args.alpha,
-        max_parents=args.max_parents,
-        learn_structure=args.learn_structure,
+        corpus, pseudocount=args.alpha, learn_structure=args.learn_structure
     )
     network.save_network(model, args.model)
     report_path = args.report or str(args.model) + ".report.txt"
     with open(report_path, "w", encoding="utf-8") as fh:
-        fh.write(structure.structure_report(model, args.max_parents))
+        fh.write(structure.structure_report(model))
     print(f"trained on {len(corpus)} records: model -> {args.model}, report -> {report_path}")
     return 0
 
@@ -164,7 +161,6 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         repetitions=args.reps,
         seed=args.seed,
         pseudocount=args.alpha,
-        max_parents=args.max_parents,
     )
     csv_text = evaluation.curve_to_csv(points)
     with open(args.out, "w", encoding="utf-8") as fh:
@@ -199,7 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, help="output model file")
     p.add_argument("--report", help="structure report path (default: <model>.report.txt)")
     p.add_argument("--alpha", type=float, default=1.0, help="CPT smoothing pseudocount")
-    p.add_argument("--max-parents", type=int, default=3)
     p.add_argument("--learn-structure", action="store_true",
                    help="also search the affordance structure instead of the fixed default")
     p.set_defaults(func=_cmd_train)
@@ -231,7 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sizes", type=int, nargs="*", help="training sizes")
     p.add_argument("--reps", type=int, default=50)
     p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--max-parents", type=int, default=3)
     p.set_defaults(func=_cmd_eval)
 
     return parser

@@ -140,7 +140,6 @@ def staged_learning(
     repetitions: int = 50,
     seed: int = 0,
     pseudocount: float = 1.0,
-    max_parents: int = 3,
 ) -> list[CurvePoint]:
     """Learning curve over random training subsets.
 
@@ -173,7 +172,7 @@ def staged_learning(
                     np.random.SeedSequence(entropy=seed, spawn_key=(size, rep))
                 )
                 subset = encoded.subset(rng.choice(len(corpus), size=size, replace=False))
-            net = train_model(subset, pseudocount=pseudocount, max_parents=max_parents)
+            net = train_model(subset, pseudocount=pseudocount)
             result = evaluate_instructions(net, instructions)
             scores.append((result.soft, result.hard))
         points.append(CurvePoint(train_size=size, repetitions=tuple(scores)))
@@ -198,8 +197,8 @@ def curve_to_csv(points: Sequence[CurvePoint]) -> str:
 # compatible set. `#` starts a comment line.
 
 
-def parse_instruction_line(line: str, lineno: int | None = None) -> Instruction:
-    where = f" at line {lineno}" if lineno is not None else ""
+def parse_instruction_line(line: str, lineno: int) -> Instruction:
+    where = f" at line {lineno}"
     parts = line.rstrip("\n").split("|")
     if len(parts) != 2:
         raise ValueError(f"malformed instruction{where}: expected 'words|cells'")

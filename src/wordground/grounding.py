@@ -83,8 +83,8 @@ def format_experience(experience: Experience) -> str:
     return line
 
 
-def parse_experience(line: str, lineno: int | None = None) -> Experience:
-    where = f" at line {lineno}" if lineno is not None else ""
+def parse_experience(line: str, lineno: int) -> Experience:
+    where = f" at line {lineno}"
     fields = line.rstrip("\n").split("|")
     if len(fields) != 4:
         raise ValueError(f"malformed experience record{where}: expected 4 '|' fields")

@@ -234,8 +234,8 @@ def rescore_nbest(
 _SCENE_FIELDS = _FILE_FIELDS[1]
 
 
-def parse_scene_line(line: str, lineno: int | None = None) -> SceneObject:
-    where = f" at line {lineno}" if lineno is not None else ""
+def parse_scene_line(line: str, lineno: int) -> SceneObject:
+    where = f" at line {lineno}"
     parts = line.strip().split("|")
     if len(parts) != 2:
         raise ValueError(f"malformed scene record{where}: expected 'id|color,size,shape'")
@@ -264,8 +264,8 @@ def load_scene(path) -> list[SceneObject]:
     return scene
 
 
-def parse_nbest_line(line: str, lineno: int | None = None) -> tuple[tuple[str, ...], float]:
-    where = f" at line {lineno}" if lineno is not None else ""
+def parse_nbest_line(line: str, lineno: int) -> tuple[tuple[str, ...], float]:
+    where = f" at line {lineno}"
     parts = line.strip().split("|")
     if len(parts) != 2:
         raise ValueError(f"malformed N-best record{where}: expected 'probability|tokens'")

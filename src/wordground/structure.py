@@ -4,11 +4,11 @@ score and greedy K2 parent selection.
 Each node's parents are chosen independently by hill-climbing on the K2
 score at its uniform prior `K2_ALPHA` = 1: start from no parents,
 repeatedly add the single candidate that increases the score most, stop
-when nothing improves or `max_parents`, the search's one setting, is
-reached. Applied per word node this produces the word-meaning association
-graph; applied under a causal ordering it can also learn the affordance
-structure itself. CPTs are maximum-a-posteriori fits with symmetric
-Dirichlet smoothing (`fit_cpts`, `_cpt`).
+when nothing improves or the node has `MAX_PARENTS` = 3 parents. Applied
+per word node this produces the word-meaning association graph; applied
+under a causal ordering it can also learn the affordance structure itself.
+CPTs are maximum-a-posteriori fits with symmetric Dirichlet smoothing
+(`fit_cpts`, `_cpt`).
 
 Every count is a sum over the distinct states of the training records,
 each weighted by its number of records: the family score and the CPT fit
@@ -178,11 +178,15 @@ def _cpt(counts: np.ndarray, pseudocount: float) -> np.ndarray:
     ``a == 0`` this is the plain maximum-likelihood frequency table (entries
     may be exactly zero, which is what makes impossible-input detection
     possible), and rows for parent configurations never observed fall back
-    to uniform so that every row still sums to 1.
+    to uniform so that every row still sums to 1. ``a * cardinality`` must
+    be finite too, or every entry would be 0.
     """
     a = float(pseudocount)
-    if not (math.isfinite(a) and a >= 0):
-        raise ValueError(f"pseudocount must be a finite number >= 0, got {pseudocount!r}")
+    if not (math.isfinite(a * counts.shape[-1]) and a >= 0):
+        raise ValueError(
+            f"pseudocount must be a finite number >= 0 whose product with a "
+            f"cardinality ({counts.shape[-1]}) is finite, got {pseudocount!r}"
+        )
     counts = counts.astype(float)
     totals = counts.sum(axis=-1, keepdims=True)
     if a > 0:
@@ -239,6 +243,9 @@ def fit_cpts(
 # K2's uniform Dirichlet prior (Cooper & Herskovits 1992), the one weight of
 # every structure search.
 K2_ALPHA = 1.0
+
+# The most parents K2 gives a node.
+MAX_PARENTS = 3
 
 
 @functools.lru_cache(maxsize=64)
@@ -393,7 +400,6 @@ def _k2_search(
     columns: Mapping[str, np.ndarray],
     weights: np.ndarray,
     memo: dict[tuple[str, ...], np.ndarray],
-    max_parents: int = 3,
 ) -> list[tuple[tuple[str, ...], list[float]]]:
     """Greedy K2 search for a batch of `n_targets` targets with `r` values
     each.
@@ -403,22 +409,20 @@ def _k2_search(
     the targets' values in the states (`_entries`) and `candidates` the
     parents to draw from in tie-break order. Each step adds, per target,
     the first candidate with the highest score if that score is strictly
-    above the current one, up to `max_parents`. Returns per target its
+    above the current one, up to `MAX_PARENTS`. Returns per target its
     parents, in candidate order, and its score after each step, starting
     with no parents.
     """
-    if max_parents < 0:
-        raise ValueError(f"max_parents must be >= 0, got {max_parents}")
     terms = _score_terms(K2_ALPHA, r, int(weights.sum()))
     # coding 0 keeps the current parent set; coding 1 + i adds candidate i
-    extensions = [()] + ([[c] for c in candidates] if max_parents else [])
+    extensions = [()] + [[c] for c in candidates]
     cards = np.array([math.prod(c.cardinality for c in e) for e in extensions], dtype=np.int64)
     extend = _configs(extensions, columns, len(weights), memo).T
     state, tgt, value, multiplicity = entries
     chosen: list[list[int]] = [[] for _ in range(n_targets)]
     traces: list[list[float]] = []
     searching = np.arange(n_targets)
-    for step in range(max(max_parents, 1)):  # at 0, for the no-parent scores
+    for step in range(MAX_PARENTS):
         if not searching.size:
             break
         keys, group = _group_by(tuple(chosen[t]) for t in searching.tolist())
@@ -477,7 +481,6 @@ def k2_select_parents(
     target_variable: Variable,
     candidates: Sequence[Variable],
     dataset: Sequence[Assignment],
-    max_parents: int = 3,
 ) -> tuple[str, ...]:
     """Parent set for one node, chosen greedily from `candidates`.
 
@@ -488,7 +491,7 @@ def k2_select_parents(
         raise ValueError("target variable cannot be its own candidate parent")
     columns = encode_columns([target_variable] + list(candidates), dataset)
     weights = np.ones(len(dataset), dtype=np.int64)
-    return _node_parents(target_variable, candidates, columns, weights, {}, max_parents)
+    return _node_parents(target_variable, candidates, columns, weights, {})
 
 
 def _node_parents(
@@ -497,26 +500,21 @@ def _node_parents(
     columns: Mapping[str, np.ndarray],
     weights: np.ndarray,
     memo: dict[tuple[str, ...], np.ndarray],
-    max_parents: int,
 ) -> tuple[str, ...]:
     """`_k2_search` for one node whose values are in `columns`."""
     one_hot = columns[target.name][:, None, None] == np.arange(1, target.cardinality)
     entries = _entries(one_hot * weights[:, None, None])
     [(parents, _)] = _k2_search(
-        entries, 1, target.cardinality, list(candidates), columns, weights, memo, max_parents
+        entries, 1, target.cardinality, list(candidates), columns, weights, memo
     )
     return parents
 
 
-def learn_word_layer(
-    affordance_network: Network,
-    corpus: EncodedCorpus,
-    max_parents: int = 3,
-) -> Network:
+def learn_word_layer(affordance_network: Network, corpus: EncodedCorpus) -> Network:
     """Attach one binary presence node per word of the corpus.
 
     For each word heard at least `MIN_WORD_OCCURRENCES` times, K2 selects
-    up to `max_parents` parents among the affordance variables only, in
+    up to `MAX_PARENTS` parents among the affordance variables only, in
     their declaration order; every word's CPT is then fitted with the
     affordance network's pseudocount. The affordance structure and CPTs are
     carried over untouched: the state model does not depend on what was
@@ -532,7 +530,6 @@ def learn_word_layer(
         corpus.columns,
         corpus.weights,
         corpus._encoding.configs,
-        max_parents,
     )
     parents = {word: () for word in corpus.words}
     for j, (word_parents, _) in zip(searched.tolist(), found):
@@ -578,7 +575,6 @@ def learn_affordance_structure(
     columns: Mapping[str, np.ndarray],
     weights: np.ndarray,
     ordering: Sequence[Variable],
-    max_parents: int = 3,
 ) -> dict[str, tuple[str, ...]]:
     """Parent map over the affordance variables under a fixed ordering.
 
@@ -589,7 +585,7 @@ def learn_affordance_structure(
     """
     memo: dict[tuple[str, ...], np.ndarray] = {}
     return {
-        var.name: _node_parents(var, ordering[:i], columns, weights, memo, max_parents)
+        var.name: _node_parents(var, ordering[:i], columns, weights, memo)
         for i, var in enumerate(ordering)
     }
 
@@ -597,7 +593,6 @@ def learn_affordance_structure(
 def train_model(
     experiences: Sequence | EncodedCorpus,
     pseudocount: float = 1.0,
-    max_parents: int = 3,
     learn_structure: bool = False,
 ) -> Network:
     """Full learning pipeline: affordance CPTs plus the word layer.
@@ -615,25 +610,23 @@ def train_model(
         else EncodedCorpus.encode(experiences, variables)
     )
     if learn_structure:
-        parent_map = learn_affordance_structure(
-            corpus.columns, corpus.weights, variables, max_parents
-        )
+        parent_map = learn_affordance_structure(corpus.columns, corpus.weights, variables)
     else:
         parent_map = default_affordance_parents()
     affordance_net = fit_cpts(variables, parent_map, corpus.columns, corpus.weights, pseudocount)
-    return learn_word_layer(affordance_net, corpus, max_parents)
+    return learn_word_layer(affordance_net, corpus)
 
 
-def structure_report(network: Network, max_parents: int = 3) -> str:
+def structure_report(network: Network) -> str:
     """Plain-text adjacency listing of the learned word links.
 
-    The header records the search settings, which are choices rather than
-    givens: ordering-position tie-breaks and the parent limit both shape
-    which of several equally plausible graphs comes out.
+    The header records the search's constants, which are choices rather
+    than givens: ordering-position tie-breaks and the parent bound both
+    shape which of several equally plausible graphs comes out.
     """
     lines = [
         "# word-meaning association graph",
-        f"# max_parents={max_parents} alpha={K2_ALPHA:g} "
+        f"# max_parents={MAX_PARENTS} alpha={K2_ALPHA:g} "
         f"tie_break_ordering={','.join(network.affordance_names())}",
         f"# words seen < {MIN_WORD_OCCURRENCES} times keep an empty parent set",
     ]

@@ -63,15 +63,15 @@ def oracle_family_score(records, target, target_values, parent_names, alpha):
     return score
 
 
-def oracle_k2_parents(records, target, target_values, candidates, max_parents):
+def oracle_k2_parents(records, target, target_values, candidates, bound):
     """Greedy K2 at alpha = 1 for one target, in exact arithmetic.
 
     `candidates` lists the candidate names in tie-break order. A parent
     set's score is its exact marginal likelihood, the product over observed
     parent configurations with n records of (r-1)! * prod(c!) / (n+r-1)!
     over the counts c: the log-factorial sum, exponentiated and kept as a
-    Fraction. Only strict improvements are taken, and the earlier candidate
-    wins a tie.
+    Fraction. Only strict improvements are taken, up to `bound` parents, and
+    the earlier candidate wins a tie.
 
     Returns the parents in candidate order, and whether some comparison met
     an exact tie between parent sets whose counts and row totals differ as
@@ -95,7 +95,7 @@ def oracle_k2_parents(records, target, target_values, candidates, max_parents):
     ambiguous = False
     chosen: list[str] = []
     current = score(chosen)
-    while len(chosen) < max_parents:
+    while len(chosen) < bound:
         best, best_score = None, current
         for name in candidates:
             if name not in chosen:

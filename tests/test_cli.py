@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wordground
 
@@ -194,8 +199,6 @@ def test_instruct_empty_scene_is_input_error(trained, workdir, capsys):
 
 
 def test_repl_reads_stdin(trained, capsys, monkeypatch):
-    import io
-
     root, _, model_path, scene_path = trained
     monkeypatch.setattr("sys.stdin", io.StringIO("rises yellow\n\n"))
     code = run("repl", "--model", str(model_path), "--scene", str(scene_path))
@@ -204,8 +207,6 @@ def test_repl_reads_stdin(trained, capsys, monkeypatch):
 
 
 def test_repl_reports_request_without_words_and_reads_on(trained, capsys, monkeypatch):
-    import io
-
     root, _, model_path, scene_path = trained
     monkeypatch.setattr("sys.stdin", io.StringIO("?!\nrises yellow\n\ntap the box\n"))
     code = run("repl", "--model", str(model_path), "--scene", str(scene_path))
@@ -218,8 +219,6 @@ def test_repl_reports_request_without_words_and_reads_on(trained, capsys, monkey
 
 
 def test_repl_reports_request_with_no_known_word_and_reads_on(trained, capsys, monkeypatch):
-    import io
-
     root, _, model_path, scene_path = trained
     monkeypatch.setattr("sys.stdin", io.StringIO("xyzzy plugh\nrises yellow\n\n"))
     code = run("repl", "--model", str(model_path), "--scene", str(scene_path))
@@ -476,8 +475,6 @@ def test_instruct_rejects_model_with_child_declared_before_parent(trained, workd
 
 
 def test_rescore_and_repl_reject_model_without_action(trained, workdir, capsys, monkeypatch):
-    import io
-
     root, _, model_path, scene_path = trained
     model = json.loads(model_path.read_text(encoding="utf-8"))
     model["variables"][0]["kind"] = "feature"
@@ -564,35 +561,21 @@ def test_eval_rejects_non_positive_counts(trained, capsys, extra, message):
     assert not out_csv.exists()
 
 
-@pytest.mark.parametrize(
-    "command, output",
-    [("train", ["--model"]), ("eval", ["--seed", "3", "--sizes", "50", "--reps", "1", "--out"])],
-)
-def test_negative_max_parents_is_input_error(trained, workdir, capsys, command, output):
-    root, corpus_path, _, _ = trained
-    code = run(
-        command, "--corpus", str(corpus_path), "--max-parents", "-1",
-        *output, str(workdir / "out"),
-    )
-    assert code == 2
-    assert "max_parents" in capsys.readouterr().err
-    # neither the model, its report nor the CSV is written
-    assert list(workdir.iterdir()) == []
-
-
-@pytest.mark.parametrize("alpha", ["nan", "inf"])
+# 5e307 is finite, but times Color's 4 values it overflows to inf
+@pytest.mark.parametrize("alpha", ["nan", "inf", "5e307"])
 def test_train_rejects_non_finite_alpha(trained, capsys, alpha):
     root, corpus_path, _, _ = trained
     model_path = root / f"alpha-{alpha}.json"
     code = run(
         "train", "--corpus", str(corpus_path), "--model", str(model_path), "--alpha", alpha
     )
+    err = capsys.readouterr().err
     assert code == 2
-    assert "pseudocount must be a finite number" in capsys.readouterr().err
+    assert err.startswith("error: pseudocount must be a finite number") and err.count("\n") == 1
     assert not model_path.exists()
 
 
-@pytest.mark.parametrize("alpha", ["nan", "inf"])
+@pytest.mark.parametrize("alpha", ["nan", "inf", "5e307"])
 def test_eval_rejects_non_finite_alpha(trained, capsys, alpha):
     root, corpus_path, _, _ = trained
     out_csv = root / f"alpha-{alpha}.csv"
@@ -600,9 +583,87 @@ def test_eval_rejects_non_finite_alpha(trained, capsys, alpha):
         "eval", "--corpus", str(corpus_path), "--out", str(out_csv), "--seed", "3",
         "--sizes", "50", "--reps", "1", "--alpha", alpha,
     )
+    err = capsys.readouterr().err
     assert code == 2
-    assert "pseudocount must be a finite number" in capsys.readouterr().err
+    assert err.startswith("error: pseudocount must be a finite number") and err.count("\n") == 1
     assert not out_csv.exists()
+
+
+@pytest.fixture(scope="module")
+def boundary_files(tmp_path_factory):
+    """A valid file for each of the six file boundaries, and a model and
+    scene for the commands that read one of them; the corpus is small so
+    that `train` and `eval` on it are quick."""
+    root = tmp_path_factory.mktemp("boundaries")
+    corpus = build_corpus(default_world(), default_lexicon(), 12, 2, seed=3).experiences
+    corpus_path, model_path = root / "corpus.txt", root / "model.json"
+    save_corpus(corpus, corpus_path)
+    assert run("train", "--corpus", str(corpus_path), "--model", str(model_path)) == 0
+    scene = "ball|yellow,small,sphere\nbox|blue,big,box\n"
+    (root / "scene.txt").write_text(scene, encoding="utf-8")
+    lexicon = default_lexicon()
+    valid = {
+        "corpus": corpus_path.read_text(encoding="utf-8"),
+        "scene": scene,
+        "nbest": "0.4|tap the ball\n0.3|grasp the box\n",
+        "model": model_path.read_text(encoding="utf-8"),
+        "lexicon": json.dumps(
+            {"concepts": {k: list(v) for k, v in lexicon.concepts.items()},
+             "filler_words": lexicon.filler_words}
+        ),
+        "instructions": "grasp the ball|grasp,*,*,sphere\nroll the box|IMPOSSIBLE\n",
+    }
+    return root, valid
+
+
+def boundary_argv(boundary, path, root, out):
+    """The command that reads `path` as the `boundary` file, writing any
+    output under `out`."""
+    model, scene, corpus = (str(root / name) for name in ("model.json", "scene.txt", "corpus.txt"))
+    return {
+        "corpus": ["train", "--corpus", path, "--model", str(out / "model.json")],
+        "scene": ["instruct", "--model", model, "--scene", path, "--words", "tap the ball"],
+        "nbest": ["rescore", "--model", model, "--scene", scene, "--nbest", path],
+        "model": ["instruct", "--model", path, "--scene", scene, "--words", "tap the ball"],
+        "lexicon": [
+            "generate", "--out", str(out), "--seed", "0", "--n", "5", "--k", "1",
+            "--lexicon", path,
+        ],
+        "instructions": [
+            "eval", "--corpus", corpus, "--instructions", path, "--seed", "0",
+            "--sizes", "6", "--reps", "1", "--out", str(out / "curve.csv"),
+        ],
+    }[boundary]
+
+
+SPLICE_TOKENS = ("|", ",", "[", "]", '"', "nan", "1e400", "1e-400", "\x00", "é", "\t")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    boundary=st.sampled_from(("corpus", "scene", "nbest", "model", "lexicon", "instructions")),
+    splices=st.lists(
+        st.tuples(st.integers(min_value=0), st.sampled_from(SPLICE_TOKENS)), min_size=1, max_size=3
+    ),
+)
+def test_spliced_boundary_file_is_read_or_refused_in_one_line(boundary_files, boundary, splices):
+    # a valid file with 1-3 tokens spliced in is either read (exit 0) or
+    # refused as input (exit 2, one `error:` line), never a runtime failure
+    root, valid = boundary_files
+    text = valid[boundary]
+    for position, token in splices:
+        position %= len(text) + 1
+        text = text[:position] + token + text[position:]
+    with tempfile.TemporaryDirectory(dir=root) as out:
+        path = Path(out) / "input"
+        path.write_text(text, encoding="utf-8")
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(boundary_argv(boundary, str(path), root, Path(out)))
+    err = stderr.getvalue()
+    assert code in (0, 2), err
+    if code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 # Runs `wordground.cli.main` on its arguments, or with none only imports the

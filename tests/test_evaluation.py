@@ -203,14 +203,14 @@ def test_each_fit_builds_two_networks(corpus, fit, monkeypatch):
 
 
 def test_parse_instruction_wildcards():
-    ins = parse_instruction_line("grasp the ball|grasp,*,*,sphere")
+    ins = parse_instruction_line("grasp the ball|grasp,*,*,sphere", 1)
     assert ins.bag == {"grasp", "the", "ball"}
     assert np.array_equal(ins.compatible, expand(action="grasp", shape="sphere"))
     assert not ins.impossible
 
 
 def test_parse_instruction_impossible():
-    ins = parse_instruction_line("roll the small cube|IMPOSSIBLE")
+    ins = parse_instruction_line("roll the small cube|IMPOSSIBLE", 1)
     assert ins.impossible
     assert not ins.compatible.any()
 
@@ -221,7 +221,7 @@ CELL_SPECS = st.tuples(*(st.sampled_from(("*",) + d) for d in CELL_DOMAINS)).map
 @given(st.lists(CELL_SPECS, min_size=1, max_size=4).map(";".join) | st.just("IMPOSSIBLE"))
 def test_parse_instruction_mask_matches_wildcard_expansion(cells_field):
     # Several `;` chunks may overlap; the mask is their union on the grid.
-    ins = parse_instruction_line(f"grasp the ball|{cells_field}")
+    ins = parse_instruction_line(f"grasp the ball|{cells_field}", 1)
     expected = oracle_cell_mask(cells_field, CELL_DOMAINS)
     assert ins.compatible.shape == (3, 4, 3, 2)
     assert not ins.compatible.flags.writeable
@@ -231,9 +231,9 @@ def test_parse_instruction_mask_matches_wildcard_expansion(cells_field):
 
 def test_parse_instruction_errors():
     with pytest.raises(ValueError, match="4 fields"):
-        parse_instruction_line("w|a,b,c")
+        parse_instruction_line("w|a,b,c", 1)
     with pytest.raises(ValueError, match="not a Action value"):
-        parse_instruction_line("w|stroke,*,*,sphere")
+        parse_instruction_line("w|stroke,*,*,sphere", 1)
     with pytest.raises(ValueError, match="line 7"):
         parse_instruction_line("no separator", lineno=7)
 

@@ -214,7 +214,7 @@ def test_experience_line_roundtrip(tmp_path):
     exp = Experience(state=dict(FULL_STATE), description=bag_of_words("the ball is rising"))
     line = format_experience(exp)
     assert line == "grasp|yellow,medium,sphere|medium,fast,slow,long|ball is rising the"
-    assert parse_experience(line) == exp
+    assert parse_experience(line, 1) == exp
 
     path = tmp_path / "corpus.txt"
     save_corpus([exp, exp], path)
@@ -225,7 +225,7 @@ def test_parse_experience_reports_line_numbers():
     with pytest.raises(ValueError, match="line 3"):
         parse_experience("only|two|fields", lineno=3)
     with pytest.raises(ValueError, match="expected 3 values"):
-        parse_experience("grasp|yellow,medium|slow,slow,slow,short|w")
+        parse_experience("grasp|yellow,medium|slow,slow,slow,short|w", 2)
     with pytest.raises(ValueError, match="line 4: 'purple' is not a Color value"):
         parse_experience("grasp|purple,small,box|slow,slow,slow,short|w", lineno=4)
 

@@ -407,7 +407,7 @@ def bags_with_unknown_words(net, bags):
 
 def test_evaluate_instructions_equals_reference_loop(subset_models, caplog):
     models, _ = subset_models
-    instructions = default_instructions() + [parse_instruction_line("xyzzy ball|*,*,*,sphere")]
+    instructions = default_instructions() + [parse_instruction_line("xyzzy ball|*,*,*,sphere", 1)]
     for net in models:
         got, batched = unknown_word_warnings(caplog, lambda: evaluate_instructions(net, instructions))
         want, reference = unknown_word_warnings(caplog, lambda: reference_evaluate(net, instructions))

@@ -26,6 +26,7 @@ from wordground.network import (
 )
 from wordground.structure import (
     K2_ALPHA,
+    MAX_PARENTS,
     MIN_WORD_OCCURRENCES,
     EncodedCorpus,
     _config_index,
@@ -129,13 +130,25 @@ def test_k2_independent_word_gets_no_parents():
 
 
 def test_k2_deterministic_and_capped():
-    states = sample_experiences(WORLD, 300, 5)
-    dataset = indicator_dataset(states, "ObjVel", "fast")
+    # the word is heard when at least two of four conditions on Action,
+    # Color, Shape and Size hold, so all four parents would raise the score,
+    # and the search stops at MAX_PARENTS = 3
+    candidates = VARIABLES[:4]
+    names = [v.name for v in candidates]
     w = word_variable("w")
-    p1 = k2_select_parents(w, list(VARIABLES), dataset, max_parents=1)
-    p2 = k2_select_parents(w, list(VARIABLES), dataset, max_parents=1)
-    assert p1 == p2
-    assert len(p1) <= 1
+    for seed in range(3):
+        dataset = []
+        for s in sample_experiences(WORLD, 400, seed):
+            hits = (s["Action"] == "grasp") + (s["Color"] in ("lightgreen", "darkgreen"))
+            hits += (s["Shape"] == "sphere") + (s["Size"] == "small")
+            dataset.append(dict(s, w="present" if hits >= 2 else "absent"))
+        parents = k2_select_parents(w, candidates, dataset)
+        assert parents == k2_select_parents(w, candidates, dataset)
+        assert len(parents) == MAX_PARENTS == 3
+        expected, ambiguous = oracle_k2_parents(dataset, "w", ["absent", "present"], names, 3)
+        assert not ambiguous and parents == expected
+        unbounded, _ = oracle_k2_parents(dataset, "w", ["absent", "present"], names, 4)
+        assert unbounded == tuple(names)
 
 
 def test_k2_rejects_target_in_candidates():
@@ -212,7 +225,7 @@ def test_k2_single_candidate_exhausted_before_max_parents():
         for _ in range(int(rng.integers(20, 200))):
             a = action.values[rng.integers(3)]
             records.append({"Action": a, "w": "present" if rng.random() < rate[a] else "absent"})
-        parents = k2_select_parents(word_variable("w"), [action], records, max_parents=3)
+        parents = k2_select_parents(word_variable("w"), [action], records)
         expected, _ = oracle_k2_parents(records, "w", ["absent", "present"], ["Action"], 3)
         assert parents == expected
         assert parents == ("Action",)
@@ -226,7 +239,7 @@ def test_affordance_structure_with_exhausted_candidates_matches_oracle():
     for s in states:
         s["Color"] = color[s["Action"]]
     columns = encode_columns(VARIABLES, states)
-    parent_map = learn_affordance_structure(columns, ones(states), VARIABLES, 3)
+    parent_map = learn_affordance_structure(columns, ones(states), VARIABLES)
     assert parent_map["Color"] == ("Action",)
     for i, var in enumerate(VARIABLES):
         earlier = [v.name for v in VARIABLES[:i]]
@@ -390,11 +403,8 @@ _ORACLE_VARIABLES = (
     seed=st.integers(0, 2**32 - 1),
     n_records=st.integers(1, 60),
     n_words=st.integers(1, 6),
-    max_parents=st.integers(0, 3),
 )
-def test_batched_word_search_matches_per_word_greedy_reference(
-    seed, n_records, n_words, max_parents
-):
+def test_batched_word_search_matches_per_word_greedy_reference(seed, n_records, n_words):
     # each word is present with a probability set by a random subset of the
     # variables; D sometimes copies B, so exact ties between candidates and
     # parents that split nothing both occur. Words whose search meets an
@@ -428,8 +438,8 @@ def test_batched_word_search_matches_per_word_greedy_reference(
         1.0,
     )
     corpus = EncodedCorpus.encode(experiences, _ORACLE_VARIABLES)
-    net = learn_word_layer(affordance, corpus, max_parents)
-    searched = _word_layer_parents(net, corpus, max_parents)
+    net = learn_word_layer(affordance, corpus)
+    searched = _word_layer_parents(net, corpus)
     names = [v.name for v in _ORACLE_VARIABLES]
     for word in words:
         records = [
@@ -437,17 +447,17 @@ def test_batched_word_search_matches_per_word_greedy_reference(
             for e in experiences
         ]
         expected, ambiguous = oracle_k2_parents(
-            records, "w", ["absent", "present"], names, max_parents
+            records, "w", ["absent", "present"], names, MAX_PARENTS
         )
         if not ambiguous:
             # a word that never occurs has no node, and no parents
             assert searched.get(word, ()) == expected
 
 
-def _word_layer_parents(net, corpus, max_parents):
+def _word_layer_parents(net, corpus):
     """The K2 parents of every word of `corpus`, however rarely heard, after
-    checking that `net`, its word layer learnt with `max_parents`, holds
-    them for the words heard often enough to be searched."""
+    checking that `net`, its word layer learnt from `corpus`, holds them for
+    the words heard often enough to be searched."""
     found = _k2_search(
         _entries(corpus.word_counts[:, :, None]),
         len(corpus.words),
@@ -456,7 +466,6 @@ def _word_layer_parents(net, corpus, max_parents):
         corpus.columns,
         corpus.weights,
         {},
-        max_parents,
     )
     parents = {w: p for w, (p, _) in zip(corpus.words, found)}
     for word, heard in zip(corpus.words, corpus.word_counts.sum(axis=0).tolist()):
@@ -605,12 +614,9 @@ def test_subset_matches_encoding_the_selected_records(seed, n_states, n_words, r
     seed=st.integers(0, 2**32 - 1),
     n_states=st.integers(1, 12),
     n_words=st.integers(1, 5),
-    max_parents=st.integers(0, 3),
     pseudocount=st.sampled_from([1.0, 0.0]),
 )
-def test_state_level_training_matches_record_level_counts(
-    seed, n_states, n_words, max_parents, pseudocount
-):
+def test_state_level_training_matches_record_level_counts(seed, n_states, n_words, pseudocount):
     # training on the weighted distinct states gives the word parents the
     # exact-arithmetic oracle finds on the records themselves, and the CPTs
     # and affordance structure that record-level counting gives
@@ -619,17 +625,15 @@ def test_state_level_training_matches_record_level_counts(
     corpus = EncodedCorpus.encode(experiences, _ORACLE_VARIABLES)
     names = [v.name for v in _ORACLE_VARIABLES]
     states = [e.state for e in experiences]
-    state_map = learn_affordance_structure(
-        corpus.columns, corpus.weights, _ORACLE_VARIABLES, max_parents
-    )
+    state_map = learn_affordance_structure(corpus.columns, corpus.weights, _ORACLE_VARIABLES)
     record_map = learn_affordance_structure(
-        encode_columns(_ORACLE_VARIABLES, states), ones(states), _ORACLE_VARIABLES, max_parents
+        encode_columns(_ORACLE_VARIABLES, states), ones(states), _ORACLE_VARIABLES
     )
     assert state_map == record_map
     affordance = fit_cpts(
         _ORACLE_VARIABLES, state_map, corpus.columns, corpus.weights, pseudocount
     )
-    net = learn_word_layer(affordance, corpus, max_parents)
+    net = learn_word_layer(affordance, corpus)
     records = [
         dict(e.state, **{w: "present" if w in e.description else "absent" for w in corpus.words})
         for e in experiences
@@ -640,19 +644,13 @@ def test_state_level_training_matches_record_level_counts(
     )
     for name in net.names():
         assert np.array_equal(net.cpts[name], refit.cpts[name])
-    searched = _word_layer_parents(net, corpus, max_parents)
+    searched = _word_layer_parents(net, corpus)
     for word in corpus.words:
         expected, ambiguous = oracle_k2_parents(
-            records, word, ["absent", "present"], names, max_parents
+            records, word, ["absent", "present"], names, MAX_PARENTS
         )
         if not ambiguous:
             assert searched[word] == expected
-
-
-def test_config_validation():
-    dataset = indicator_dataset(sample_experiences(WORLD, 50, 3), "Action", "tap")
-    with pytest.raises(ValueError, match="max_parents"):
-        k2_select_parents(word_variable("w"), list(VARIABLES), dataset, max_parents=-1)
 
 
 def test_structure_owns_the_learning_kernel():

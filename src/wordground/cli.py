@@ -25,31 +25,32 @@ if TYPE_CHECKING:
 DISPLAY_FLOOR = 0.005  # grid entries below two-digit precision print as dashes
 
 
+def _distinct_paths(**paths: str | None) -> None:
+    """Refuse two file options of one command that name the same file, so
+    that no output overwrites an input or another output."""
+    seen: dict[Path, str] = {}
+    for flag, path in paths.items():
+        first = seen.setdefault(Path(path).resolve(), flag) if path else flag
+        if first != flag:
+            raise ValueError(f"--{first} and --{flag} both name {path}")
+
+
 def _cmd_generate(args: argparse.Namespace) -> int:
     from . import datagen, grounding
 
-    lexicon = (
-        datagen.load_lexicon(args.lexicon) if args.lexicon else datagen.default_lexicon()
-    )
-    world = datagen.default_world()
+    lexicon = datagen.default_lexicon()
     profile = datagen.default_noise_profile(lexicon) if args.noise else None
     corpus = datagen.build_corpus(
-        world, lexicon, args.n, args.k, profile=profile, seed=args.seed
+        datagen.default_world(), lexicon, args.n, args.k, profile=profile, seed=args.seed
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     grounding.save_corpus(corpus.experiences, out / "corpus_clean.txt")
-    written = [out / "corpus_clean.txt"]
+    print(f"wrote {len(corpus.experiences)} records to {out / 'corpus_clean.txt'}")
     if corpus.corrupted is not None:
         grounding.save_corpus(corpus.corrupted, out / "corpus_recognized.txt")
-        written.append(out / "corpus_recognized.txt")
-
-    counts = Counter()
-    for exp in corpus.experiences:
-        counts.update(exp.description)
-    print(f"wrote {len(corpus.experiences)} records to {written[0]}")
-    if len(written) > 1:
-        print(f"wrote recognized variant to {written[1]}")
+        print(f"wrote recognized variant to {out / 'corpus_recognized.txt'}")
+    counts = Counter(word for exp in corpus.experiences for word in exp.description)
     print("word occurrence histogram (clean corpus):")
     for word, count in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0])):
         print(f"  {word:12s} {count}")
@@ -59,12 +60,13 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 def _cmd_train(args: argparse.Namespace) -> int:
     from . import grounding, network, structure
 
+    report_path = args.report or str(args.model) + ".report.txt"
+    _distinct_paths(corpus=args.corpus, model=args.model, report=report_path)
     corpus = grounding.load_corpus(args.corpus)
     model = structure.train_model(
         corpus, pseudocount=args.alpha, learn_structure=args.learn_structure
     )
     network.save_network(model, args.model)
-    report_path = args.report or str(args.model) + ".report.txt"
     with open(report_path, "w", encoding="utf-8") as fh:
         fh.write(structure.structure_report(model))
     print(f"trained on {len(corpus)} records: model -> {args.model}, report -> {report_path}")
@@ -146,6 +148,7 @@ def _cmd_rescore(args: argparse.Namespace) -> int:
 def _cmd_eval(args: argparse.Namespace) -> int:
     from . import evaluation, grounding
 
+    _distinct_paths(corpus=args.corpus, instructions=args.instructions, out=args.out)
     corpus = grounding.load_corpus(args.corpus)
     if args.instructions:
         instructions = evaluation.load_instructions(args.instructions)
@@ -187,7 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=254, help="number of experiences")
     p.add_argument("--k", type=int, default=5, help="descriptions per experience")
     p.add_argument("--noise", action="store_true", help="also write a recognized variant")
-    p.add_argument("--lexicon", help="JSON lexicon file (default: built-in 49 words)")
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("train", help="learn word links and CPTs from a corpus")

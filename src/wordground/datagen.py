@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .grounding import BagOfWords, Experience, bag_of_words
-from .network import Network, _json_loads, affordance_variables
+from .network import Network, affordance_variables
 
 
 # -- ground-truth world ------------------------------------------------------
@@ -216,36 +216,6 @@ def default_lexicon() -> Lexicon:
     }
     fillers = {"the": 1.0, "is": 1.0, "has": 0.3, "just": 0.25}
     return Lexicon(concepts=concepts, filler_words=fillers)
-
-
-def load_lexicon(path) -> Lexicon:
-    """Lexicon from a JSON file. Raises ValueError unless the file is an
-    object with exactly the keys `concepts`, which maps to lists of strings,
-    and `filler_words`, which maps to numeric rates, no object in it gives
-    a key twice and it is not nested too deeply to parse."""
-    keys = ("concepts", "filler_words")
-    with open(path, encoding="utf-8") as fh:
-        obj = _json_loads(fh.read(), "lexicon file")
-    sections = []
-    for key in keys:
-        section = obj.get(key) if isinstance(obj, dict) else None
-        if not isinstance(section, dict):
-            raise ValueError(f"lexicon file needs a {key!r} object")
-        sections.append(section)
-    unknown = [k for k in obj if k not in keys]
-    if unknown:
-        raise ValueError(f"lexicon file has unknown key {unknown[0]!r}")
-    concepts, fillers = sections
-    for key, synonyms in concepts.items():
-        if not (isinstance(synonyms, list) and all(isinstance(w, str) for w in synonyms)):
-            raise ValueError(f"lexicon concept {key!r} needs a list of words")
-    for word, rate in fillers.items():
-        if isinstance(rate, bool) or not isinstance(rate, (int, float)):
-            raise ValueError(f"lexicon filler {word!r} needs a numeric rate, got {rate!r}")
-    return Lexicon(
-        concepts={k: tuple(v) for k, v in concepts.items()},
-        filler_words={k: float(v) for k, v in fillers.items()},
-    )
 
 
 class BalanceState:

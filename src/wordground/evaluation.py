@@ -81,7 +81,7 @@ def evaluate_instructions(
     The soft mass is summed over the instruction's cells in grid order.
     np.argmax returns the first maximum in row-major order, which makes the
     best-cell tie-break deterministic: earlier values of earlier variables
-    win.
+    win; an all-zero posterior, a request judged impossible, has no best cell.
     """
     evidences = [_bag_evidence(network, ins.bag) for ins in instructions]
     post = StateTable(network).posterior(evidences, default_cells(network))
@@ -97,7 +97,7 @@ def evaluate_instructions(
             detected += float(p.sum()) == 0.0
             continue
         softs.append(float(p[ins.cells].sum()))
-        hards.append(1.0 if ins.compatible.flat[b] else 0.0)
+        hards.append(1.0 if p[b] > 0 and ins.compatible.flat[b] else 0.0)
     if not softs:
         raise ValueError("instruction set has no possible instructions to score")
     return EvalResult(

@@ -350,24 +350,14 @@ def network_to_json(network: Network) -> str:
     return "\n".join(out) + "\n}\n"
 
 
-def _unique_keys(pairs: list[tuple[str, object]], kind: str) -> dict:
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     """A JSON object's pairs as a dict, refusing a key given twice rather
-    than keeping the last; the error names the `kind` of file read."""
+    than keeping the last."""
     obj = dict(pairs)
     if len(obj) < len(pairs):
         key = next(k for k, n in Counter(k for k, _ in pairs).items() if n > 1)
-        raise ValueError(f"{kind}: duplicate key {key!r}")
+        raise ValueError(f"model file: duplicate key {key!r}")
     return obj
-
-
-def _json_loads(text: str, kind: str):
-    """The value of a JSON file's text. Raises ValueError, naming the `kind`
-    of file, for a key given twice in an object (`_unique_keys`) or nesting
-    deeper than the parser can recurse."""
-    try:
-        return json.loads(text, object_pairs_hook=functools.partial(_unique_keys, kind=kind))
-    except RecursionError:
-        raise ValueError(f"{kind} is nested too deeply") from None
 
 
 def _json_object(value, what: str, keys=None) -> dict:
@@ -416,7 +406,10 @@ def network_from_json(text: str) -> Network:
     parents, a pseudocount that is not a finite number >= 0, a CPT row
     with non-finite or negative entries or a sum more than 1e-9 away from 1,
     or nesting too deep to parse."""
-    obj = _json_loads(text, "model file")
+    try:
+        obj = json.loads(text, object_pairs_hook=_unique_keys)
+    except RecursionError:
+        raise ValueError("model file is nested too deeply") from None
     obj = _json_object(obj, "the top level", ("variables", "parents", "cpts", "pseudocount"))
     try:
         if not isinstance(obj["variables"], list):

@@ -256,7 +256,8 @@ class ReferenceStateTable:
 
 def reference_evaluate(network, instructions):
     """(soft, hard, detection rate) of `evaluate_instructions`, one
-    posterior and one argmax per instruction."""
+    posterior and one argmax per instruction; an all-zero posterior earns
+    no hard credit."""
     from wordground.inference import _bag_evidence, default_cells
 
     table = ReferenceStateTable(network)
@@ -269,7 +270,8 @@ def reference_evaluate(network, instructions):
             detected += float(post.sum()) == 0.0
             continue
         softs.append(float(post[ins.compatible].sum()))
-        hards.append(1.0 if ins.compatible.flat[int(np.argmax(post))] else 0.0)
+        hit = post.any() and ins.compatible.flat[int(np.argmax(post))]
+        hards.append(1.0 if hit else 0.0)
     rate = detected / n_impossible if n_impossible else None
     return float(np.mean(softs)), float(np.mean(hards)), rate
 

@@ -491,55 +491,72 @@ def test_rescore_and_repl_reject_model_without_action(trained, workdir, capsys, 
         assert captured.err == "error: the model has no action variable\n"
 
 
-def test_generate_rejects_malformed_lexicon(workdir, capsys):
-    lexicon = workdir / "lexicon.json"
-    default = default_lexicon()
-    body = {
-        "concepts": {k: list(v) for k, v in default.concepts.items()},
-        "filler_words": default.filler_words,
-    }
-    text = json.dumps(body)
-    lexicon.write_text(text, encoding="utf-8")
-    ok = run("generate", "--out", str(workdir / "ok"), "--seed", "0", "--lexicon", str(lexicon))
-    assert ok == 0
-    capsys.readouterr()
-    for bad in (
-        json.dumps({"concepts": {}}),
-        json.dumps({"words": 5}),
-        # the default lexicon, but for an undefined key or a key given twice
-        json.dumps(dict(body, fillers={})),
-        text.replace('"filler_words": {', '"filler_words": {"the": 0.0, ', 1),
-        text.replace('"concepts": {', '"concepts": {"subject": ["it"], ', 1),
-    ):
-        lexicon.write_text(bad, encoding="utf-8")
-        code = run(
-            "generate", "--out", str(workdir / "data"), "--seed", "0",
-            "--lexicon", str(lexicon),
-        )
-        assert code == 2
-        assert "lexicon" in capsys.readouterr().err
+def test_generate_has_no_lexicon_option(workdir, capsys):
+    out = workdir / "data"
+    with pytest.raises(SystemExit) as exit_:
+        run("generate", "--out", str(out), "--seed", "0", "--lexicon", "x.json")
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --lexicon x.json" in capsys.readouterr().err
+    assert not out.exists()
 
 
-def test_model_and_lexicon_nested_too_deeply_are_input_errors(trained, workdir, capsys):
-    # deeper than the JSON parser can recurse
-    root, _, _, scene_path = trained
-    deep = workdir / "deep.json"
-    deep.write_text("[" * 100_000, encoding="utf-8")
-    for argv, kind in (
-        (
-            ["instruct", "--model", str(deep), "--scene", str(scene_path), "--words", "tap"],
-            "model file",
-        ),
-        (
-            ["generate", "--out", str(workdir / "data"), "--seed", "0", "--lexicon", str(deep)],
-            "lexicon file",
-        ),
+def test_model_nested_too_deeply_or_repeating_a_key_is_input_error(trained, workdir, capsys):
+    root, _, model_path, scene_path = trained
+    text = model_path.read_text(encoding="utf-8")
+    bad = workdir / "bad.json"
+    for body, error in (
+        # deeper than the JSON parser can recurse
+        ("[" * 100_000, "model file is nested too deeply"),
+        (text.replace('"pseudocount": ', '"pseudocount": 1, "pseudocount": ', 1),
+         "model file: duplicate key 'pseudocount'"),
     ):
-        code = run(*argv)
+        bad.write_text(body, encoding="utf-8")
+        code = run("instruct", "--model", str(bad), "--scene", str(scene_path), "--words", "tap")
         captured = capsys.readouterr()
         assert code == 2, captured.err
-        assert captured.err == f"error: {kind} is nested too deeply\n"
+        assert captured.err == f"error: {error}\n"
         assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, clash",
+    [
+        (["train", "--corpus", "c.txt", "--model", "m.json", "--report", "m.json"],
+         "--model and --report both name m.json"),
+        (["train", "--corpus", "c.txt", "--model", "./c.txt"],
+         "--corpus and --model both name ./c.txt"),
+        (["train", "--corpus", "c.txt", "--model", "m.json", "--report", "sub/../c.txt"],
+         "--corpus and --report both name sub/../c.txt"),
+        (["train", "--corpus", "m.json.report.txt", "--model", "m.json"],
+         "--corpus and --report both name m.json.report.txt"),
+        (["eval", "--corpus", "c.txt", "--out", "c.txt"], "--corpus and --out both name c.txt"),
+        (["eval", "--corpus", "c.txt", "--instructions", "i.txt", "--out", "i.txt"],
+         "--instructions and --out both name i.txt"),
+    ],
+    ids=["model-report", "model-corpus", "report-corpus", "default-report-corpus",
+         "eval-out-corpus", "eval-out-instructions"],
+)
+def test_train_and_eval_refuse_an_output_that_names_another_path(
+    trained, workdir, capsys, monkeypatch, argv, clash
+):
+    # the command's inputs are left as they were and no output is written
+    _, corpus_path, _, _ = trained
+    monkeypatch.chdir(workdir)
+    (workdir / "sub").mkdir()
+    corpus_text = corpus_path.read_text(encoding="utf-8")
+    inputs = {"c.txt": corpus_text, "m.json.report.txt": corpus_text,
+              "i.txt": "grasp the ball|grasp,*,*,sphere\n"}
+    for name, text in inputs.items():
+        (workdir / name).write_text(text, encoding="utf-8")
+    if argv[0] == "eval":
+        argv = argv + ["--seed", "0", "--sizes", "10", "--reps", "1"]
+    code = run(*argv)
+    captured = capsys.readouterr()
+    assert code == 2, captured.err
+    assert captured.err == f"error: {clash}\n"
+    assert {p.name for p in workdir.iterdir()} == set(inputs) | {"sub"}
+    for name, text in inputs.items():
+        assert (workdir / name).read_text(encoding="utf-8") == text
 
 
 @pytest.mark.parametrize(
@@ -591,7 +608,7 @@ def test_eval_rejects_non_finite_alpha(trained, capsys, alpha):
 
 @pytest.fixture(scope="module")
 def boundary_files(tmp_path_factory):
-    """A valid file for each of the six file boundaries, and a model and
+    """A valid file for each of the five file boundaries, and a model and
     scene for the commands that read one of them; the corpus is small so
     that `train` and `eval` on it are quick."""
     root = tmp_path_factory.mktemp("boundaries")
@@ -601,16 +618,11 @@ def boundary_files(tmp_path_factory):
     assert run("train", "--corpus", str(corpus_path), "--model", str(model_path)) == 0
     scene = "ball|yellow,small,sphere\nbox|blue,big,box\n"
     (root / "scene.txt").write_text(scene, encoding="utf-8")
-    lexicon = default_lexicon()
     valid = {
         "corpus": corpus_path.read_text(encoding="utf-8"),
         "scene": scene,
         "nbest": "0.4|tap the ball\n0.3|grasp the box\n",
         "model": model_path.read_text(encoding="utf-8"),
-        "lexicon": json.dumps(
-            {"concepts": {k: list(v) for k, v in lexicon.concepts.items()},
-             "filler_words": lexicon.filler_words}
-        ),
         "instructions": "grasp the ball|grasp,*,*,sphere\nroll the box|IMPOSSIBLE\n",
     }
     return root, valid
@@ -625,10 +637,6 @@ def boundary_argv(boundary, path, root, out):
         "scene": ["instruct", "--model", model, "--scene", path, "--words", "tap the ball"],
         "nbest": ["rescore", "--model", model, "--scene", scene, "--nbest", path],
         "model": ["instruct", "--model", path, "--scene", scene, "--words", "tap the ball"],
-        "lexicon": [
-            "generate", "--out", str(out), "--seed", "0", "--n", "5", "--k", "1",
-            "--lexicon", path,
-        ],
         "instructions": [
             "eval", "--corpus", corpus, "--instructions", path, "--seed", "0",
             "--sizes", "6", "--reps", "1", "--out", str(out / "curve.csv"),
@@ -641,7 +649,7 @@ SPLICE_TOKENS = ("|", ",", "[", "]", '"', "nan", "1e400", "1e-400", "\x00", "é"
 
 @settings(max_examples=200, deadline=None)
 @given(
-    boundary=st.sampled_from(("corpus", "scene", "nbest", "model", "lexicon", "instructions")),
+    boundary=st.sampled_from(("corpus", "scene", "nbest", "model", "instructions")),
     splices=st.lists(
         st.tuples(st.integers(min_value=0), st.sampled_from(SPLICE_TOKENS)), min_size=1, max_size=3
     ),
@@ -688,6 +696,8 @@ NOT_LOADED = {
     "rescore": ("structure", "datagen", "evaluation"),
     "repl": ("structure", "datagen", "evaluation"),
     "train": ("inference", "datagen", "evaluation"),
+    "generate": ("structure", "inference", "evaluation"),
+    "eval": ("datagen",),
 }
 
 
@@ -703,6 +713,11 @@ def test_command_imports_only_the_modules_it_runs(trained, workdir, command):
         "rescore": ["rescore", *query, "--nbest", str(nbest)],
         "repl": ["repl", *query],
         "train": ["train", "--corpus", str(corpus_path), "--model", str(workdir / "m.json")],
+        "generate": ["generate", "--out", str(workdir / "data"), "--seed", "0", "--n", "5"],
+        "eval": [
+            "eval", "--corpus", str(corpus_path), "--out", str(workdir / "curve.csv"),
+            "--seed", "0", "--sizes", "50", "--reps", "1",
+        ],
     }[command]
     src = str(Path(wordground.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))

@@ -1,4 +1,3 @@
-import json
 from collections import Counter
 
 import numpy as np
@@ -16,7 +15,6 @@ from wordground.datagen import (
     default_noise_profile,
     default_world,
     generate_description,
-    load_lexicon,
     sample_experience,
     sample_experiences,
 )
@@ -200,64 +198,6 @@ def test_lexicon_has_49_distinct_words_and_validates():
         Lexicon(concepts={"x": ()}, filler_words={})
     with pytest.raises(ValueError):
         Lexicon(concepts={}, filler_words={"w": 1.5})
-
-
-def write_lexicon(lexicon, path):
-    obj = {
-        "concepts": {k: list(v) for k, v in lexicon.concepts.items()},
-        "filler_words": lexicon.filler_words,
-    }
-    path.write_text(json.dumps(obj, indent=2), encoding="utf-8")
-
-
-def test_lexicon_file_roundtrip(tmp_path):
-    path = tmp_path / "lexicon.json"
-    write_lexicon(LEXICON, path)
-    assert load_lexicon(path) == LEXICON
-
-
-def test_lexicon_file_roundtrip_custom_lexicon(tmp_path):
-    lexicon = Lexicon(
-        concepts={"subject": ("robot",), "shape=sphere": ("ball", "orb")},
-        filler_words={"the": 1.0, "just": 0.125, "um": 0.0},
-    )
-    path = tmp_path / "lexicon.json"
-    write_lexicon(lexicon, path)
-    assert load_lexicon(path) == lexicon
-
-
-@pytest.mark.parametrize(
-    "obj, message",
-    [
-        ({"concepts": {}}, "filler_words"),
-        ({"words": 5}, "concepts"),
-        ([], "object"),
-        ({"concepts": [], "filler_words": {}}, "concepts"),
-        ({"concepts": {}, "filler_words": ["the"]}, "filler_words"),
-        ({"concepts": {"subject": "he"}, "filler_words": {}}, "subject"),
-        ({"concepts": {"subject": ["he", 3]}, "filler_words": {}}, "subject"),
-        ({"concepts": {}, "filler_words": {"the": "often"}}, "the"),
-        ({"concepts": {}, "filler_words": {"the": None}}, "the"),
-        ({"concepts": {}, "filler_words": {"the": True}}, "the"),
-        ({"concepts": {}, "filler_words": {}, "fillers": {}}, "unknown key 'fillers'"),
-        # JSON text, since a key given twice has no Python dict form
-        pytest.param(
-            '{"concepts": {}, "filler_words": {"the": 0.0, "the": 1.0}}',
-            "lexicon file: duplicate key 'the'",
-            id="duplicate-filler",
-        ),
-        pytest.param(
-            '{"concepts": {"subject": ["he"], "subject": ["robot"]}, "filler_words": {}}',
-            "lexicon file: duplicate key 'subject'",
-            id="duplicate-concept",
-        ),
-    ],
-)
-def test_load_lexicon_rejects_malformed_file(tmp_path, obj, message):
-    path = tmp_path / "lexicon.json"
-    path.write_text(obj if isinstance(obj, str) else json.dumps(obj), encoding="utf-8")
-    with pytest.raises(ValueError, match=message):
-        load_lexicon(path)
 
 
 # -- noise channel -----------------------------------------------------------------

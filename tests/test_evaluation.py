@@ -25,10 +25,10 @@ from wordground.evaluation import (
 )
 from wordground.grounding import bag_of_words
 from wordground.inference import CANONICAL_CELL_ORDER, _bag_evidence, default_cells
-from wordground.network import Network, StateTable, affordance_variables
+from wordground.network import Network, StateTable, affordance_variables, word_variable
 from wordground.structure import encode_columns, fit_cpts, train_model
 
-from oracles import oracle_cell_mask
+from oracles import oracle_cell_mask, reference_evaluate
 from test_structure import family_score, ones
 
 WORLD = default_world()
@@ -94,6 +94,21 @@ def test_hard_accuracy_half_right():
     good = Instruction(bag=frozenset(), compatible=expand(color="lightgreen"))
     bad = Instruction(bag=frozenset(), compatible=expand(color="yellow"))
     assert evaluate_instructions(net, [good, bad, good, bad]).hard == 0.5
+
+
+def test_hard_accuracy_gives_no_credit_to_an_all_zero_posterior():
+    # "never" is never present, so the model judges the request impossible;
+    # the all-zero row's argmax would be cell 0, which the mask holds
+    net = engineered_color_net((0.25, 0.25, 0.25, 0.25))
+    never = word_variable("never")
+    net = Network(
+        net.variables + (never,), net.parents, {**net.cpts, "never": np.array([[1.0, 0.0]])}
+    )
+    assert CELL_DOMAINS[0][0] == "grasp" and CELL_DOMAINS[1][0] == "lightgreen"
+    ins = Instruction(bag=frozenset({"never"}), compatible=expand("grasp", "lightgreen"))
+    result = evaluate_instructions(net, [ins])
+    assert (result.soft, result.hard) == (0.0, 0.0)
+    assert reference_evaluate(net, [ins])[:2] == (0.0, 0.0)
 
 
 def test_hard_accuracy_needs_scorable_instructions():

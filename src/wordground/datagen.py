@@ -303,8 +303,9 @@ class NoiseProfile:
     insertion_pool: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        if self.false_rejection_rate < 0 or self.false_acceptance_rate < 0:
-            raise ValueError("noise rates must be >= 0")
+        for rate in (self.false_rejection_rate, self.false_acceptance_rate):
+            if not 0.0 <= rate < float("inf"):
+                raise ValueError(f"noise rates must be finite and >= 0, got {rate}")
 
 
 def default_noise_profile(lexicon: Lexicon) -> NoiseProfile:

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .grounding import BagOfWords, Experience, _nonblank_lines, bag_of_words
-from .inference import CANONICAL_CELL_ORDER, _bag_evidence, default_cells
+from .inference import CANONICAL_CELL_ORDER, _known_words, default_cells
 from .network import Network, StateTable, affordance_variables
 from .structure import EncodedCorpus, _attach_words, _best_single_parents, fit_cpts, train_model
 
@@ -83,8 +83,8 @@ def evaluate_instructions(
     best-cell tie-break deterministic: earlier values of earlier variables
     win; an all-zero posterior, a request judged impossible, has no best cell.
     """
-    evidences = [_bag_evidence(network, ins.bag) for ins in instructions]
-    post = StateTable(network).posterior(evidences, default_cells(network))
+    bags = [_known_words(network, ins.bag) for ins in instructions]
+    post = StateTable(network).posterior(bags, default_cells(network))
     post = post.reshape(len(post), math.prod(post.shape[1:]))
     best = post.argmax(axis=1)
     softs: list[float] = []

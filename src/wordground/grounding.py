@@ -113,8 +113,9 @@ def save_corpus(experiences: Sequence[Experience], path) -> None:
 
 
 def _nonblank_lines(path) -> list[tuple[int, str]]:
-    """(line number, line) for each nonblank line of a UTF-8 text file."""
-    with open(path, encoding="utf-8") as fh:
+    """(line number, line) for each nonblank line of a UTF-8 text file,
+    without the byte-order mark that some editors write first."""
+    with open(path, encoding="utf-8-sig") as fh:
         return [(lineno, line) for lineno, line in enumerate(fh, start=1) if line.strip()]
 
 

@@ -2,14 +2,15 @@
 detection, and N-best rescoring.
 
 All three queries run on the network's one exact-inference engine,
-`StateTable`: every configuration of the non-word variables is weighted by
-the state model and by the presence probability of every known word in the
-utterance, then summed onto the action and object cells. Words whose
-parents include effect variables are handled automatically, because
-effects are part of the table and are summed out under the state model.
-One engine call scores the prior and every bag of a query: the one
-instruction of `select_action_object`, or every hypothesis of an N-best
-list in `rescore_nbest`.
+`StateTable`, whose one query form is a bag of heard words: every
+configuration of the non-word variables is weighted by the state model and
+by the presence probability of every known word in the utterance, then
+summed onto the action and object cells. Words whose parents include
+effect variables are handled automatically, because effects are part of
+the table and are summed out under the state model. One engine call scores
+the prior and every bag of a query: the one instruction of
+`select_action_object`, or every hypothesis of an N-best list in
+`rescore_nbest`.
 
 Impossibility is a result state, not an error: a query whose every
 configuration has probability zero returns an all-zero result. A request
@@ -26,7 +27,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .grounding import _VALUES, _nonblank_lines, bag_of_words
-from .network import _FILE_FIELDS, PRESENT, Network, StateTable, marginal
+from .network import _FILE_FIELDS, Network, StateTable
 
 logger = logging.getLogger(__name__)
 
@@ -89,28 +90,16 @@ class ActionObjectRanking:
         return self.entries[0]
 
 
-def _bag_evidence(network: Network, bag: Iterable[str]) -> dict[str, str]:
-    """The bag's known words, each bound to present. Unknown words are
-    skipped with one warning, since instructions may contain words outside
-    the training vocabulary."""
+def _known_words(network: Network, bag: Iterable[str]) -> list[str]:
+    """The bag's known words, sorted: the engine input of a bag. Unknown
+    words are skipped with one warning, since instructions may contain
+    words outside the training vocabulary."""
     words = sorted(set(bag))
     known = network.word_set
     unknown = [w for w in words if w not in known]
     if unknown:
         logger.warning("skipping unknown words: %s", ", ".join(unknown))
-    return {w: PRESENT for w in words if w in known}
-
-
-def predict_compatible_set(
-    network: Network, bag: Iterable[str]
-) -> dict[tuple[str, ...], float]:
-    """Joint posterior over the action and object-feature cells
-    (`default_cells`) given the bag.
-
-    Normalized when any cell has mass; the all-zero table marks an
-    impossible request.
-    """
-    return marginal(network, default_cells(network), _bag_evidence(network, bag))
+    return [w for w in words if w in known]
 
 
 def _scene_scorer(
@@ -150,8 +139,7 @@ def _scene_scorer(
     for bag in bags:
         if bag and network.word_set.isdisjoint(bag):
             raise UnknownWordsError(f"the model knows none of the words: {', '.join(sorted(bag))}")
-    evidences = [{}] + [_bag_evidence(network, bag) for bag in bags]
-    joint = StateTable(network).joint(evidences, cells)
+    joint = StateTable(network).joint([[]] + [_known_words(network, bag) for bag in bags], cells)
     prior = joint[0]
     with np.errstate(invalid="ignore", divide="ignore"):
         scores = np.where(prior > 0, joint[1:] / prior, 0.0)

@@ -4,8 +4,8 @@ Representation of named discrete variables and a DAG of conditional
 probability tables, exact inference on a dense table of the non-word states
 into which each CPT enters as one gather through its family's cached
 configuration index over the state grid (`StateTable`, the one engine
-behind every query, scoring a batch of evidence sets per call), and the
-JSON model file. Learning a network from data (counting, CPT fitting and
+behind every query, scoring a batch of bags of heard words per call), and
+the JSON model file. Learning a network from data (counting, CPT fitting and
 the K2 score) is `structure`'s.
 
 Networks are immutable after construction: fitting builds a new network,
@@ -21,7 +21,7 @@ import math
 import sys
 from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -228,12 +228,10 @@ class StateTable:
     non-word variables in declaration order (`shape`): the product of the
     CPTs, each gathered into a factor over the states through its family's
     cached `_grid_index` (the factor product of Koller & Friedman 2009,
-    ch. 9). A query multiplies in one factor per bound variable: an
-    indicator for a non-word variable, and for a word its CPT column at the
-    bound value, gathered over its parents. Words are leaves, so every
-    unbound word sums out to one and only the bound ones enter. Summing the
-    product onto the query variables gives their exact joint with the
-    evidence.
+    ch. 9). The one query form is a bag of heard words: each word of the bag
+    multiplies in its `PRESENT` CPT column, gathered over its parents. Words
+    are leaves, so every word not in the bag sums out to one. Summing the
+    product onto the query cells gives their exact joint with the bag.
     """
 
     def __init__(self, network: Network):
@@ -248,80 +246,38 @@ class StateTable:
     def _index(self, family: tuple[str, ...]) -> np.ndarray:
         return _grid_index(self._axes, family)
 
-    def joint(self, evidences: Sequence[Assignment], cells: Sequence[str]) -> np.ndarray:
-        """p(cells, evidence) for each evidence set, shape (evidence sets,
-        *cell cardinalities), cells in cell order. Each row multiplies into
-        `p_x` the non-word indicators in evidence order, then the word
-        factors in sorted word order, so it does not depend on the order of
-        the evidence or on the other rows."""
-        mass = np.empty((len(evidences), self.p_x.size))
+    def joint(self, bags: Sequence[Iterable[str]], cells: Sequence[str]) -> np.ndarray:
+        """p(cells, every word of the bag present) for each bag of the
+        network's words, shape (bags, *cell cardinalities), cells in cell
+        order. Each row multiplies into `p_x` its words' factors in sorted
+        word order, so it does not depend on the order of a bag, on repeated
+        words or on the other rows."""
+        mass = np.empty((len(bags), self.p_x.size))
         mass[:] = self.p_x
-        words = self.network.word_set
-        rows_of: dict[tuple[str, str], list[np.ndarray]] = {}
-        for row, evidence in zip(mass, evidences):
-            for name, value in evidence.items():
-                if name in words:
-                    rows_of.setdefault((name, value), []).append(row)
-                else:
-                    i = self.network.variable(name).index_of(value)
-                    np.multiply(row, self._index((name,)) == i, out=row)
+        rows_of: dict[str, list[np.ndarray]] = {}
+        for row, bag in zip(mass, bags):
+            for word in set(bag):
+                rows_of.setdefault(word, []).append(row)
         # words in sorted order, each gathered once for all the rows it binds
-        for (name, value), rows in sorted(rows_of.items()):
-            i = self.network.variable(name).index_of(value)
-            factor = self.network.cpts[name][:, i][self._index(self.network.parents[name])]
+        for word, rows in sorted(rows_of.items()):
+            if word not in self.network.word_set:
+                raise ValueError(f"{word!r} is not a word of the network")
+            column = self.network.cpts[word][:, WORD_VALUES.index(PRESENT)]
+            factor = column[self._index(self.network.parents[word])]
             for row in rows:
                 np.multiply(row, factor, out=row)
         keep = [self.names.index(c) for c in cells]
         summed = tuple(1 + a for a in range(len(self.shape)) if a not in keep)
-        table = mass.reshape((len(evidences),) + self.shape).sum(axis=summed)
+        table = mass.reshape((len(bags),) + self.shape).sum(axis=summed)
         kept_sorted = sorted(keep)
         return table.transpose([0] + [1 + kept_sorted.index(a) for a in keep])
 
-    def posterior(self, evidences: Sequence[Assignment], cells: Sequence[str]) -> np.ndarray:
-        """`joint` with each row normalised over the cells; a row whose
-        evidence has probability zero stays all-zero."""
-        table = self.joint(evidences, cells)
+    def posterior(self, bags: Sequence[Iterable[str]], cells: Sequence[str]) -> np.ndarray:
+        """`joint` with each row normalised over the cells; a row whose bag
+        has probability zero stays all-zero."""
+        table = self.joint(bags, cells)
         totals = table.sum(axis=tuple(range(1, table.ndim)))
         return table / np.where(totals > 0, totals, 1.0).reshape((-1,) + (1,) * len(cells))
-
-
-def joint_probability(network: Network, assignment: Assignment) -> float:
-    """Probability of one full configuration: the product of CPT lookups."""
-    missing = [v.name for v in network.variables if v.name not in assignment]
-    if missing:
-        raise ValueError(f"assignment is partial, missing {missing}")
-    full = {v.name: assignment[v.name] for v in network.variables}
-    return float(StateTable(network).joint([full], ())[0])
-
-
-def marginal(
-    network: Network,
-    query_variables: Sequence[str],
-    evidence: Assignment | None = None,
-) -> dict[tuple[str, ...], float]:
-    """Exact conditional distribution over joint values of non-word query
-    variables.
-
-    If the evidence has probability zero the result is the designated
-    all-zero table rather than an error, so callers can detect impossible
-    inputs.
-    """
-    evidence = dict(evidence or {})
-    query = list(query_variables)
-    if not query:
-        raise ValueError("query must name at least one variable")
-    overlap = set(query) & set(evidence)
-    if overlap:
-        raise ValueError(f"query and evidence overlap on {sorted(overlap)}")
-    query_vars = [network.variable(n) for n in query]
-    words = [v.name for v in query_vars if v.kind == "word"]
-    if words:
-        raise ValueError(f"cannot query word variables {words}")
-    posterior = StateTable(network).posterior([evidence], query)[0]
-    return {
-        tuple(v.values[i] for v, i in zip(query_vars, idx)): float(posterior[idx])
-        for idx in np.ndindex(posterior.shape)
-    }
 
 
 # -- model file -------------------------------------------------------------
@@ -329,8 +285,9 @@ def marginal(
 
 def _fmt_float(x: float) -> str:
     # 17 significant digits: enough to reproduce any double exactly, so
-    # save -> load -> save is byte-identical.
-    return format(float(x), ".17g")
+    # save -> load -> save is byte-identical. Adding +0.0 writes -0.0 as 0:
+    # JSON reads "-0" back as the integer 0.
+    return format(float(x) + 0.0, ".17g")
 
 
 def network_to_json(network: Network) -> str:
@@ -445,5 +402,6 @@ def save_network(network: Network, path) -> None:
 
 
 def load_network(path) -> Network:
-    with open(path, encoding="utf-8") as fh:
+    # utf-8-sig drops a byte-order mark, which the JSON parser refuses
+    with open(path, encoding="utf-8-sig") as fh:
         return network_from_json(fh.read())

@@ -31,20 +31,20 @@ def oracle_joint(values_map, parents_map, cpt_map, assignment):
     return p
 
 
-def oracle_marginal(values_map, parents_map, cpt_map, query, evidence):
-    """Conditional over query cells by full enumeration of every variable."""
+def oracle_marginal(values_map, parents_map, cpt_map, query, words):
+    """Conditional over query cells given every word of `words` present, by
+    full enumeration of every variable: an array with one axis per query
+    variable, each in value order; all zero if the words are impossible."""
     names = list(values_map)
-    totals = {cells: 0.0 for cells in product(*(values_map[q] for q in query))}
+    totals = np.zeros([len(values_map[q]) for q in query])
     for combo in product(*(values_map[n] for n in names)):
         assignment = dict(zip(names, combo))
-        if any(assignment[k] != v for k, v in evidence.items()):
+        if any(assignment[w] != "present" for w in words):
             continue
-        key = tuple(assignment[q] for q in query)
+        key = tuple(values_map[q].index(assignment[q]) for q in query)
         totals[key] += oracle_joint(values_map, parents_map, cpt_map, assignment)
-    z = sum(totals.values())
-    if z == 0.0:
-        return totals
-    return {k: v / z for k, v in totals.items()}
+    z = totals.sum()
+    return totals / z if z > 0 else totals
 
 
 def oracle_family_score(records, target, target_values, parent_names, alpha):
@@ -206,17 +206,17 @@ def to_network(values_map, parents_map, cpt_map):
 
 # -- reference engine and query loops ----------------------------------------
 #
-# The per-evidence engine that `network.StateTable` replaced, and the
+# The one-bag-per-call engine that `network.StateTable` replaced, and the
 # per-query loops that ran on it. The batched engine reorders no floating
 # point operation, so the tests require bitwise-equal results.
 
 
 class ReferenceStateTable:
     """Exact inference on a dense n-d table with one axis per non-word
-    variable, one evidence set per call. Each CPT is reshaped, transposed
+    variable, one bag of words per call. Each CPT is reshaped, transposed
     and broadcast over the table's axes; a query copies the prior table,
-    multiplies in the non-word indicators in evidence order, then the word
-    factors in sorted word order, and sums onto the cells."""
+    multiplies in each word's present column in sorted word order, and sums
+    onto the cells."""
 
     def __init__(self, network):
         self.network = network
@@ -231,25 +231,18 @@ class ReferenceStateTable:
         table = table.reshape([self.shape[a] for a in axes]).transpose(np.argsort(axes))
         return table.reshape([n if a in axes else 1 for a, n in enumerate(self.shape)])
 
-    def joint(self, evidence, cells):
+    def joint(self, words, cells):
         mass = self.p_x.copy()
-        words = []
-        for name, value in evidence.items():
-            v = self.network.variable(name)
-            i = v.index_of(value)
-            if v.kind == "word":
-                words.append((name, i))
-            else:
-                mass *= self._factor(np.arange(v.cardinality) == i, (name,))
-        for name, i in sorted(words):
+        for name in sorted(set(words)):
+            i = self.network.variable(name).index_of("present")
             mass *= self._factor(self.network.cpts[name][:, i], self.network.parents[name])
         keep = [self.names.index(c) for c in cells]
         table = mass.sum(axis=tuple(i for i in range(len(self.names)) if i not in keep))
         kept_sorted = sorted(keep)
         return table.transpose([kept_sorted.index(a) for a in keep])
 
-    def posterior(self, evidence, cells):
-        table = self.joint(evidence, cells)
+    def posterior(self, words, cells):
+        table = self.joint(words, cells)
         total = table.sum()
         return table / total if total > 0 else table
 
@@ -258,13 +251,13 @@ def reference_evaluate(network, instructions):
     """(soft, hard, detection rate) of `evaluate_instructions`, one
     posterior and one argmax per instruction; an all-zero posterior earns
     no hard credit."""
-    from wordground.inference import _bag_evidence, default_cells
+    from wordground.inference import _known_words, default_cells
 
     table = ReferenceStateTable(network)
     cells = default_cells(network)
     softs, hards, detected, n_impossible = [], [], 0, 0
     for ins in instructions:
-        post = table.posterior(_bag_evidence(network, ins.bag), cells)
+        post = table.posterior(_known_words(network, ins.bag), cells)
         if ins.impossible:
             n_impossible += 1
             detected += float(post.sum()) == 0.0
@@ -279,14 +272,14 @@ def reference_evaluate(network, instructions):
 def reference_pair_scores(network, scene, bag):
     """p(bag | action, object) of every (action, object) pair, action-major
     then in scene order, from one joint of the bag over the prior's."""
-    from wordground.inference import _bag_evidence, default_cells
+    from wordground.inference import _known_words, default_cells
 
     table = ReferenceStateTable(network)
     cells = default_cells(network)
     cell_vars = [network.variable(c) for c in cells]
     action = next(v for v in cell_vars if v.kind == "action")
-    prior = table.joint({}, cells)
-    joint = table.joint(_bag_evidence(network, bag), cells)
+    prior = table.joint([], cells)
+    joint = table.joint(_known_words(network, bag), cells)
     scores = []
     for value in action.values:
         for obj in scene:

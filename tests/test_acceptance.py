@@ -25,16 +25,11 @@ from wordground.evaluation import (
     evaluate_instructions,
     staged_learning,
 )
-from wordground.inference import NBestList, predict_compatible_set, rescore_nbest, table_scene
-from wordground.network import (
-    affordance_variables,
-    joint_probability,
-    marginal,
-    word_variable,
-)
+from wordground.inference import NBestList, default_cells, rescore_nbest, table_scene
+from wordground.network import StateTable, affordance_variables, word_variable
 from wordground.structure import k2_select_parents, train_model
 
-from oracles import oracle_joint, oracle_marginal, random_binary_net, to_network
+from oracles import oracle_marginal, random_mixed_net, to_network, with_one_hot_rows
 
 WORLD = default_world()
 LEXICON = default_lexicon()
@@ -66,36 +61,39 @@ def model_noisy(corpus11):
 
 
 def test_criterion_1_inference_matches_bruteforce_oracle():
+    # the engine behind instruct, rescore and eval, on random nets with 2-6
+    # non-word variables of 2-4 values and 1-2 word leaves, all of them in
+    # the bag; every other net has one-hot CPT rows, so some bags are
+    # impossible
     started = time.perf_counter()
     worst = 0.0
+    all_zero, zero_rows_exact = 0, True
     for trial in range(100):
         rng = np.random.default_rng(trial)
-        n_nodes = int(rng.integers(2, 7))
-        values_map, parents_map, cpt_map = random_binary_net(rng, n_nodes)
+        values_map, parents_map, cpt_map = random_mixed_net(rng, int(rng.integers(2, 7)))
+        if trial % 2:
+            cpt_map = with_one_hot_rows(rng, cpt_map)
         net = to_network(values_map, parents_map, cpt_map)
-        names = list(values_map)
+        table = StateTable(net)
+        names, words = list(net.affordance_names()), list(net.word_names())
 
-        for _ in range(3):
-            assignment = {n: ("f", "t")[rng.integers(2)] for n in names}
-            got = joint_probability(net, assignment)
-            expected = oracle_joint(values_map, parents_map, cpt_map, assignment)
-            worst = max(worst, abs(got - expected))
+        prior = table.joint([[]], names)[0]
+        want = oracle_marginal(values_map, parents_map, cpt_map, names, [])
+        worst = max(worst, np.abs(prior - want).max())
 
-        k = int(rng.integers(1, min(3, n_nodes) + 1))
-        query = list(rng.choice(names, size=k, replace=False))
-        rest = [n for n in names if n not in query]
-        evidence = {}
-        if rest and rng.random() < 0.7:
-            evidence[rest[0]] = ("f", "t")[rng.integers(2)]
-        got_dist = marginal(net, query, evidence)
-        want_dist = oracle_marginal(values_map, parents_map, cpt_map, query, evidence)
-        for key, value in want_dist.items():
-            worst = max(worst, abs(got_dist[key] - value))
+        query = [names[j] for j in rng.permutation(len(names))[: rng.integers(1, 4)]]
+        got = table.posterior([words], query)[0]
+        want = oracle_marginal(values_map, parents_map, cpt_map, query, words)
+        if not want.any():
+            all_zero += 1
+            zero_rows_exact &= not got.any()
+        worst = max(worst, np.abs(got - want).max())
     elapsed = time.perf_counter() - started
     report(
         "1 inference oracle equivalence",
-        worst < 1e-12 and elapsed < 10.0,
-        f"worst deviation {worst:.2e} over 100 nets in {elapsed:.1f}s",
+        worst < 1e-12 and elapsed < 10.0 and zero_rows_exact and all_zero > 0,
+        f"worst deviation {worst:.2e} over 100 nets in {elapsed:.1f}s; "
+        f"{all_zero} impossible bags, all-zero rows exact={zero_rows_exact}",
     )
 
 
@@ -245,9 +243,10 @@ def test_criterion_8_impossible_requests_detected(model_clean, model_noisy):
     instructions = default_instructions()
     impossible = [i for i in instructions if i.impossible]
     misses = []
-    for ins in impossible:
-        posterior = predict_compatible_set(model_clean, ins.bag)
-        if sum(posterior.values()) != 0.0:
+    bags = [[w for w in ins.bag if w in model_clean.word_set] for ins in impossible]
+    posterior = StateTable(model_clean).posterior(bags, default_cells(model_clean))
+    for ins, row in zip(impossible, posterior):
+        if row.sum() != 0.0:
             misses.append(ins.text)
     noisy_result = evaluate_instructions(model_noisy, instructions)
     report(

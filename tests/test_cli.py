@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -642,6 +643,30 @@ def boundary_argv(boundary, path, root, out):
             "--sizes", "6", "--reps", "1", "--out", str(out / "curve.csv"),
         ],
     }[boundary]
+
+
+@pytest.mark.parametrize("boundary", ("corpus", "scene", "nbest", "model", "instructions"))
+def test_boundary_file_with_a_byte_order_mark_reads_like_the_plain_file(
+    boundary_files, boundary, tmp_path, caplog
+):
+    # some editors write U+FEFF first; it must not stick to the first token
+    # (the warnings name the words a model does not know)
+    root, valid = boundary_files
+    out, results = tmp_path / "out", []
+    for text in (valid[boundary], "\ufeff" + valid[boundary]):
+        out.mkdir()
+        path = out / "input"
+        path.write_text(text, encoding="utf-8")
+        stdout = io.StringIO()
+        caplog.clear()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+            code = main(boundary_argv(boundary, str(path), root, out))
+        written = {p.name: p.read_bytes() for p in out.iterdir() if p != path}
+        warnings = [r.getMessage() for r in caplog.records]
+        results.append((code, stdout.getvalue(), written, warnings))
+        shutil.rmtree(out)
+    assert results[0][0] == 0
+    assert results[1] == results[0]
 
 
 SPLICE_TOKENS = ("|", ",", "[", "]", '"', "nan", "1e400", "1e-400", "\x00", "é", "\t")

@@ -238,8 +238,10 @@ def test_corrupt_only_deletes_and_inserts():
 
 
 def test_noise_profile_validation():
-    with pytest.raises(ValueError):
-        NoiseProfile(-1.0, 0.0, ())
+    for bad in (-1.0, float("nan"), float("inf")):
+        for rates in ((bad, 0.0), (0.0, bad)):
+            with pytest.raises(ValueError, match="noise rates must be finite and >= 0"):
+                NoiseProfile(*rates, ())
 
 
 # -- corpus -----------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from wordground.evaluation import (
     staged_learning,
 )
 from wordground.grounding import bag_of_words
-from wordground.inference import CANONICAL_CELL_ORDER, _bag_evidence, default_cells
+from wordground.inference import CANONICAL_CELL_ORDER, _known_words, default_cells
 from wordground.network import Network, StateTable, affordance_variables, word_variable
 from wordground.structure import encode_columns, fit_cpts, train_model
 
@@ -136,9 +136,7 @@ def test_soft_mass_over_flat_cells_equals_mask_sum(model, n_cells, data):
     bag = data.draw(st.sampled_from([ins.bag for ins in default_instructions()]))
     ins = Instruction(bag=bag, compatible=mask)
     assert ins.cells.tolist() == [i for i, m in enumerate(mask.ravel().tolist()) if m]
-    post = StateTable(model).posterior(
-        [_bag_evidence(model, bag)], default_cells(model)
-    )[0]
+    post = StateTable(model).posterior([_known_words(model, bag)], default_cells(model))[0]
     assert evaluate_instructions(model, [ins]).soft == float(post[mask].sum())
 
 

@@ -13,17 +13,11 @@ from wordground.inference import (
     load_scene,
     parse_nbest_line,
     parse_scene_line,
-    predict_compatible_set,
     rescore_nbest,
     select_action_object,
     table_scene,
 )
-from wordground.network import (
-    Network,
-    Variable,
-    marginal,
-    word_variable,
-)
+from wordground.network import Network, Variable, word_variable
 from wordground.structure import EncodedCorpus, train_model
 
 from oracles import (
@@ -98,61 +92,28 @@ def test_default_cells_prefers_file_order():
 
 
 def test_predict_compatible_set_matches_bruteforce_oracle():
+    # the posterior over the action and object cells given a bag of words
     net = toy_net()
     values_map, parents_map, cpt_map = raw_toy()
+    table = StateTable(net)
     for bag in (["ball"], ["moving"], ["ball", "moving"]):
-        got = predict_compatible_set(net, bag)
-        expected = oracle_marginal(
-            values_map, parents_map, cpt_map, ["Action", "Shape"],
-            {w: "present" for w in bag},
-        )
-        for key, value in expected.items():
-            assert abs(got[key] - value) < 1e-12
-
-
-def test_marginal_with_absent_word_evidence_matches_bruteforce_oracle():
-    net = toy_net()
-    values_map, parents_map, cpt_map = raw_toy()
-    for evidence in (
-        {"ball": "absent"},
-        {"ball": "absent", "moving": "present"},
-        {"moving": "absent", "Shape": "sphere"},
-        {"ball": "present", "Shape": "box"},  # "ball" is never said of a box
-    ):
-        query = [n for n in ("Action", "Shape", "Motion") if n not in evidence]
-        got = marginal(net, query, evidence)
-        expected = oracle_marginal(values_map, parents_map, cpt_map, query, evidence)
-        assert got.keys() == expected.keys()
-        for key, value in expected.items():
-            assert abs(got[key] - value) < 1e-12
-    assert set(marginal(net, ["Action"], {"ball": "present", "Shape": "box"}).values()) == {0.0}
-
-
-def test_predict_compatible_set_equals_marginal_on_trained_model():
-    corpus = build_corpus(default_world(), default_lexicon(), 120, 3, seed=2).experiences
-    net = train_model(corpus)
-    bag = bag_of_words("tap the green small cube")
-    known = [w for w in bag if w in net.word_names()]
-    got = predict_compatible_set(net, bag)
-    expected = marginal(
-        net, ["Action", "Color", "Size", "Shape"], {w: "present" for w in known}
-    )
-    for key, value in expected.items():
-        assert abs(got[key] - value) < 1e-12
+        got = table.posterior([bag], ["Action", "Shape"])[0]
+        expected = oracle_marginal(values_map, parents_map, cpt_map, ["Action", "Shape"], bag)
+        assert np.abs(got - expected).max() < 1e-12
 
 
 def test_predict_compatible_set_empty_bag_is_prior():
-    net = toy_net()
-    got = predict_compatible_set(net, [])
-    assert abs(got[("grasp", "sphere")] - 0.5 * 0.6) < 1e-12
-    assert abs(sum(got.values()) - 1.0) < 1e-9
+    got = StateTable(toy_net()).posterior([[]], ["Action", "Shape"])[0]
+    assert abs(got[0, 0] - 0.5 * 0.6) < 1e-12
+    assert abs(got.sum() - 1.0) < 1e-9
 
 
 def test_predict_compatible_set_default_domain_has_72_cells():
     corpus = build_corpus(default_world(), default_lexicon(), 30, 1, seed=1).experiences
     net = train_model(corpus)
-    got = predict_compatible_set(net, ["ball"])
-    assert len(got) == 3 * 4 * 3 * 2
+    assert "ball" in net.word_set
+    got = StateTable(net).posterior([["ball"]], default_cells(net))
+    assert got.shape == (1, 3, 4, 3, 2)
 
 
 # -- select_action_object ---------------------------------------------------------

@@ -4,7 +4,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wordground.network import (
@@ -15,8 +15,6 @@ from wordground.network import (
     _grid_index,
     affordance_variables,
     default_affordance_parents,
-    joint_probability,
-    marginal,
     network_from_json,
     network_to_json,
     word_variable,
@@ -258,12 +256,12 @@ def test_fit_rejects_non_finite_or_negative_pseudocount(pseudocount):
         fit_cpts(variables, parents, encode_columns(variables, data), ones(data), pseudocount)
 
 
-# -- joint probability -------------------------------------------------------------
+# -- engine: joint and posterior of word bags -----------------------------------
 
 
 def test_joint_single_uniform_node():
     net = Network([binary("A")], {}, {"A": [[0.5, 0.5]]})
-    assert joint_probability(net, {"A": "f"}) == 0.5
+    assert StateTable(net).joint([[]], ["A"]).tolist() == [[0.5, 0.5]]
 
 
 def test_joint_three_node_chain_hand_product():
@@ -275,111 +273,114 @@ def test_joint_three_node_chain_hand_product():
     }
     net = Network([a, b, c], {"A": [], "B": ["A"], "C": ["B"]}, cpts)
     # hand product: p(A=t) * p(B=t|A=t) * p(C=f|B=t) = 0.3 * 0.7 * 0.1
-    assert abs(joint_probability(net, {"A": "t", "B": "t", "C": "f"}) - 0.021) < 1e-15
+    assert abs(StateTable(net).joint([[]], ["A", "B", "C"])[0, 1, 1, 0] - 0.021) < 1e-15
 
 
 def test_joint_deterministic_chain_forced_path():
     a, b = binary("A"), binary("B")
     cpts = {"A": np.array([[1.0, 0.0]]), "B": np.array([[1.0, 0.0], [0.0, 1.0]])}
     net = Network([a, b], {"A": [], "B": ["A"]}, cpts, pseudocount=0.0)
-    assert joint_probability(net, {"A": "f", "B": "f"}) == 1.0
-
-
-def test_joint_rejects_partial_assignment():
-    net = Network([binary("A"), binary("B")], {}, {"A": [[0.5, 0.5]], "B": [[0.5, 0.5]]})
-    with pytest.raises(ValueError, match="partial"):
-        joint_probability(net, {"A": "f"})
-
-
-# -- marginal -----------------------------------------------------------------------
+    assert StateTable(net).joint([[]], ["A", "B"])[0, 0, 0] == 1.0
 
 
 def test_marginal_of_root_is_cpt_row():
     variables, parents = [Variable("A", ("x", "y", "z")), binary("B")], {"B": ["A"]}
     data = [{"A": "x", "B": "f"}] * 5 + [{"A": "y", "B": "t"}] * 3 + [{"A": "z", "B": "f"}] * 2
     fitted = fit_cpts(variables, parents, encode_columns(variables, data), ones(data), 1.0)
-    dist = marginal(fitted, ["A"])
-    for i, value in enumerate(("x", "y", "z")):
-        assert abs(dist[(value,)] - fitted.cpts["A"][0][i]) < 1e-12
+    dist = StateTable(fitted).posterior([[]], ["A"])[0]
+    assert np.abs(dist - fitted.cpts["A"][0]).max() < 1e-12
+
+
+def said_only_when_a_is_t():
+    """B copies A; the word w is said exactly when A = t."""
+    a, b, w = binary("A"), binary("B"), word_variable("w")
+    cpts = {
+        "B": np.array([[1.0, 0.0], [0.0, 1.0]]),
+        "w": np.array([[1.0, 0.0], [0.0, 1.0]]),
+    }
+    return [a, b, w], {"A": [], "B": ["A"], "w": ["A"]}, cpts
 
 
 def test_marginal_point_mass_when_evidence_determines_query():
-    a, b = binary("A"), binary("B")
-    cpts = {"A": np.array([[0.4, 0.6]]), "B": np.array([[1.0, 0.0], [0.0, 1.0]])}
-    net = Network([a, b], {"A": [], "B": ["A"]}, cpts, pseudocount=0.0)
-    dist = marginal(net, ["B"], {"A": "t"})
-    assert dist == {("f",): 0.0, ("t",): 1.0}
+    variables, parents, cpts = said_only_when_a_is_t()
+    net = Network(variables, parents, {**cpts, "A": np.array([[0.4, 0.6]])}, pseudocount=0.0)
+    assert StateTable(net).posterior([["w"]], ["B"]).tolist() == [[0.0, 1.0]]
 
 
 def test_marginal_zero_probability_evidence_returns_all_zero():
-    a, b = binary("A"), binary("B")
-    cpts = {"A": np.array([[1.0, 0.0]]), "B": np.array([[0.5, 0.5], [0.5, 0.5]])}
-    net = Network([a, b], {"A": [], "B": ["A"]}, cpts, pseudocount=0.0)
-    dist = marginal(net, ["B"], {"A": "t"})
-    assert dist == {("f",): 0.0, ("t",): 0.0}
+    variables, parents, cpts = said_only_when_a_is_t()
+    net = Network(variables, parents, {**cpts, "A": np.array([[1.0, 0.0]])}, pseudocount=0.0)
+    assert StateTable(net).posterior([["w"]], ["B"]).tolist() == [[0.0, 0.0]]
 
 
-def test_marginal_rejects_query_evidence_overlap():
-    net = Network([binary("A")], {}, {"A": [[0.5, 0.5]]})
-    with pytest.raises(ValueError, match="overlap"):
-        marginal(net, ["A"], {"A": "f"})
+def test_state_table_refuses_a_bag_name_that_is_not_a_word():
+    variables, parents, cpts = said_only_when_a_is_t()
+    net = Network(variables, parents, {**cpts, "A": np.array([[0.4, 0.6]])})
+    for name in ("A", "zebra"):
+        with pytest.raises(ValueError, match="is not a word of the network"):
+            StateTable(net).joint([["w"], [name]], ["B"])
 
 
 def test_marginal_full_query_sums_to_one():
     rng = np.random.default_rng(2)
     raw = random_binary_net(rng, 5)
     net = to_network(*raw)
-    dist = marginal(net, list(raw[0]))
-    assert abs(sum(dist.values()) - 1.0) < 1e-9
+    assert abs(StateTable(net).joint([[]], list(raw[0])).sum() - 1.0) < 1e-9
 
 
 def test_marginal_matches_bruteforce_on_random_nets():
     rng = np.random.default_rng(7)
     for _ in range(10):
-        values_map, parents_map, cpt_map = random_binary_net(rng, 5)
+        values_map, parents_map, cpt_map = random_mixed_net(rng, 5)
         net = to_network(values_map, parents_map, cpt_map)
-        names = list(values_map)
+        names, words = net.affordance_names(), net.word_names()
         query = [names[1], names[3]]
-        evidence = {names[0]: "t"}
-        got = marginal(net, query, evidence)
-        expected = oracle_marginal(values_map, parents_map, cpt_map, query, evidence)
-        for key, value in expected.items():
-            assert abs(got[key] - value) < 1e-12
+        got = StateTable(net).posterior([words], query)[0]
+        expected = oracle_marginal(values_map, parents_map, cpt_map, query, words)
+        assert np.abs(got - expected).max() < 1e-12
+
+
+def non_word_states(net, values_map):
+    """Every state of the non-word variables as (assignment, grid index)."""
+    names = net.affordance_names()
+    for idx in product(*(range(len(values_map[n])) for n in names)):
+        yield {n: values_map[n][i] for n, i in zip(names, idx)}, idx
 
 
 def test_marginal_and_joint_match_bruteforce_on_nets_with_exact_zeros():
+    # every word leaf is in the bag, and one-hot rows make some bags
+    # impossible: the oracle's all-zero table must come back exactly
     worst = 0.0
     all_zero_cases = 0
     for trial in range(300):
         rng = np.random.default_rng(1000 + trial)
-        n_nodes = int(rng.integers(2, 7))
-        values_map, parents_map, cpt_map = random_binary_net(rng, n_nodes)
+        values_map, parents_map, cpt_map = random_mixed_net(rng, int(rng.integers(2, 7)))
         cpt_map = with_one_hot_rows(rng, cpt_map)
         net = to_network(values_map, parents_map, cpt_map)
-        names = list(values_map)
+        names, words = list(net.affordance_names()), list(net.word_names())
+        table = StateTable(net)
 
-        assignment = {n: ("f", "t")[rng.integers(2)] for n in names}
-        got = joint_probability(net, assignment)
-        worst = max(worst, abs(got - oracle_joint(values_map, parents_map, cpt_map, assignment)))
+        joint = table.joint([words], names)[0]
+        for state, idx in non_word_states(net, values_map):
+            bound = dict(state, **{w: "present" for w in words})
+            want = oracle_joint(values_map, parents_map, cpt_map, bound)
+            worst = max(worst, abs(joint[idx] - want))
 
-        order = list(rng.permutation(names))
-        k = int(rng.integers(1, min(3, n_nodes) + 1))
-        query = order[:k]
-        evidence = {n: ("f", "t")[rng.integers(2)] for n in order[k : k + 2]}
-        got_dist = marginal(net, query, evidence)
-        want_dist = oracle_marginal(values_map, parents_map, cpt_map, query, evidence)
-        if sum(want_dist.values()) == 0.0:
+        order = [names[j] for j in rng.permutation(len(names))]
+        query = order[: int(rng.integers(1, min(3, len(names)) + 1))]
+        got = table.posterior([words], query)[0]
+        want = oracle_marginal(values_map, parents_map, cpt_map, query, words)
+        if not want.any():
             all_zero_cases += 1
-            assert all(value == 0.0 for value in got_dist.values())
-        for key, value in want_dist.items():
-            worst = max(worst, abs(got_dist[key] - value))
+            assert not got.any()
+        worst = max(worst, np.abs(got - want).max())
     assert worst < 1e-12
     assert all_zero_cases >= 10
 
 
 def test_marginal_and_joint_match_bruteforce_on_mixed_nets_with_word_evidence():
-    # Cardinalities 2-4, parent lists out of declaration order and word
-    # leaves bound as evidence: every family enters the state table as a
+    # Cardinalities 2-4, parent lists out of declaration order and a random
+    # bag of the word leaves: every family enters the state table as a
     # transposed factor, and each word as its CPT column.
     worst = 0.0
     for trial in range(200):
@@ -387,58 +388,53 @@ def test_marginal_and_joint_match_bruteforce_on_mixed_nets_with_word_evidence():
         values_map, parents_map, cpt_map = random_mixed_net(rng, int(rng.integers(2, 5)))
         net = to_network(values_map, parents_map, cpt_map)
         names = list(net.affordance_names())
-        words = list(net.word_names())
-        pick = {n: vals[rng.integers(len(vals))] for n, vals in values_map.items()}
+        bag = [w for w in net.word_names() if rng.random() < 0.5]
+        table = StateTable(net)
 
-        got = joint_probability(net, pick)
-        worst = max(worst, abs(got - oracle_joint(values_map, parents_map, cpt_map, pick)))
+        prior = table.joint([[]], names)[0]
+        plain = {n: values_map[n] for n in names}
+        for state, idx in non_word_states(net, values_map):
+            worst = max(worst, abs(prior[idx] - oracle_joint(plain, parents_map, cpt_map, state)))
 
         order = [names[j] for j in rng.permutation(len(names))]
-        k = int(rng.integers(1, min(2, len(names)) + 1))
-        query = order[:k]
-        evidence = {n: pick[n] for n in order[k : k + 1] + words}
-        got_dist = marginal(net, query, evidence)
-        want_dist = oracle_marginal(values_map, parents_map, cpt_map, query, evidence)
-        for key, value in want_dist.items():
-            worst = max(worst, abs(got_dist[key] - value))
+        query = order[: int(rng.integers(1, min(2, len(names)) + 1))]
+        got = table.posterior([bag], query)[0]
+        want = oracle_marginal(values_map, parents_map, cpt_map, query, bag)
+        worst = max(worst, np.abs(got - want).max())
     assert worst < 1e-12
 
 
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), mixed=st.booleans(), data=st.data())
 def test_state_table_batches_equal_the_reference_engine(seed, mixed, data):
-    # One-hot rows make some evidence impossible; mixed nets add unequal
-    # cardinalities, shuffled parent lists and word leaves.
+    # One-hot rows make some bags impossible; mixed nets add unequal
+    # cardinalities, shuffled parent lists and the word leaves.
     rng = np.random.default_rng(seed)
     n_nodes = int(rng.integers(1, 5))
     make = random_mixed_net if mixed else random_binary_net
     values_map, parents_map, cpt_map = make(rng, n_nodes)
     net = to_network(values_map, parents_map, with_one_hot_rows(rng, cpt_map))
-    names = list(values_map)
-    full = {n: vals[rng.integers(len(vals))] for n, vals in values_map.items()}
-    evidence = st.lists(st.tuples(st.sampled_from(names), st.integers(0, 3)), max_size=4).map(
-        lambda pairs: {n: values_map[n][k % len(values_map[n])] for n, k in pairs}
-    )
-    drawn = data.draw(st.lists(evidence, min_size=1, max_size=5))
+    names, words = list(values_map), list(net.word_names())
+    bag = st.lists(st.sampled_from(words), max_size=4) if words else st.just([])
+    drawn = data.draw(st.lists(bag, min_size=1, max_size=5))
     # the words against sorted order, then an empty, a repeated and a full
-    # evidence set, the last often impossible
-    words = {w: full[w] for w in reversed(net.word_names())}
-    batch = [words] + drawn + [{}, drawn[0], full]
+    # bag, the last often impossible
+    batch = [words[::-1]] + drawn + [[], drawn[0], words]
     cells = data.draw(st.permutations(net.affordance_names()))[: data.draw(st.integers(0, 3))]
 
     table, reference = StateTable(net), ReferenceStateTable(net)
     joint, post = table.joint(batch, cells), table.posterior(batch, cells)
     shape = tuple(len(values_map[c]) for c in cells)
     assert joint.shape == post.shape == (len(batch),) + shape
-    for i, ev in enumerate(batch):
-        assert np.array_equal(joint[i], reference.joint(ev, cells))
-        assert np.array_equal(post[i], reference.posterior(ev, cells))
-        assert np.array_equal(joint[i], table.joint([ev], cells)[0])
-        assert np.array_equal(post[i], table.posterior([ev], cells)[0])
+    for i, bag in enumerate(batch):
+        assert np.array_equal(joint[i], reference.joint(bag, cells))
+        assert np.array_equal(post[i], reference.posterior(bag, cells))
+        assert np.array_equal(joint[i], table.joint([bag], cells)[0])
+        assert np.array_equal(post[i], table.posterior([bag], cells)[0])
 
     grid = dict(zip(table.names, np.indices(table.shape).reshape(len(table.shape), -1)))
     for name in names:
-        family = net.parents[name] + (() if name in net.word_names() else (name,))
+        family = net.parents[name] + (() if name in words else (name,))
         index = _grid_index(tuple(zip(table.names, table.shape)), family)
         assert not index.flags.writeable
         expected = np.ravel_multi_index(
@@ -447,34 +443,21 @@ def test_state_table_batches_equal_the_reference_engine(seed, mixed, data):
         assert index.shape == (table.p_x.size,) and np.all(index == expected)
 
 
-def test_marginal_rejects_word_query():
-    net = Network(
-        [binary("A"), word_variable("w")],
-        {"A": (), "w": ("A",)},
-        {"A": np.array([[0.5, 0.5]]), "w": np.array([[0.9, 0.1], [0.2, 0.8]])},
-    )
-    with pytest.raises(ValueError, match="word"):
-        marginal(net, ["w"])
-    with pytest.raises(ValueError, match="word"):
-        marginal(net, ["A", "w"], {})
-
-
 def test_joint_summed_over_completions_matches_marginal():
-    # exhaustive consistency on a small random net: summing the joint over
-    # all completions of a partial assignment equals the marginal query
+    # exhaustive consistency on a small random net: summing the joint of
+    # every variable over all completions of the query variables equals the
+    # joint of the query variables alone
     rng = np.random.default_rng(11)
     values_map, parents_map, cpt_map = random_binary_net(rng, 6)
     net = to_network(values_map, parents_map, cpt_map)
     names = list(values_map)
-    query = names[:2]
-    hidden = names[2:]
-    dist = marginal(net, query)
-    for qvals in product(*("ft" for _ in query)):
+    table = StateTable(net)
+    dist, full = table.joint([[]], names[:2])[0], table.joint([[]], names)[0]
+    for qidx in product((0, 1), repeat=2):
         total = 0.0
-        for hvals in product(*("ft" for _ in hidden)):
-            assignment = dict(zip(query, qvals)) | dict(zip(hidden, hvals))
-            total += joint_probability(net, assignment)
-        assert abs(dist[tuple(qvals)] - total) < 1e-12
+        for hidx in product((0, 1), repeat=len(names) - 2):
+            total += full[qidx + hidx]
+        assert abs(dist[qidx] - total) < 1e-12
 
 
 # -- model file -----------------------------------------------------------------------
@@ -498,19 +481,30 @@ def test_model_file_roundtrip_bit_exact(tmp_path):
 
 
 @settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), n_nodes=st.integers(1, 6), one_hot=st.booleans())
-def test_model_file_roundtrip_property(seed, n_nodes, one_hot):
-    # one-hot rows put exact zeros and ones into the file
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_nodes=st.integers(1, 6),
+    one_hot=st.booleans(),
+    negative_zero=st.booleans(),
+)
+@example(seed=0, n_nodes=3, one_hot=True, negative_zero=True)
+def test_model_file_roundtrip_property(seed, n_nodes, one_hot, negative_zero):
+    # one-hot rows put exact zeros and ones into the file; negative zero,
+    # as the pseudocount and in place of every zero entry, is written as 0
     rng = np.random.default_rng(seed)
     values_map, parents_map, cpt_map = random_binary_net(rng, n_nodes)
     if one_hot:
         cpt_map = with_one_hot_rows(rng, cpt_map)
     net = to_network(values_map, parents_map, cpt_map)
+    if negative_zero:
+        cpts = {n: np.where(t == 0.0, -0.0, t) for n, t in net.cpts.items()}
+        net = Network(net.variables, net.parents, cpts, pseudocount=-0.0)
     text = network_to_json(net)
     loaded = network_from_json(text)
     assert network_to_json(loaded) == text
+    assert math.copysign(1.0, loaded.pseudocount) == 1.0
     for name in values_map:
-        assert loaded.cpts[name].tobytes() == net.cpts[name].tobytes()
+        assert loaded.cpts[name].tobytes() == (net.cpts[name] + 0.0).tobytes()
 
 
 def test_model_file_roundtrip_fitted_domain_net():

@@ -19,10 +19,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .grounding import BagOfWords, Experience, _nonblank_lines, bag_of_words
-from .inference import CANONICAL_CELL_ORDER, _known_words, default_cells
+from .grounding import BagOfWords, Experience, bag_of_words, nonblank_lines
+from .inference import CANONICAL_CELL_ORDER, default_cells, known_words
 from .network import Network, StateTable, affordance_variables
-from .structure import EncodedCorpus, _attach_words, _best_single_parents, fit_cpts, train_model
+from .structure import EncodedCorpus, train_model
 
 DEFAULT_SIZES = (100, 300, 500, 700, 900, 1100, 1270)
 
@@ -83,7 +83,7 @@ def evaluate_instructions(
     best-cell tie-break deterministic: earlier values of earlier variables
     win; an all-zero posterior, a request judged impossible, has no best cell.
     """
-    bags = [_known_words(network, ins.bag) for ins in instructions]
+    bags = [known_words(network, ins.bag) for ins in instructions]
     post = StateTable(network).posterior(bags, default_cells(network))
     post = post.reshape(len(post), math.prod(post.shape[1:]))
     best = post.argmax(axis=1)
@@ -107,27 +107,6 @@ def evaluate_instructions(
         n_scored=len(softs),
         n_impossible=n_impossible,
     )
-
-
-# -- one-parent baseline ---------------------------------------------------------
-
-
-def build_baseline_network(
-    dataset: Sequence[Experience], pseudocount: float = 1.0
-) -> Network:
-    """Reference model without affordance structure.
-
-    Every affordance node is parentless and every word gets exactly one
-    affordance parent, the single best by K2 score, even when no parent
-    would have scored better. The word layer holds the words that occur in
-    the dataset.
-    """
-    variables = affordance_variables()
-    corpus = EncodedCorpus.encode(dataset, variables)
-    aff = fit_cpts(variables, {}, corpus.columns, corpus.weights, pseudocount)
-    best = _best_single_parents(corpus, variables)
-    parents = {word: (parent,) for word, parent in zip(corpus.words, best)}
-    return _attach_words(aff, corpus, parents)
 
 
 # -- staged learning ---------------------------------------------------------------
@@ -232,7 +211,7 @@ def parse_instruction_line(line: str, lineno: int) -> Instruction:
 def load_instructions(path) -> list[Instruction]:
     return [
         parse_instruction_line(line, lineno)
-        for lineno, line in _nonblank_lines(path)
+        for lineno, line in nonblank_lines(path)
         if not line.lstrip().startswith("#")
     ]
 

@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .network import _FILE_FIELDS, affordance_variables
+from .network import FILE_FIELDS, affordance_variables
 
 BagOfWords = frozenset[str]
 
@@ -55,11 +55,11 @@ class Experience:
 _VALUE = r"[^|,\s]+"
 _WORD = rf"[^|,\s]*[^|,\s{re.escape(_TERMINAL_PUNCTUATION)}]"
 _READABLE_LINE = re.compile(
-    r"\|".join(",".join([_VALUE] * len(group)) for group in _FILE_FIELDS)
+    r"\|".join(",".join([_VALUE] * len(group)) for group in FILE_FIELDS)
     + rf"\|(?:{_WORD}(?: {_WORD})*)?"
 )
 # The values a field may take.
-_VALUES = {v.name: v.values for v in affordance_variables()}
+VALUES = {v.name: v.values for v in affordance_variables()}
 
 
 def format_experience(experience: Experience) -> str:
@@ -67,13 +67,13 @@ def format_experience(experience: Experience) -> str:
     `parse_experience` would not read back unchanged."""
     state = experience.state
     words = sorted(experience.description)
-    parts = [",".join(state[name] for name in group) for group in _FILE_FIELDS]
+    parts = [",".join(state[name] for name in group) for group in FILE_FIELDS]
     parts.append(" ".join(words))
     line = "|".join(parts)
     # The token count catches words that are empty or contain a space.
     text = parts[-1]
     readable = _READABLE_LINE.fullmatch(line) and len(text.split()) == len(words)
-    known = all(state[name] in values for name, values in _VALUES.items())
+    known = all(state[name] in values for name, values in VALUES.items())
     if not (readable and known) or text != text.lower():
         raise ValueError(
             f"cannot write record {line!r}: values must be their variables' values, "
@@ -89,7 +89,7 @@ def parse_experience(line: str, lineno: int) -> Experience:
     if len(fields) != 4:
         raise ValueError(f"malformed experience record{where}: expected 4 '|' fields")
     state: dict[str, str] = {}
-    for group, field in zip(_FILE_FIELDS, fields):
+    for group, field in zip(FILE_FIELDS, fields):
         values = field.split(",") if field else []
         if len(values) != len(group):
             raise ValueError(
@@ -97,7 +97,7 @@ def parse_experience(line: str, lineno: int) -> Experience:
                 f"expected {len(group)} values in {field!r}"
             )
         for name, value in zip(group, values):
-            if value not in _VALUES[name]:
+            if value not in VALUES[name]:
                 raise ValueError(
                     f"malformed experience record{where}: {value!r} is not a {name} value"
                 )
@@ -112,7 +112,7 @@ def save_corpus(experiences: Sequence[Experience], path) -> None:
         fh.write(text)
 
 
-def _nonblank_lines(path) -> list[tuple[int, str]]:
+def nonblank_lines(path) -> list[tuple[int, str]]:
     """(line number, line) for each nonblank line of a UTF-8 text file,
     without the byte-order mark that some editors write first."""
     with open(path, encoding="utf-8-sig") as fh:
@@ -120,4 +120,4 @@ def _nonblank_lines(path) -> list[tuple[int, str]]:
 
 
 def load_corpus(path) -> list[Experience]:
-    return [parse_experience(line, lineno) for lineno, line in _nonblank_lines(path)]
+    return [parse_experience(line, lineno) for lineno, line in nonblank_lines(path)]

@@ -21,19 +21,18 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from importlib import resources
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .grounding import _VALUES, _nonblank_lines, bag_of_words
-from .network import _FILE_FIELDS, Network, StateTable
+from .grounding import VALUES, bag_of_words, nonblank_lines
+from .network import FILE_FIELDS, Network, StateTable
 
 logger = logging.getLogger(__name__)
 
 # Preferred cell-tuple order for the default domain; matches the
 # `action,color,size,shape` order used by the scene and instruction files.
-CANONICAL_CELL_ORDER = _FILE_FIELDS[0] + _FILE_FIELDS[1]
+CANONICAL_CELL_ORDER = FILE_FIELDS[0] + FILE_FIELDS[1]
 
 
 def default_cells(network: Network) -> tuple[str, ...]:
@@ -90,7 +89,7 @@ class ActionObjectRanking:
         return self.entries[0]
 
 
-def _known_words(network: Network, bag: Iterable[str]) -> list[str]:
+def known_words(network: Network, bag: Iterable[str]) -> list[str]:
     """The bag's known words, sorted: the engine input of a bag. Unknown
     words are skipped with one warning, since instructions may contain
     words outside the training vocabulary."""
@@ -139,7 +138,7 @@ def _scene_scorer(
     for bag in bags:
         if bag and network.word_set.isdisjoint(bag):
             raise UnknownWordsError(f"the model knows none of the words: {', '.join(sorted(bag))}")
-    joint = StateTable(network).joint([[]] + [_known_words(network, bag) for bag in bags], cells)
+    joint = StateTable(network).joint([[]] + [known_words(network, bag) for bag in bags], cells)
     prior = joint[0]
     with np.errstate(invalid="ignore", divide="ignore"):
         scores = np.where(prior > 0, joint[1:] / prior, 0.0)
@@ -219,7 +218,7 @@ def rescore_nbest(
 
 # -- scene and N-best files ---------------------------------------------------
 
-_SCENE_FIELDS = _FILE_FIELDS[1]
+_SCENE_FIELDS = FILE_FIELDS[1]
 
 
 def parse_scene_line(line: str, lineno: int) -> SceneObject:
@@ -235,14 +234,14 @@ def parse_scene_line(line: str, lineno: int) -> SceneObject:
             f"malformed scene record{where}: expected {len(_SCENE_FIELDS)} feature values"
         )
     for name, value in zip(_SCENE_FIELDS, values):
-        if value not in _VALUES[name]:
+        if value not in VALUES[name]:
             raise ValueError(f"malformed scene record{where}: {value!r} is not a {name} value")
     return SceneObject(id=parts[0], features=dict(zip(_SCENE_FIELDS, values)))
 
 
 def load_scene(path) -> list[SceneObject]:
     scene: list[SceneObject] = []
-    for lineno, line in _nonblank_lines(path):
+    for lineno, line in nonblank_lines(path):
         obj = parse_scene_line(line, lineno)
         if any(seen.id == obj.id for seen in scene):
             raise ValueError(
@@ -273,13 +272,6 @@ def parse_nbest_line(line: str, lineno: int) -> tuple[tuple[str, ...], float]:
 
 
 def load_nbest(path) -> NBestList:
-    lines = _nonblank_lines(path)
+    lines = nonblank_lines(path)
     return NBestList(hypotheses=tuple(parse_nbest_line(line, n) for n, line in lines))
 
-
-def table_scene() -> list[SceneObject]:
-    """The six-object demonstration scene used throughout the docs, shipped
-    with the package as ``data/scene.txt``."""
-    shipped = resources.files("wordground").joinpath("data/scene.txt")
-    with resources.as_file(shipped) as path:
-        return load_scene(path)

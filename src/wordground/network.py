@@ -95,7 +95,7 @@ def affordance_variables() -> tuple[Variable, ...]:
 # of the corpus, scene and instruction files. Size precedes Shape here,
 # unlike in the declaration order above, which the model file and the
 # structure-search tie-breaks depend on.
-_FILE_FIELDS = (
+FILE_FIELDS = (
     ("Action",),
     ("Color", "Size", "Shape"),
     ("ObjVel", "HandVel", "ObjHandVel", "Contact"),

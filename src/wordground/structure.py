@@ -1,5 +1,6 @@
 """Learning a network from experiences: counting, CPT fitting, the K2
-score and greedy K2 parent selection.
+score, greedy K2 parent selection and the one-parent baseline of the
+ablation.
 
 Each node's parents are chosen independently by hill-climbing on the K2
 score at its uniform prior `K2_ALPHA` = 1: start from no parents,
@@ -477,23 +478,6 @@ def _best_single_parents(corpus: EncodedCorpus, candidates: Sequence[Variable]) 
     return [candidates[i].name for i in np.argmax(scores, axis=1).tolist()]
 
 
-def k2_select_parents(
-    target_variable: Variable,
-    candidates: Sequence[Variable],
-    dataset: Sequence[Assignment],
-) -> tuple[str, ...]:
-    """Parent set for one node, chosen greedily from `candidates`.
-
-    Deterministic given the dataset: candidates are swept in the order
-    given, and only strict score improvements are accepted.
-    """
-    if any(c.name == target_variable.name for c in candidates):
-        raise ValueError("target variable cannot be its own candidate parent")
-    columns = encode_columns([target_variable] + list(candidates), dataset)
-    weights = np.ones(len(dataset), dtype=np.int64)
-    return _node_parents(target_variable, candidates, columns, weights, {})
-
-
 def _node_parents(
     target: Variable,
     candidates: Sequence[Variable],
@@ -600,8 +584,8 @@ def train_model(
     The affordance structure defaults to the fixed edge set (effects
     conditioned on action and object geometry); with `learn_structure` it is
     instead searched by K2 under the canonical variable ordering. The word
-    layer holds the words that occur in the experiences. This is the one
-    entry point that takes either experiences or their `EncodedCorpus`.
+    layer holds the words that occur in the experiences, given as
+    experiences or as their `EncodedCorpus`.
     """
     variables = affordance_variables()
     corpus = (
@@ -615,6 +599,23 @@ def train_model(
         parent_map = default_affordance_parents()
     affordance_net = fit_cpts(variables, parent_map, corpus.columns, corpus.weights, pseudocount)
     return learn_word_layer(affordance_net, corpus)
+
+
+def build_baseline_network(experiences: Sequence, pseudocount: float = 1.0) -> Network:
+    """Reference model without affordance structure, the ablation of
+    `train_model`.
+
+    Every affordance node is parentless and every word gets exactly one
+    affordance parent, the single best by K2 score, even when no parent
+    would have scored better. The word layer holds the words that occur in
+    the experiences.
+    """
+    variables = affordance_variables()
+    corpus = EncodedCorpus.encode(experiences, variables)
+    aff = fit_cpts(variables, {}, corpus.columns, corpus.weights, pseudocount)
+    best = _best_single_parents(corpus, variables)
+    parents = {word: (parent,) for word, parent in zip(corpus.words, best)}
+    return _attach_words(aff, corpus, parents)
 
 
 def structure_report(network: Network) -> str:

@@ -251,13 +251,13 @@ def reference_evaluate(network, instructions):
     """(soft, hard, detection rate) of `evaluate_instructions`, one
     posterior and one argmax per instruction; an all-zero posterior earns
     no hard credit."""
-    from wordground.inference import _known_words, default_cells
+    from wordground.inference import default_cells, known_words
 
     table = ReferenceStateTable(network)
     cells = default_cells(network)
     softs, hards, detected, n_impossible = [], [], 0, 0
     for ins in instructions:
-        post = table.posterior(_known_words(network, ins.bag), cells)
+        post = table.posterior(known_words(network, ins.bag), cells)
         if ins.impossible:
             n_impossible += 1
             detected += float(post.sum()) == 0.0
@@ -272,14 +272,14 @@ def reference_evaluate(network, instructions):
 def reference_pair_scores(network, scene, bag):
     """p(bag | action, object) of every (action, object) pair, action-major
     then in scene order, from one joint of the bag over the prior's."""
-    from wordground.inference import _known_words, default_cells
+    from wordground.inference import default_cells, known_words
 
     table = ReferenceStateTable(network)
     cells = default_cells(network)
     cell_vars = [network.variable(c) for c in cells]
     action = next(v for v in cell_vars if v.kind == "action")
     prior = table.joint([], cells)
-    joint = table.joint(_known_words(network, bag), cells)
+    joint = table.joint(known_words(network, bag), cells)
     scores = []
     for value in action.values:
         for obj in scene:

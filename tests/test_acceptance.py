@@ -7,10 +7,12 @@ meaningful; all randomness is seed-pinned.
 """
 
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from wordground import inference
 from wordground.cli import main as cli_main
 from wordground.datagen import (
     build_corpus,
@@ -19,15 +21,11 @@ from wordground.datagen import (
     default_world,
     sample_experiences,
 )
-from wordground.evaluation import (
-    default_instructions,
-    build_baseline_network,
-    evaluate_instructions,
-    staged_learning,
-)
-from wordground.inference import NBestList, default_cells, rescore_nbest, table_scene
-from wordground.network import StateTable, affordance_variables, word_variable
-from wordground.structure import k2_select_parents, train_model
+from wordground.evaluation import default_instructions, evaluate_instructions, staged_learning
+from wordground.grounding import Experience
+from wordground.inference import NBestList, default_cells, load_scene, rescore_nbest
+from wordground.network import StateTable, affordance_variables
+from wordground.structure import build_baseline_network, train_model
 
 from oracles import oracle_marginal, random_mixed_net, to_network, with_one_hot_rows
 
@@ -38,6 +36,9 @@ VARIABLES = affordance_variables()
 
 # Non-referential words the generator emits independently of the state.
 FILLER_WORDS = ("the", "is", "has", "just", "baltazar", "robot", "he")
+
+# The six-object demonstration scene shipped with the package.
+SCENE_FILE = Path(inference.__file__).parent / "data" / "scene.txt"
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:
@@ -114,11 +115,11 @@ def test_criterion_2_planted_singleton_recovery():
         states = sample_experiences(WORLD, 1000, seed)
         for var in VARIABLES:
             value = indicator_values[var.name]
-            dataset = [
-                dict(s, w="present" if s[var.name] == value else "absent")
+            heard = [
+                Experience(state=s, description=frozenset({"w"} if s[var.name] == value else ()))
                 for s in states
             ]
-            parents = k2_select_parents(word_variable("w"), list(VARIABLES), dataset)
+            parents = train_model(heard).parents.get("w")
             if parents != (var.name,):
                 failures.append((seed, var.name, parents))
     elapsed = time.perf_counter() - started
@@ -217,7 +218,7 @@ def test_criterion_7_rescoring_flips_to_second_hypothesis(model_clean):
         (tuple("tapping box slides".split()), 0.070),
         (tuple("tapped ball rolls".split()), 0.010),
     )
-    scene = table_scene()
+    scene = load_scene(SCENE_FILE)
     ranked = rescore_nbest(model_clean, NBestList(hypotheses=hypotheses), scene)
     flip = (
         ranked[0].tokens == hypotheses[1][0]

@@ -15,7 +15,6 @@ from wordground.datagen import build_corpus, default_lexicon, default_world
 from wordground.evaluation import (
     DEFAULT_SIZES,
     Instruction,
-    build_baseline_network,
     curve_to_csv,
     default_instructions,
     evaluate_instructions,
@@ -24,9 +23,9 @@ from wordground.evaluation import (
     staged_learning,
 )
 from wordground.grounding import bag_of_words
-from wordground.inference import CANONICAL_CELL_ORDER, _known_words, default_cells
+from wordground.inference import CANONICAL_CELL_ORDER, default_cells, known_words
 from wordground.network import Network, StateTable, affordance_variables, word_variable
-from wordground.structure import encode_columns, fit_cpts, train_model
+from wordground.structure import build_baseline_network, encode_columns, fit_cpts, train_model
 
 from oracles import oracle_cell_mask, reference_evaluate
 from test_structure import family_score, ones
@@ -136,7 +135,7 @@ def test_soft_mass_over_flat_cells_equals_mask_sum(model, n_cells, data):
     bag = data.draw(st.sampled_from([ins.bag for ins in default_instructions()]))
     ins = Instruction(bag=bag, compatible=mask)
     assert ins.cells.tolist() == [i for i, m in enumerate(mask.ravel().tolist()) if m]
-    post = StateTable(model).posterior([_known_words(model, bag)], default_cells(model))[0]
+    post = StateTable(model).posterior([known_words(model, bag)], default_cells(model))[0]
     assert evaluate_instructions(model, [ins]).soft == float(post[mask].sum())
 
 

@@ -1,6 +1,9 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from wordground import inference
 from wordground.datagen import build_corpus, default_lexicon, default_world
 from wordground.evaluation import default_instructions, evaluate_instructions, parse_instruction_line
 from wordground.grounding import bag_of_words
@@ -15,7 +18,6 @@ from wordground.inference import (
     parse_scene_line,
     rescore_nbest,
     select_action_object,
-    table_scene,
 )
 from wordground.network import Network, Variable, word_variable
 from wordground.structure import EncodedCorpus, train_model
@@ -26,6 +28,9 @@ from oracles import (
     reference_rescore,
     reference_select,
 )
+
+# The six-object demonstration scene shipped with the package.
+SCENE_FILE = Path(inference.__file__).parent / "data" / "scene.txt"
 
 
 # A compact three-variable domain plus two words, with hand CPTs.
@@ -220,12 +225,9 @@ def test_rescore_scaling_acoustic_priors_preserves_ranking():
         (tuple("tapping box slides".split()), 0.070),
         (tuple("tapped ball rolls".split()), 0.010),
     )
-    base = rescore_nbest(net, NBestList(hypotheses=hyps), table_scene())
-    scaled = rescore_nbest(
-        net,
-        NBestList(hypotheses=tuple((t, 37.0 * p) for t, p in hyps)),
-        table_scene(),
-    )
+    scene = load_scene(SCENE_FILE)
+    base = rescore_nbest(net, NBestList(hypotheses=hyps), scene)
+    scaled = rescore_nbest(net, NBestList(hypotheses=tuple((t, 37.0 * p) for t, p in hyps)), scene)
     assert [h.tokens for h in base] == [h.tokens for h in scaled]
     for a, b in zip(base, scaled):
         assert abs(b.final_score - 37.0 * a.final_score) < 1e-12
@@ -293,8 +295,8 @@ def test_nbest_file_parsing(tmp_path):
         parse_nbest_line("zzz|tap", lineno=1)
 
 
-def test_table_scene_is_the_six_object_demo():
-    scene = table_scene()
+def test_shipped_scene_is_the_six_object_demo():
+    scene = load_scene(SCENE_FILE)
     assert len(scene) == 6
     assert scene[2].features == {"Color": "darkgreen", "Size": "small", "Shape": "box"}
 
@@ -302,7 +304,7 @@ def test_table_scene_is_the_six_object_demo():
 def test_demo_scene_instructions_resolve_like_the_reference_runs():
     corpus = build_corpus(default_world(), default_lexicon(), 254, 5, seed=11).experiences
     net = train_model(corpus, pseudocount=0.0)
-    scene = table_scene()
+    scene = load_scene(SCENE_FILE)
 
     # an effect word plus a color: only the yellow sphere can rise when grasped
     ranking = select_action_object(net, bag_of_words("rises yellow"), scene)
@@ -318,6 +320,26 @@ def test_demo_scene_instructions_resolve_like_the_reference_runs():
     # a sphere cannot slide: every pair has zero posterior
     ranking = select_action_object(net, bag_of_words("ball sliding"), scene)
     assert ranking.impossible
+
+
+def test_a_tiny_but_nonzero_pair_total_is_not_impossible():
+    # 164 words with parent Action and a presence probability of 0.02 or
+    # 0.01 in every row leave the ranking as it was, but shrink the pair
+    # scores of "grasp ball" to a total of about 1.8e-304, which is still
+    # nonzero: only an exact zero is impossible
+    corpus = build_corpus(default_world(), default_lexicon(), 254, 5, seed=11).experiences
+    net = train_model(corpus, pseudocount=0.0)
+    words = [f"quiet{k:03d}" for k in range(164)]
+    cpts, parents = dict(net.cpts), dict(net.parents)
+    for k, word in enumerate(words):
+        present = 0.02 if k % 2 == 0 else 0.01
+        cpts[word] = np.array([[1 - present, present]] * 3)
+        parents[word] = ("Action",)
+    variables = net.variables + tuple(word_variable(w) for w in words)
+    quiet = Network(variables, parents, cpts, pseudocount=0.0)
+    ranking = select_action_object(quiet, bag_of_words("grasp ball") | set(words), load_scene(SCENE_FILE))
+    assert not ranking.impossible
+    assert ranking.best[0] == "grasp"
 
 
 def test_state_table_matches_network_prior():
@@ -381,7 +403,7 @@ def test_evaluate_instructions_equals_reference_loop(subset_models, caplog):
 def test_select_action_object_equals_reference_loop(subset_models, caplog):
     models, descriptions = subset_models
     rng = np.random.default_rng(5)
-    scene = table_scene()
+    scene = load_scene(SCENE_FILE)
     bags = [ins.bag for ins in default_instructions()] + query_bags(descriptions, rng, 30)
     impossible = 0
     for net in models:
@@ -399,7 +421,7 @@ def test_select_action_object_equals_reference_loop(subset_models, caplog):
 def test_rescore_nbest_equals_reference_loop(subset_models, caplog, aggregate):
     models, descriptions = subset_models
     rng = np.random.default_rng(6)
-    scene = table_scene()
+    scene = load_scene(SCENE_FILE)
     for net in models:
         for _ in range(8):
             bags = query_bags(descriptions, rng, int(rng.integers(1, 8)))

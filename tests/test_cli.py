@@ -17,7 +17,7 @@ import wordground
 from wordground.cli import main
 from wordground.datagen import build_corpus, default_lexicon, default_world
 from wordground.grounding import save_corpus
-from wordground.network import load_network
+from wordground.network import StateTable, load_network
 
 
 @pytest.fixture()
@@ -228,6 +228,29 @@ def test_repl_reports_request_with_no_known_word_and_reads_on(trained, capsys, m
     assert "knows none of the words: plugh, xyzzy" in captured.err
     best = [line for line in captured.out.splitlines() if line.startswith("best:")]
     assert len(best) == 1 and best[0].startswith("best: grasp yellow medium sphere")
+
+
+def test_repl_session_equals_one_shot_instructs(trained, capsys, monkeypatch):
+    root, _, model_path, scene_path = trained
+    lines = ["rises yellow", "tap the blue box", "grasp the ball"]
+    files = ("--model", str(model_path), "--scene", str(scene_path))
+    one_shot = []
+    for line in lines:
+        assert run("instruct", *files, "--words", line) == 0
+        one_shot.append(capsys.readouterr().out)
+    builds = []
+    init = StateTable.__init__
+
+    def counted(self, network):
+        builds.append(network)
+        init(self, network)
+
+    monkeypatch.setattr(StateTable, "__init__", counted)
+    monkeypatch.setattr("sys.stdin", io.StringIO("".join(f"{line}\n" for line in lines)))
+    assert run("repl", *files) == 0
+    banner = "enter an instruction per line (empty line or EOF quits)\n"
+    assert capsys.readouterr().out == banner + "".join(one_shot)
+    assert len(builds) == 1
 
 
 def test_instruct_rejects_request_with_no_known_word(trained, capsys):

@@ -350,6 +350,25 @@ def test_state_table_matches_network_prior():
     assert abs(table.p_x.flat[0] - 0.5 * 0.6 * 0.9) < 1e-15
 
 
+def test_one_state_table_per_network(monkeypatch):
+    # count builds the way the benchmark's tracer does, by wrapping __init__
+    builds = []
+    init = StateTable.__init__
+
+    def counted(self, network):
+        builds.append(network)
+        init(self, network)
+
+    monkeypatch.setattr(StateTable, "__init__", counted)
+    net = toy_net()
+    select_action_object(net, {"ball"}, [SPHERE, BOX])
+    select_action_object(net, {"moving"}, [SPHERE, BOX])
+    rescore_nbest(net, NBestList(((("ball",), 0.6), (("moving",), 0.4))), [SPHERE, BOX])
+    assert len(builds) == 1 and builds[0] is net
+    assert net.state_table is net.state_table
+    assert len(builds) == 1
+
+
 # -- batched query paths against per-query reference loops ----------------------
 
 

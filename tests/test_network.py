@@ -1,5 +1,7 @@
+import gc
 import json
 import math
+import weakref
 from itertools import product
 
 import numpy as np
@@ -19,7 +21,9 @@ from wordground.network import (
     network_to_json,
     word_variable,
 )
-from wordground.structure import encode_columns, fit_cpts
+from wordground.datagen import build_corpus, default_lexicon, default_world
+from wordground.inference import SceneObject, select_action_object
+from wordground.structure import encode_columns, fit_cpts, train_model
 
 from oracles import (
     ReferenceStateTable,
@@ -128,6 +132,35 @@ def test_fit_cpts_rejects_unknown_name():
 def test_network_rejects_entry_naming_no_variable(parents, cpts, message):
     with pytest.raises(ValueError, match=message):
         Network([binary("A")], parents, {"A": [[0.5, 0.5]], **cpts})
+
+
+def test_network_maps_are_read_only():
+    # a network caches its engine, so its tables must not change after it
+    cpts = {"A": [[0.5, 0.5]], "B": [[0.5, 0.5]] * 2}
+    net = Network([binary("A"), binary("B")], {"B": ["A"]}, cpts)
+    with pytest.raises(TypeError):
+        net.cpts["A"] = np.array([[0.9, 0.1]])
+    with pytest.raises(TypeError):
+        net.parents["B"] = ()
+    with pytest.raises(ValueError, match="read-only"):
+        net.cpts["A"][0, 0] = 0.9
+    assert net.state_table.joint([[]], ["A"]).tolist() == [[0.5, 0.5]]
+
+
+def test_a_queried_network_is_freed_without_the_cyclic_gc():
+    # the cached engine holds no reference back to its network: a cycle
+    # would keep every queried model alive until the cyclic GC runs
+    corpus = build_corpus(default_world(), default_lexicon(), 40, 3, seed=4).experiences
+    scene = [SceneObject("ball", {"Color": "blue", "Size": "small", "Shape": "sphere"})]
+    gc.disable()
+    try:
+        model = train_model(corpus)
+        select_action_object(model, {"ball"}, scene)
+        ref = weakref.ref(model)
+        del model
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_variable_validation():

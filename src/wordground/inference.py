@@ -8,10 +8,11 @@ configuration of the non-word variables is weighted by the state model and
 by the presence probability of every known word in the utterance, then
 summed onto the action and object cells. Words whose parents include
 effect variables are handled automatically, because effects are part of
-the table and are summed out under the state model. One engine call scores
-the prior and every bag of a query: the one instruction of
-`select_action_object`, or every hypothesis of an N-best list in
-`rescore_nbest`.
+the table and are summed out under the state model. One `joint_at` call
+scores the prior and every bag of a query over the scene's distinct
+(action, object) cells only, each the sum of its effect states: the one
+instruction of `select_action_object`, or every hypothesis of an N-best
+list in `rescore_nbest`.
 
 Impossibility is a result state, not an error: a query whose every
 configuration has probability zero returns an all-zero result. A request
@@ -112,9 +113,10 @@ def _scene_scorer(
     Returns the pairs, action-major in action value order then scene order,
     and p(bag | action, object) of every bag and pair, shape (bags, pairs),
     with the effects summed out under the state model. The prior and every
-    bag are scored in one `joint` call of the network's cached engine,
-    `network.state_table`. A bag with words but no known word raises
-    `UnknownWordsError`.
+    bag are scored in one `joint_at` call of the network's cached engine,
+    `network.state_table`, over the scene's distinct cells, so objects that
+    share features are scored once and no scene costs more than the whole
+    table. A bag with words but no known word raises `UnknownWordsError`.
     """
     if not scene:
         raise ValueError("scene must contain at least one object")
@@ -131,27 +133,36 @@ def _scene_scorer(
         for v in cell_vars:
             if v is not action_var and v.name not in obj.features:
                 raise ValueError(f"scene object {obj.id!r} does not bind {v.name!r}")
-    # each object's feature indices in cell order, with the action's slot at `at`
-    at = cell_vars.index(action_var)
-    features = [
-        [v.index_of(obj.features[v.name]) for v in cell_vars if v is not action_var]
-        for obj in scene
-    ]
-    pairs, index = [], []
-    for a, action in enumerate(action_var.values):
-        for obj, rest in zip(scene, features):
-            pairs.append((action, obj))
-            index.append((*rest[:at], a, *rest[at:]))
+    # each object's flat cell index at the first action value, row-major
+    # over the cells in cell order, and the action's stride in that index
+    offsets, stride = [0] * len(scene), 1
+    for v in reversed(cell_vars):
+        if v is action_var:
+            action_stride = stride
+        else:
+            offsets = [
+                o + stride * v.index_of(obj.features[v.name]) for o, obj in zip(offsets, scene)
+            ]
+        stride *= v.cardinality
+    pairs = [(action, obj) for action in action_var.values for obj in scene]
+    flat = [a * action_stride + o for a in range(action_var.cardinality) for o in offsets]
+    # each distinct cell is scored once, in the column of its first pair
+    column: dict[int, int] = {}
+    for cell in flat:
+        column.setdefault(cell, len(column))
 
     bags = [set(bag) for bag in bags]
     for bag in bags:
         if bag and network.word_set.isdisjoint(bag):
             raise UnknownWordsError(f"the model knows none of the words: {', '.join(sorted(bag))}")
-    joint = network.state_table.joint([[]] + [known_words(network, bag) for bag in bags], cells)
-    prior = joint[0]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        scores = np.where(prior > 0, joint[1:] / prior, 0.0)
-    return pairs, scores[(slice(None),) + tuple(np.array(index).T)]
+    joint = network.state_table.joint_at(
+        [[]] + [known_words(network, bag) for bag in bags], cells, list(column)
+    )
+    prior, scores = joint[0], np.zeros_like(joint[1:])
+    np.divide(joint[1:], prior, out=scores, where=prior > 0)
+    if len(column) < len(flat):  # some objects share their features
+        scores = scores[:, [column[cell] for cell in flat]]
+    return pairs, scores
 
 
 def select_action_object(

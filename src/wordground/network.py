@@ -4,9 +4,11 @@ Representation of named discrete variables and a DAG of conditional
 probability tables, exact inference on a dense table of the non-word states
 into which each CPT enters as one gather through its family's cached
 configuration index over the state grid (`StateTable`, the one engine
-behind every query, scoring a batch of bags of heard words per call), and
-the JSON model file. Learning a network from data (counting, CPT fitting and
-the K2 score) is `structure`'s.
+behind every query, scoring a batch of bags of heard words per call, onto
+whole cells with `joint` or onto chosen cells with `joint_at`, which
+multiplies and sums only those cells' states), and the JSON model file.
+Learning a network from data (counting, CPT fitting and the K2 score) is
+`structure`'s.
 
 Networks are immutable after construction: fitting builds a new network,
 `parents` and `cpts` are read-only mappings of read-only arrays, and all
@@ -232,6 +234,18 @@ def _grid_index(axes: tuple[tuple[str, int], ...], family: tuple[str, ...]) -> n
     return index
 
 
+@functools.lru_cache(maxsize=64)
+def _cell_states(axes: tuple[tuple[str, int], ...], cells: tuple[str, ...]) -> np.ndarray:
+    """The states of the grid over `axes` grouped by their configuration of
+    `cells`, shape (cell configurations, other states): row k holds, in grid
+    order, the states whose `_grid_index` over `cells` is k. Cached; the
+    array is read-only."""
+    order = np.argsort(_grid_index(axes, cells), kind="stable")
+    states = order.reshape(math.prod(dict(axes)[c] for c in cells), -1)
+    states.flags.writeable = False
+    return states
+
+
 class StateTable:
     """Exact inference on a dense joint table of the non-word variables.
 
@@ -242,7 +256,13 @@ class StateTable:
     ch. 9). The one query form is a bag of heard words: each word of the bag
     multiplies in its `PRESENT` CPT column, gathered over its parents. Words
     are leaves, so every word not in the bag sums out to one. Summing the
-    product onto the query cells gives their exact joint with the bag.
+    product onto the query cells gives their exact joint with the bag:
+    `joint` over every state, summed onto every configuration of the cells,
+    and `joint_at` over only the states of the chosen configurations
+    (`_cell_states`), each summed in grid order. For cells that are the
+    table's leading variables in any order, a configuration's states are
+    contiguous, and the two agree bitwise. A cell that is not a non-word
+    variable, or is named twice, is refused by name.
 
     A network builds its table once and keeps it (`Network.state_table`).
     The table keeps only what `joint` reads (the word set, `cpts` and
@@ -264,14 +284,30 @@ class StateTable:
     def _index(self, family: tuple[str, ...]) -> np.ndarray:
         return _grid_index(self._axes, family)
 
-    def joint(self, bags: Sequence[Iterable[str]], cells: Sequence[str]) -> np.ndarray:
-        """p(cells, every word of the bag present) for each bag of the
-        network's words, shape (bags, *cell cardinalities), cells in cell
-        order. Each row multiplies into `p_x` its words' factors in sorted
-        word order, so it does not depend on the order of a bag, on repeated
-        words or on the other rows."""
-        mass = np.empty((len(bags), self.p_x.size))
-        mass[:] = self.p_x
+    def _cells(self, cells: Sequence[str]) -> tuple[str, ...]:
+        """The cells as a tuple, each checked to be a distinct non-word
+        variable of the table."""
+        cells = tuple(cells)
+        for i, cell in enumerate(cells):
+            if cell in self.word_set:
+                raise ValueError(f"cell {cell!r} is a word, not a state variable")
+            if cell not in self.names:
+                raise ValueError(f"cell {cell!r} is not a variable of the network")
+            if cell in cells[:i]:
+                raise ValueError(f"cell {cell!r} is repeated")
+        return cells
+
+    def _product(
+        self, bags: Sequence[Iterable[str]], states: np.ndarray | None = None
+    ) -> np.ndarray:
+        """`p_x` times each bag's word factors, shape (bags, states): over
+        every state, or over the flat state indices `states` if given. Each
+        row multiplies in its words' factors in sorted word order, so it
+        does not depend on the order of a bag, on repeated words or on the
+        other rows."""
+        p_x = self.p_x if states is None else self.p_x[states]
+        mass = np.empty((len(bags), p_x.size))
+        mass[:] = p_x
         rows_of: dict[str, list[np.ndarray]] = {}
         for row, bag in zip(mass, bags):
             for word in set(bag):
@@ -281,14 +317,37 @@ class StateTable:
             if word not in self.word_set:
                 raise ValueError(f"{word!r} is not a word of the network")
             column = self.cpts[word][:, WORD_VALUES.index(PRESENT)]
-            factor = column[self._index(self.parents[word])]
+            index = self._index(self.parents[word])
+            factor = column[index if states is None else index[states]]
             for row in rows:
                 np.multiply(row, factor, out=row)
-        keep = [self.names.index(c) for c in cells]
+        return mass
+
+    def joint(self, bags: Sequence[Iterable[str]], cells: Sequence[str]) -> np.ndarray:
+        """p(cells, every word of the bag present) for each bag of the
+        network's words, shape (bags, *cell cardinalities), cells in cell
+        order. A row does not depend on the order of a bag, on repeated
+        words or on the other rows."""
+        keep = [self.names.index(c) for c in self._cells(cells)]
         summed = tuple(1 + a for a in range(len(self.shape)) if a not in keep)
-        table = mass.reshape((len(bags),) + self.shape).sum(axis=summed)
+        table = self._product(bags).reshape((len(bags),) + self.shape).sum(axis=summed)
         kept_sorted = sorted(keep)
         return table.transpose([0] + [1 + kept_sorted.index(a) for a in keep])
+
+    def joint_at(
+        self, bags: Sequence[Iterable[str]], cells: Sequence[str], at: Sequence[int]
+    ) -> np.ndarray:
+        """`joint` at the flat cell indices `at` (row-major in cell order),
+        shape (bags, len(at)): only the states of those cells enter the
+        product, each cell's summed in grid order."""
+        cells = self._cells(cells)
+        states = _cell_states(self._axes, cells)
+        bad = [k for k in at if not 0 <= k < len(states)]
+        if bad:
+            raise ValueError(f"cell index {bad[0]} is outside [0, {len(states)})")
+        chosen = states[at]
+        mass = self._product(bags, chosen.ravel())
+        return mass.reshape((len(bags),) + chosen.shape).sum(axis=-1)
 
     def posterior(self, bags: Sequence[Iterable[str]], cells: Sequence[str]) -> np.ndarray:
         """`joint` with each row normalised over the cells; a row whose bag

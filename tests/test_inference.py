@@ -419,38 +419,65 @@ def test_evaluate_instructions_equals_reference_loop(subset_models, caplog):
         assert len(batched) == bags_with_unknown_words(net, [ins.bag for ins in instructions])
 
 
-def test_select_action_object_equals_reference_loop(subset_models, caplog):
+def scenes():
+    """The shipped scene, and the shipped scene followed by four copies of
+    it under new ids: 30 objects, more than the 24 feature combinations,
+    but the same 18 (action, object) cells."""
+    shipped = load_scene(SCENE_FILE)
+    copies = [SceneObject(f"copy{k} {obj.id}", obj.features) for k in range(4) for obj in shipped]
+    return [shipped, shipped + copies]
+
+
+@pytest.fixture
+def product_states(monkeypatch):
+    """The number of states each call of the engine's product routine
+    receives, for all of its bags."""
+    sizes = []
+    product = StateTable._product
+
+    def counted(self, bags, states=None):
+        sizes.append(self.p_x.size if states is None else len(states))
+        return product(self, bags, states)
+
+    monkeypatch.setattr(StateTable, "_product", counted)
+    return sizes
+
+
+def test_select_action_object_equals_reference_loop(subset_models, caplog, product_states):
     models, descriptions = subset_models
     rng = np.random.default_rng(5)
-    scene = load_scene(SCENE_FILE)
     bags = [ins.bag for ins in default_instructions()] + query_bags(descriptions, rng, 30)
     impossible = 0
     for net in models:
-        for bag in bags:
-            got, batched = unknown_word_warnings(caplog, lambda: select_action_object(net, bag, scene))
-            want, reference = unknown_word_warnings(caplog, lambda: reference_select(net, bag, scene))
-            assert (got.entries, got.impossible) == want
-            assert batched == reference
-            assert len(batched) == bags_with_unknown_words(net, [bag])
-            impossible += got.impossible
+        for scene in scenes():
+            for bag in bags:
+                got, batched = unknown_word_warnings(caplog, lambda: select_action_object(net, bag, scene))
+                want, reference = unknown_word_warnings(caplog, lambda: reference_select(net, bag, scene))
+                assert (got.entries, got.impossible) == want
+                assert batched == reference
+                assert len(batched) == bags_with_unknown_words(net, [bag])
+                impossible += got.impossible
     assert impossible > 0
+    # each of the 18 distinct cells sums its 36 effect states, not the 2,592
+    assert product_states and set(product_states) == {18 * 36}
 
 
 @pytest.mark.parametrize("aggregate", ["max", "sum"])
-def test_rescore_nbest_equals_reference_loop(subset_models, caplog, aggregate):
+def test_rescore_nbest_equals_reference_loop(subset_models, caplog, product_states, aggregate):
     models, descriptions = subset_models
     rng = np.random.default_rng(6)
-    scene = load_scene(SCENE_FILE)
     for net in models:
-        for _ in range(8):
-            bags = query_bags(descriptions, rng, int(rng.integers(1, 8)))
-            nbest = NBestList(tuple((tuple(sorted(b)), float(rng.random()) + 0.01) for b in bags))
-            got, batched = unknown_word_warnings(
-                caplog, lambda: rescore_nbest(net, nbest, scene, aggregate)
-            )
-            want, reference = unknown_word_warnings(
-                caplog, lambda: reference_rescore(net, nbest, scene, aggregate)
-            )
-            assert [(r.tokens, r.object_scores, r.final_score) for r in got] == want
-            assert batched == reference
-            assert len(batched) == bags_with_unknown_words(net, bags)
+        for scene in scenes():
+            for _ in range(8):
+                bags = query_bags(descriptions, rng, int(rng.integers(1, 8)))
+                nbest = NBestList(tuple((tuple(sorted(b)), float(rng.random()) + 0.01) for b in bags))
+                got, batched = unknown_word_warnings(
+                    caplog, lambda: rescore_nbest(net, nbest, scene, aggregate)
+                )
+                want, reference = unknown_word_warnings(
+                    caplog, lambda: reference_rescore(net, nbest, scene, aggregate)
+                )
+                assert [(r.tokens, r.object_scores, r.final_score) for r in got] == want
+                assert batched == reference
+                assert len(batched) == bags_with_unknown_words(net, bags)
+    assert product_states and set(product_states) == {18 * 36}

@@ -14,6 +14,7 @@ from wordground.network import (
     Network,
     StateTable,
     Variable,
+    _cell_states,
     _grid_index,
     affordance_variables,
     default_affordance_parents,
@@ -354,6 +355,30 @@ def test_state_table_refuses_a_bag_name_that_is_not_a_word():
             StateTable(net).joint([["w"], [name]], ["B"])
 
 
+@pytest.mark.parametrize(
+    "query, cells, at, message",
+    [
+        ("joint", ["Nope"], None, "cell 'Nope' is not a variable of the network"),
+        ("posterior", ["Nope"], None, "cell 'Nope' is not a variable of the network"),
+        ("joint_at", ["Nope"], [0], "cell 'Nope' is not a variable of the network"),
+        ("joint", ["B", "w"], None, "cell 'w' is a word"),
+        ("posterior", ["B", "w"], None, "cell 'w' is a word"),
+        ("joint_at", ["B", "w"], [0], "cell 'w' is a word"),
+        ("joint", ["A", "B", "A"], None, "cell 'A' is repeated"),
+        ("posterior", ["A", "B", "A"], None, "cell 'A' is repeated"),
+        ("joint_at", ["A", "B", "A"], [0], "cell 'A' is repeated"),
+        ("joint_at", ["A", "B"], [0, -1], r"cell index -1 is outside \[0, 4\)"),
+        ("joint_at", ["A", "B"], [4, 0], r"cell index 4 is outside \[0, 4\)"),
+    ],
+)
+def test_engine_refuses_bad_cells_naming_them(query, cells, at, message):
+    variables, parents, cpts = said_only_when_a_is_t()
+    table = StateTable(Network(variables, parents, {**cpts, "A": np.array([[0.4, 0.6]])}))
+    args = (cells,) if at is None else (cells, at)
+    with pytest.raises(ValueError, match=message):
+        getattr(table, query)([["w"], []], *args)
+
+
 def test_marginal_full_query_sums_to_one():
     rng = np.random.default_rng(2)
     raw = random_binary_net(rng, 5)
@@ -474,6 +499,45 @@ def test_state_table_batches_equal_the_reference_engine(seed, mixed, data):
             [grid[n] for n in family], [len(values_map[n]) for n in family]
         )
         assert index.shape == (table.p_x.size,) and np.all(index == expected)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), prefix=st.booleans(), data=st.data())
+def test_joint_at_equals_joint_at_the_cells(seed, prefix, data):
+    # Cells that are a permutation of the table's leading variables hold
+    # their states contiguously and sum them in grid order, as `joint` does:
+    # bitwise equal. Other cells sum the same products in another order.
+    rng = np.random.default_rng(seed)
+    values_map, parents_map, cpt_map = random_mixed_net(rng, int(rng.integers(1, 5)))
+    net = to_network(values_map, parents_map, with_one_hot_rows(rng, cpt_map))
+    names, words = list(net.affordance_names()), list(net.word_names())
+    drawn = data.draw(st.lists(st.lists(st.sampled_from(words), max_size=4), min_size=1, max_size=4))
+    # an empty, a repeated and an all-word bag, the last often impossible
+    batch = drawn + [[], drawn[0], words]
+    if prefix:
+        cells = data.draw(st.permutations(names[: data.draw(st.integers(0, len(names)))]))
+    else:
+        cells = data.draw(st.permutations(names))[: data.draw(st.integers(0, 3))]
+    n_cells = math.prod(len(values_map[c]) for c in cells)
+    at = data.draw(st.lists(st.integers(0, n_cells - 1), max_size=2 * n_cells))
+
+    table = StateTable(net)
+    axes = tuple(zip(table.names, table.shape))
+    states = _cell_states(axes, tuple(cells))
+    assert not states.flags.writeable and states.shape[0] == n_cells
+    # row k: the states of configuration k, in grid order
+    assert np.all(_grid_index(axes, tuple(cells))[states].T == np.arange(n_cells))
+    assert np.all(np.diff(states, axis=1) > 0)
+    got = table.joint_at(batch, cells, at)
+    want = table.joint(batch, cells).reshape(len(batch), -1)[:, at]
+    assert got.shape == (len(batch), len(at))
+    if prefix:
+        assert np.array_equal(got, want)
+    else:
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
+    # a sum of the same non-negative products is zero in either order or in
+    # neither, so an impossible bag's row stays exactly zero
+    assert np.array_equal(got == 0, want == 0)
 
 
 def test_joint_summed_over_completions_matches_marginal():

@@ -67,8 +67,6 @@ class EvalResult:
     soft: float
     hard: float
     detection_rate: float | None  # None when the set has no impossible requests
-    n_scored: int
-    n_impossible: int
 
 
 # -- scoring -------------------------------------------------------------------
@@ -105,8 +103,6 @@ def evaluate_instructions(
         soft=float(np.mean(softs)),
         hard=float(np.mean(hards)),
         detection_rate=(detected / n_impossible) if n_impossible else None,
-        n_scored=len(softs),
-        n_impossible=n_impossible,
     )
 
 

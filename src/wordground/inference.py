@@ -8,11 +8,13 @@ configuration of the non-word variables is weighted by the state model and
 by the presence probability of every known word in the utterance, then
 summed onto the action and object cells. Words whose parents include
 effect variables are handled automatically, because effects are part of
-the table and are summed out under the state model. One `joint_at` call
-scores the prior and every bag of a query over the scene's distinct
-(action, object) cells only, each the sum of its effect states: the one
-instruction of `select_action_object`, or every hypothesis of an N-best
-list in `rescore_nbest`.
+the table and are summed out under the state model. A scene is checked and
+prepared once per network, as the engine's one plan (`StateTable.plan`):
+its (action, object) pairs and the `CellSelection` of its distinct cells,
+each the sum of its effect states, with their prior. A query on the scene
+of the last one then only checks its bags and scores them in one
+`CellSelection.joint` call: the one instruction of `select_action_object`,
+or every hypothesis of an N-best list in `rescore_nbest`.
 
 Impossibility is a result state, not an error: a query whose every
 configuration has probability zero returns an all-zero result. A request
@@ -30,7 +32,7 @@ import numpy as np
 from .grounding import VALUES, bag_of_words, nonblank_lines
 # StateTable is named here too, as the engine of these queries: the
 # benchmark's tracer counts its builds through `inference.StateTable`.
-from .network import FILE_FIELDS, Network, StateTable  # noqa: F401
+from .network import FILE_FIELDS, CellSelection, Network, StateTable  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
@@ -105,19 +107,14 @@ def known_words(network: Network, bag: Iterable[str]) -> list[str]:
     return [w for w in words if w in known]
 
 
-def _scene_scorer(
-    network: Network, scene: Sequence[SceneObject], bags: Sequence[Iterable[str]]
-) -> tuple[list[tuple[str, SceneObject]], np.ndarray]:
-    """Check the scene and score its (action, object) pairs for each bag.
-
-    Returns the pairs, action-major in action value order then scene order,
-    and p(bag | action, object) of every bag and pair, shape (bags, pairs),
-    with the effects summed out under the state model. The prior and every
-    bag are scored in one `joint_at` call of the network's cached engine,
-    `network.state_table`, over the scene's distinct cells, so objects that
-    share features are scored once and no scene costs more than the whole
-    table. A bag with words but no known word raises `UnknownWordsError`.
-    """
+def _plan_scene(
+    network: Network, scene: Sequence[SceneObject]
+) -> tuple[tuple[tuple[str, str], ...], CellSelection, list[int] | None]:
+    """Check the scene and prepare it for queries on the network: its
+    (action, object id) pairs, action-major in action value order then
+    scene order; the selection of its distinct (action, object) cells, each
+    the sum of its effect states; and each pair's column in that selection,
+    or None when no two pairs share a cell."""
     if not scene:
         raise ValueError("scene must contain at least one object")
     ids = [obj.id for obj in scene]
@@ -144,24 +141,43 @@ def _scene_scorer(
                 o + stride * v.index_of(obj.features[v.name]) for o, obj in zip(offsets, scene)
             ]
         stride *= v.cardinality
-    pairs = [(action, obj) for action in action_var.values for obj in scene]
+    pairs = tuple((action, obj_id) for action in action_var.values for obj_id in ids)
     flat = [a * action_stride + o for a in range(action_var.cardinality) for o in offsets]
     # each distinct cell is scored once, in the column of its first pair
     column: dict[int, int] = {}
     for cell in flat:
         column.setdefault(cell, len(column))
+    selection = network.state_table.cells_at(cells, list(column))
+    columns = [column[cell] for cell in flat] if len(column) < len(flat) else None
+    return pairs, selection, columns
 
+
+def _scene_scorer(
+    network: Network, scene: Sequence[SceneObject], bags: Sequence[Iterable[str]]
+) -> tuple[tuple[tuple[str, str], ...], np.ndarray]:
+    """Score the scene's (action, object) pairs for each bag.
+
+    Returns the pairs as (action, object id), action-major in action value
+    order then scene order, and p(bag | action, object) of every bag and
+    pair, shape (bags, pairs), with the effects summed out under the state
+    model. The scene is checked and prepared once per network
+    (`StateTable.plan`, keyed by each object's id and features), so a query
+    on the scene of the last one pays only for its words; an invalid scene
+    raises on every call. Objects that share features are scored once, and
+    no scene costs more than the whole table. A bag with words but no known
+    word raises `UnknownWordsError`.
+    """
+    key = tuple((obj.id, tuple(obj.features.items())) for obj in scene)
+    pairs, selection, columns = network.state_table.plan(key, lambda: _plan_scene(network, scene))
     bags = [set(bag) for bag in bags]
     for bag in bags:
         if bag and network.word_set.isdisjoint(bag):
             raise UnknownWordsError(f"the model knows none of the words: {', '.join(sorted(bag))}")
-    joint = network.state_table.joint_at(
-        [[]] + [known_words(network, bag) for bag in bags], cells, list(column)
-    )
-    prior, scores = joint[0], np.zeros_like(joint[1:])
-    np.divide(joint[1:], prior, out=scores, where=prior > 0)
-    if len(column) < len(flat):  # some objects share their features
-        scores = scores[:, [column[cell] for cell in flat]]
+    joint = selection.joint([known_words(network, bag) for bag in bags])
+    scores = np.zeros(joint.shape)
+    np.divide(joint, selection.prior, out=scores, where=selection.prior > 0)
+    if columns is not None:  # some objects share their features
+        scores = scores[:, columns]
     return pairs, scores
 
 
@@ -178,7 +194,7 @@ def select_action_object(
     action order then object order.
     """
     pairs, scores = _scene_scorer(network, scene, [bag])
-    raw = [(action, obj.id, s) for (action, obj), s in zip(pairs, scores[0].tolist())]
+    raw = [(action, obj_id, s) for (action, obj_id), s in zip(pairs, scores[0].tolist())]
     total = sum(s for _, _, s in raw)
     if total > 0:
         raw = [(a, o, s / total) for a, o, s in raw]

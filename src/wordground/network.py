@@ -5,16 +5,19 @@ probability tables, exact inference on a dense table of the non-word states
 into which each CPT enters as one gather through its family's cached
 configuration index over the state grid (`StateTable`, the one engine
 behind every query, scoring a batch of bags of heard words per call, onto
-whole cells with `joint` or onto chosen cells with `joint_at`, which
-multiplies and sums only those cells' states), and the JSON model file.
+whole cells with `joint` or onto chosen cells through a `CellSelection`
+from `cells_at`, which gathers those cells' states and prior once and then
+multiplies and sums only those states per query), and the JSON model file.
 Learning a network from data (counting, CPT fitting and the K2 score) is
 `structure`'s.
 
 Networks are immutable after construction: fitting builds a new network,
 `parents` and `cpts` are read-only mappings of read-only arrays, and all
 query operations are read-only. So each network builds its engine once, on
-its first query, and keeps it (`Network.state_table`); the engine holds no
-reference back to the network, so a network is freed as soon as its last
+its first query, and keeps it (`Network.state_table`), together with one
+prepared plan of its caller's (`StateTable.plan`, a scene's selection for
+`inference`). The engine holds no reference back to the network, nor a
+selection to the engine, so a network is freed as soon as its last
 reference goes. A model file with a key given twice, or one the format does
 not define, does not load.
 """
@@ -28,7 +31,7 @@ import sys
 from collections import Counter
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -40,6 +43,8 @@ ABSENT, PRESENT = WORD_VALUES
 
 # An assignment is a (possibly partial) map from variable name to value.
 Assignment = Mapping[str, str]
+
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -246,7 +251,37 @@ def _cell_states(axes: tuple[tuple[str, int], ...], cells: tuple[str, ...]) -> n
     return states
 
 
-class StateTable:
+class _WordProduct:
+    """`p_x` over some states of the dense grid, times each bag's word
+    factors over the same states: the one product routine of the engine
+    (`StateTable`, every state) and of its cell selections (`CellSelection`,
+    the states of chosen cells). Each sets `p_x`, the network's `word_set`,
+    `cpts` and `parents`, and `_index(family)`, the family's configuration
+    index of each of its states."""
+
+    def _product(self, bags: Sequence[Iterable[str]]) -> np.ndarray:
+        """`p_x` times each bag's word factors, shape (bags, states). Each
+        row multiplies in its words' factors in sorted word order, so it
+        does not depend on the order of a bag, on repeated words or on the
+        other rows."""
+        mass = np.empty((len(bags), self.p_x.size))
+        mass[:] = self.p_x
+        rows_of: dict[str, list[np.ndarray]] = {}
+        for row, bag in zip(mass, bags):
+            for word in set(bag):
+                rows_of.setdefault(word, []).append(row)
+        # words in sorted order, each gathered once for all the rows it binds
+        for word, rows in sorted(rows_of.items()):
+            if word not in self.word_set:
+                raise ValueError(f"{word!r} is not a word of the network")
+            column = self.cpts[word][:, WORD_VALUES.index(PRESENT)]
+            factor = column[self._index(self.parents[word])]
+            for row in rows:
+                np.multiply(row, factor, out=row)
+        return mass
+
+
+class StateTable(_WordProduct):
     """Exact inference on a dense joint table of the non-word variables.
 
     `p_x` holds the joint probability of every state, row-major over the
@@ -258,16 +293,18 @@ class StateTable:
     are leaves, so every word not in the bag sums out to one. Summing the
     product onto the query cells gives their exact joint with the bag:
     `joint` over every state, summed onto every configuration of the cells,
-    and `joint_at` over only the states of the chosen configurations
-    (`_cell_states`), each summed in grid order. For cells that are the
-    table's leading variables in any order, a configuration's states are
-    contiguous, and the two agree bitwise. A cell that is not a non-word
-    variable, or is named twice, is refused by name.
+    or a `CellSelection` (`cells_at`) over only the states of chosen
+    configurations (`_cell_states`), each summed in grid order. For cells
+    that are the table's leading variables in any order, a configuration's
+    states are contiguous, and the two agree bitwise. A cell that is not a
+    non-word variable, or is named twice, is refused by name.
 
     A network builds its table once and keeps it (`Network.state_table`).
-    The table keeps only what `joint` reads (the word set, `cpts` and
+    The table keeps only what the product reads (the word set, `cpts` and
     `parents`) and no reference back to the network, so the two form no
-    reference cycle.
+    reference cycle. It also keeps one prepared plan of its caller's, such
+    as a scene's cell selection (`plan`), so that repeated queries on one
+    scene prepare it once.
     """
 
     def __init__(self, network: Network):
@@ -280,6 +317,7 @@ class StateTable:
         self.p_x = np.ones(math.prod(self.shape))
         for name in self.names:
             self.p_x *= network.cpts[name].ravel()[self._index(network.parents[name] + (name,))]
+        self._plan: tuple[object, object] | None = None
 
     def _index(self, family: tuple[str, ...]) -> np.ndarray:
         return _grid_index(self._axes, family)
@@ -297,31 +335,13 @@ class StateTable:
                 raise ValueError(f"cell {cell!r} is repeated")
         return cells
 
-    def _product(
-        self, bags: Sequence[Iterable[str]], states: np.ndarray | None = None
-    ) -> np.ndarray:
-        """`p_x` times each bag's word factors, shape (bags, states): over
-        every state, or over the flat state indices `states` if given. Each
-        row multiplies in its words' factors in sorted word order, so it
-        does not depend on the order of a bag, on repeated words or on the
-        other rows."""
-        p_x = self.p_x if states is None else self.p_x[states]
-        mass = np.empty((len(bags), p_x.size))
-        mass[:] = p_x
-        rows_of: dict[str, list[np.ndarray]] = {}
-        for row, bag in zip(mass, bags):
-            for word in set(bag):
-                rows_of.setdefault(word, []).append(row)
-        # words in sorted order, each gathered once for all the rows it binds
-        for word, rows in sorted(rows_of.items()):
-            if word not in self.word_set:
-                raise ValueError(f"{word!r} is not a word of the network")
-            column = self.cpts[word][:, WORD_VALUES.index(PRESENT)]
-            index = self._index(self.parents[word])
-            factor = column[index if states is None else index[states]]
-            for row in rows:
-                np.multiply(row, factor, out=row)
-        return mass
+    def plan(self, key: object, build: Callable[[], _T]) -> _T:
+        """The table's one plan: what `build()` returned for the last `key`,
+        built again only when the key differs (`!=`) from it. A `build` that
+        raises leaves the plan as it was."""
+        if self._plan is None or self._plan[0] != key:
+            self._plan = (key, build())
+        return self._plan[1]
 
     def joint(self, bags: Sequence[Iterable[str]], cells: Sequence[str]) -> np.ndarray:
         """p(cells, every word of the bag present) for each bag of the
@@ -334,20 +354,15 @@ class StateTable:
         kept_sorted = sorted(keep)
         return table.transpose([0] + [1 + kept_sorted.index(a) for a in keep])
 
-    def joint_at(
-        self, bags: Sequence[Iterable[str]], cells: Sequence[str], at: Sequence[int]
-    ) -> np.ndarray:
-        """`joint` at the flat cell indices `at` (row-major in cell order),
-        shape (bags, len(at)): only the states of those cells enter the
-        product, each cell's summed in grid order."""
+    def cells_at(self, cells: Sequence[str], at: Sequence[int]) -> CellSelection:
+        """The configurations of `cells` at the flat indices `at` (row-major
+        in cell order), prepared for `CellSelection.joint`."""
         cells = self._cells(cells)
         states = _cell_states(self._axes, cells)
         bad = [k for k in at if not 0 <= k < len(states)]
         if bad:
             raise ValueError(f"cell index {bad[0]} is outside [0, {len(states)})")
-        chosen = states[at]
-        mass = self._product(bags, chosen.ravel())
-        return mass.reshape((len(bags),) + chosen.shape).sum(axis=-1)
+        return CellSelection(self, states[at])
 
     def posterior(self, bags: Sequence[Iterable[str]], cells: Sequence[str]) -> np.ndarray:
         """`joint` with each row normalised over the cells; a row whose bag
@@ -355,6 +370,42 @@ class StateTable:
         table = self.joint(bags, cells)
         totals = table.sum(axis=tuple(range(1, table.ndim)))
         return table / np.where(totals > 0, totals, 1.0).reshape((-1,) + (1,) * len(cells))
+
+
+class CellSelection(_WordProduct):
+    """Chosen configurations of some cells of one `StateTable`, prepared
+    once for many queries (`StateTable.cells_at`). It keeps the states of
+    each configuration in grid order, `p_x` over them, and each
+    configuration's `prior`, the sum of its states' `p_x`. Each word
+    family's index over the states is gathered on its first use and kept,
+    so a query pays only for its words. It keeps the table's read-only
+    parts but not the table, so the table may keep the selection in its
+    plan without a reference cycle."""
+
+    def __init__(self, table: StateTable, states: np.ndarray):
+        self.word_set = table.word_set
+        self.cpts = table.cpts
+        self.parents = table.parents
+        self._axes = table._axes
+        self._states = states.ravel()
+        self._shape = states.shape
+        self.p_x = table.p_x[self._states]
+        self.p_x.flags.writeable = False
+        self.prior = self.p_x.reshape(self._shape).sum(axis=-1)
+        self.prior.flags.writeable = False
+        self._gathered: dict[tuple[str, ...], np.ndarray] = {}
+
+    def _index(self, family: tuple[str, ...]) -> np.ndarray:
+        index = self._gathered.get(family)
+        if index is None:
+            index = self._gathered[family] = _grid_index(self._axes, family)[self._states]
+        return index
+
+    def joint(self, bags: Sequence[Iterable[str]]) -> np.ndarray:
+        """`StateTable.joint` at the chosen configurations, shape (bags,
+        configurations): only their states enter the product, each
+        configuration's summed in grid order."""
+        return self._product(bags).reshape((len(bags),) + self._shape).sum(axis=-1)
 
 
 # -- model file -------------------------------------------------------------

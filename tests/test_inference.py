@@ -1,9 +1,11 @@
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from wordground import inference
+from wordground import network as network_module
 from wordground.datagen import build_corpus, default_lexicon, default_world
 from wordground.evaluation import default_instructions, evaluate_instructions, parse_instruction_line
 from wordground.grounding import bag_of_words
@@ -19,7 +21,7 @@ from wordground.inference import (
     rescore_nbest,
     select_action_object,
 )
-from wordground.network import Network, Variable, word_variable
+from wordground.network import Network, Variable, _WordProduct, word_variable
 from wordground.structure import EncodedCorpus, train_model
 
 from oracles import (
@@ -433,13 +435,13 @@ def product_states(monkeypatch):
     """The number of states each call of the engine's product routine
     receives, for all of its bags."""
     sizes = []
-    product = StateTable._product
+    product = _WordProduct._product
 
-    def counted(self, bags, states=None):
-        sizes.append(self.p_x.size if states is None else len(states))
-        return product(self, bags, states)
+    def counted(self, bags):
+        sizes.append(self.p_x.size)
+        return product(self, bags)
 
-    monkeypatch.setattr(StateTable, "_product", counted)
+    monkeypatch.setattr(_WordProduct, "_product", counted)
     return sizes
 
 
@@ -481,3 +483,110 @@ def test_rescore_nbest_equals_reference_loop(subset_models, caplog, product_stat
                 assert batched == reference
                 assert len(batched) == bags_with_unknown_words(net, bags)
     assert product_states and set(product_states) == {18 * 36}
+
+
+# -- the scene plan: prepared once per network, never stale ---------------------
+
+
+def fresh_copy(net):
+    """The same model with an engine and scene plan of its own."""
+    return Network(net.variables, net.parents, net.cpts, net.pseudocount)
+
+
+def test_three_queries_on_one_scene_prepare_it_once(subset_models, monkeypatch):
+    net = fresh_copy(subset_models[0][3])
+    net.state_table  # the engine's own build gathers every family once
+    cells_calls, families = [], []
+    cells, grid_index = inference.default_cells, network_module._grid_index
+
+    def counted_cells(network):
+        cells_calls.append(network)
+        return cells(network)
+
+    def counted_index(axes, family):
+        families.append(family)
+        return grid_index(axes, family)
+
+    monkeypatch.setattr(inference, "default_cells", counted_cells)
+    monkeypatch.setattr(network_module, "_grid_index", counted_index)
+    scene = load_scene(SCENE_FILE)
+    bags = [bag_of_words("grasp the ball"), bag_of_words("tap the ball")]
+    hypotheses = ((("grasp", "the", "ball"), 0.6), (("touch", "the", "box"), 0.4))
+    select_action_object(net, bags[0], scene)
+    select_action_object(net, bags[1], scene)
+    rescore_nbest(net, NBestList(hypotheses), scene)
+    assert len(cells_calls) == 1
+    heard = {w for bag in bags + [set(t) for t, _ in hypotheses] for w in bag if w in net.word_set}
+    word_families = {net.parents[w] for w in heard}
+    gathers = Counter(f for f in families if f in word_families)
+    assert set(gathers) == word_families and set(gathers.values()) == {1}
+
+
+def same_ids_new_features(shipped):
+    yield shipped
+    yield [SceneObject(obj.id, {**obj.features, "Color": "yellow"}) for obj in shipped]
+
+
+def features_mutated_in_place(shipped):
+    scene = [SceneObject(obj.id, dict(obj.features)) for obj in shipped]
+    yield scene
+    for obj in scene:
+        obj.features["Shape"] = "box" if obj.features["Shape"] == "sphere" else "sphere"
+    yield scene
+
+
+def reordered_objects(shipped):
+    yield shipped
+    yield shipped[::-1]
+
+
+def alternating_scenes(shipped):
+    for _ in range(2):
+        yield shipped
+        yield shipped[1:3]
+
+
+@pytest.mark.parametrize(
+    "scenes", [same_ids_new_features, features_mutated_in_place, reordered_objects, alternating_scenes]
+)
+def test_no_query_reads_a_stale_scene_plan(subset_models, scenes):
+    models, _ = subset_models
+    bag = bag_of_words("tap the small blue box")
+    nbest = NBestList(((("tap", "the", "box"), 0.5), (("grasp", "the", "ball"), 0.5)))
+    for net in models:
+        for scene in scenes(load_scene(SCENE_FILE)):
+            got = select_action_object(net, bag, scene)
+            assert (got.entries, got.impossible) == reference_select(net, bag, scene)
+            for aggregate in ("max", "sum"):
+                got = rescore_nbest(net, nbest, scene, aggregate)
+                want = reference_rescore(net, nbest, scene, aggregate)
+                assert [(r.tokens, r.object_scores, r.final_score) for r in got] == want
+
+
+def test_an_invalid_scene_raises_on_every_call_and_is_never_kept(subset_models, monkeypatch):
+    net = fresh_copy(subset_models[0][3])
+    shipped = load_scene(SCENE_FILE)
+    first = shipped[0]
+    invalid = [
+        ([], "at least one object"),
+        ([first, SceneObject(first.id, first.features)], "duplicate scene object id"),
+        ([SceneObject("ball", {"Color": "blue", "Size": "small"})], "does not bind 'Shape'"),
+        ([SceneObject("ball", {**first.features, "Color": "purple"})], "'purple' is not one of"),
+    ]
+    bag = bag_of_words("tap the ball")
+    nbest = NBestList(((("tap", "the", "ball"), 1.0),))
+    want = reference_select(net, bag, shipped)
+    cells_calls = []
+    cells = inference.default_cells
+    monkeypatch.setattr(inference, "default_cells", lambda n: cells_calls.append(n) or cells(n))
+    select_action_object(net, bag, shipped)
+    assert len(cells_calls) == 1
+    for scene, message in invalid:
+        queries = [lambda: select_action_object(net, bag, scene)] * 2
+        for query in queries + [lambda: rescore_nbest(net, nbest, scene)]:
+            with pytest.raises(ValueError, match=message):
+                query()
+        # the shipped scene's plan is still the one kept
+        cells_calls.clear()
+        got = select_action_object(net, bag, shipped)
+        assert (got.entries, got.impossible) == want and not cells_calls

@@ -23,7 +23,7 @@ from wordground.network import (
     word_variable,
 )
 from wordground.datagen import build_corpus, default_lexicon, default_world
-from wordground.inference import SceneObject, select_action_object
+from wordground.inference import NBestList, SceneObject, rescore_nbest, select_action_object
 from wordground.structure import encode_columns, fit_cpts, train_model
 
 from oracles import (
@@ -149,17 +149,19 @@ def test_network_maps_are_read_only():
 
 
 def test_a_queried_network_is_freed_without_the_cyclic_gc():
-    # the cached engine holds no reference back to its network: a cycle
-    # would keep every queried model alive until the cyclic GC runs
+    # neither the cached engine nor the scene plan it keeps holds a
+    # reference back to the network or to the engine: a cycle would keep
+    # every queried model alive until the cyclic GC runs
     corpus = build_corpus(default_world(), default_lexicon(), 40, 3, seed=4).experiences
     scene = [SceneObject("ball", {"Color": "blue", "Size": "small", "Shape": "sphere"})]
     gc.disable()
     try:
         model = train_model(corpus)
         select_action_object(model, {"ball"}, scene)
-        ref = weakref.ref(model)
+        rescore_nbest(model, NBestList(((("ball",), 0.5),)), scene)
+        refs = [weakref.ref(model), weakref.ref(model.state_table)]
         del model
-        assert ref() is None
+        assert [ref() for ref in refs] == [None, None]
     finally:
         gc.enable()
 
@@ -372,11 +374,14 @@ def test_state_table_refuses_a_bag_name_that_is_not_a_word():
     ],
 )
 def test_engine_refuses_bad_cells_naming_them(query, cells, at, message):
+    # "joint_at" is the joint at chosen cells, through their selection
     variables, parents, cpts = said_only_when_a_is_t()
     table = StateTable(Network(variables, parents, {**cpts, "A": np.array([[0.4, 0.6]])}))
-    args = (cells,) if at is None else (cells, at)
     with pytest.raises(ValueError, match=message):
-        getattr(table, query)([["w"], []], *args)
+        if query == "joint_at":
+            table.cells_at(cells, at).joint([["w"], []])
+        else:
+            getattr(table, query)([["w"], []], cells)
 
 
 def test_marginal_full_query_sums_to_one():
@@ -504,6 +509,7 @@ def test_state_table_batches_equal_the_reference_engine(seed, mixed, data):
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), prefix=st.booleans(), data=st.data())
 def test_joint_at_equals_joint_at_the_cells(seed, prefix, data):
+    # A selection's joint at chosen cells (`cells_at`) against `joint`.
     # Cells that are a permutation of the table's leading variables hold
     # their states contiguously and sum them in grid order, as `joint` does:
     # bitwise equal. Other cells sum the same products in another order.
@@ -528,8 +534,11 @@ def test_joint_at_equals_joint_at_the_cells(seed, prefix, data):
     # row k: the states of configuration k, in grid order
     assert np.all(_grid_index(axes, tuple(cells))[states].T == np.arange(n_cells))
     assert np.all(np.diff(states, axis=1) > 0)
-    got = table.joint_at(batch, cells, at)
+    selection = table.cells_at(cells, at)
+    got = selection.joint(batch)
     want = table.joint(batch, cells).reshape(len(batch), -1)[:, at]
+    # the prior is the joint of the empty bag, bitwise as it is summed
+    assert np.array_equal(selection.prior, got[len(drawn)])
     assert got.shape == (len(batch), len(at))
     if prefix:
         assert np.array_equal(got, want)

@@ -353,9 +353,6 @@ class Corpus:
     experiences: list[Experience]
     corrupted: list[Experience] | None = None
 
-    def __len__(self) -> int:
-        return len(self.experiences)
-
 
 def build_corpus(
     world: Network,

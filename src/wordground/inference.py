@@ -130,19 +130,19 @@ def _plan_scene(
         for v in cell_vars:
             if v is not action_var and v.name not in obj.features:
                 raise ValueError(f"scene object {obj.id!r} does not bind {v.name!r}")
-    # each object's flat cell index at the first action value, row-major
-    # over the cells in cell order, and the action's stride in that index
-    offsets, stride = [0] * len(scene), 1
-    for v in reversed(cell_vars):
-        if v is action_var:
-            action_stride = stride
-        else:
-            offsets = [
-                o + stride * v.index_of(obj.features[v.name]) for o, obj in zip(offsets, scene)
-            ]
-        stride *= v.cardinality
+    # each pair's value index of each cell, pairs action-major then scene
+    # order; the cells are looked up last first, so a scene with bad values
+    # in several cells names its last cell's
+    n_actions = action_var.cardinality
+    at = {
+        v.name: np.tile([v.index_of(obj.features[v.name]) for obj in scene], n_actions)
+        for v in reversed(cell_vars)
+        if v is not action_var
+    }
+    at[action_var.name] = np.repeat(np.arange(n_actions), len(scene))
     pairs = tuple((action, obj_id) for action in action_var.values for obj_id in ids)
-    flat = [a * action_stride + o for a in range(action_var.cardinality) for o in offsets]
+    shape = [v.cardinality for v in cell_vars]
+    flat = np.ravel_multi_index([at[c] for c in cells], shape).tolist()
     # each distinct cell is scored once, in the column of its first pair
     column: dict[int, int] = {}
     for cell in flat:
@@ -207,7 +207,6 @@ def select_action_object(
 class RescoredHypothesis:
     tokens: tuple[str, ...]
     acoustic_probability: float
-    object_scores: dict[str, float]
     final_score: float
 
 
@@ -222,32 +221,25 @@ def rescore_nbest(
     Each hypothesis scores, per scene object, the probability of its words
     given the object (effects summed out, actions aggregated by `max` by
     default, or `sum`); the final score is the acoustic probability times
-    the sum of the per-object scores. Sorted best first; uniform scaling of
-    the acoustic probabilities cannot change the order.
+    the sum of the per-object scores, objects in scene order. Sorted best
+    first; uniform scaling of the acoustic probabilities cannot change the
+    order.
     """
     if action_aggregate not in ("max", "sum"):
         raise ValueError("action_aggregate must be 'max' or 'sum'")
+    aggregate = max if action_aggregate == "max" else sum
     bags = [bag_of_words(tokens) for tokens, _ in nbest.hypotheses]
     _, pair_scores = _scene_scorer(network, scene, bags)
-    n_objects = len(scene)
-
-    results = []
-    for (tokens, acoustic), scores in zip(nbest.hypotheses, pair_scores.tolist()):
-        per_object: dict[str, float] = {}
-        for j, obj in enumerate(scene):
-            by_action = scores[j::n_objects]
-            per_object[obj.id] = (
-                max(by_action) if action_aggregate == "max" else sum(by_action)
-            )
-        final = acoustic * sum(per_object.values())
-        results.append(
-            RescoredHypothesis(
-                tokens=tuple(tokens),
-                acoustic_probability=acoustic,
-                object_scores=per_object,
-                final_score=final,
-            )
+    n = len(scene)
+    # the pairs are action-major, so scores[j::n] are object j's actions
+    results = [
+        RescoredHypothesis(
+            tokens=tuple(tokens),
+            acoustic_probability=acoustic,
+            final_score=acoustic * sum(aggregate(scores[j::n]) for j in range(n)),
         )
+        for (tokens, acoustic), scores in zip(nbest.hypotheses, pair_scores.tolist())
+    ]
     results.sort(key=lambda r: -r.final_score)
     return results
 

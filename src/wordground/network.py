@@ -39,7 +39,7 @@ KINDS = ("action", "feature", "effect", "word")
 
 # Binary presence values shared by every word variable, in CPT column order.
 WORD_VALUES = ("absent", "present")
-ABSENT, PRESENT = WORD_VALUES
+PRESENT = WORD_VALUES[1]
 
 # An assignment is a (possibly partial) map from variable name to value.
 Assignment = Mapping[str, str]
@@ -194,9 +194,6 @@ class Network:
             return self._by_name[name]
         except KeyError:
             raise ValueError(f"unknown variable name {name!r}") from None
-
-    def names(self) -> tuple[str, ...]:
-        return tuple(v.name for v in self.variables)
 
     def n_parent_configs(self, name: str) -> int:
         return math.prod(self._by_name[p].cardinality for p in self.parents[name])

@@ -305,8 +305,8 @@ def reference_select(network, bag, scene):
 
 
 def reference_rescore(network, nbest, scene, aggregate):
-    """(tokens, per-object scores, final score) of `rescore_nbest`, best
-    first, one scene scoring per hypothesis."""
+    """(tokens, final score) of `rescore_nbest`, best first, one scene
+    scoring per hypothesis, the final score summed over a per-object dict."""
     from wordground.grounding import bag_of_words
 
     results = []
@@ -316,6 +316,6 @@ def reference_rescore(network, nbest, scene, aggregate):
         for j, obj in enumerate(scene):
             by_action = scores[j :: len(scene)]
             per_object[obj.id] = max(by_action) if aggregate == "max" else sum(by_action)
-        results.append((tuple(tokens), per_object, acoustic * sum(per_object.values())))
-    results.sort(key=lambda r: -r[2])
+        results.append((tuple(tokens), acoustic * sum(per_object.values())))
+    results.sort(key=lambda r: -r[1])
     return results

@@ -61,6 +61,21 @@ def model_noisy(corpus11):
     return train_model(corpus11.corrupted, pseudocount=0.0)
 
 
+SWEEP_SEEDS = range(20)
+
+
+@pytest.fixture(scope="module")
+def sweep():
+    """Corpus seed -> (corpus, clean-trained model, noise-trained model) at
+    seeds 0-19, shared by criterion 3 and the sweeps of criteria 4-8."""
+    models = {}
+    for seed in SWEEP_SEEDS:
+        corpus = build_corpus(WORLD, LEXICON, 254, 5, profile=PROFILE, seed=seed)
+        clean = train_model(corpus.experiences, pseudocount=0.0)
+        models[seed] = corpus, clean, train_model(corpus.corrupted, pseudocount=0.0)
+    return models
+
+
 def test_criterion_1_inference_matches_bruteforce_oracle():
     # the engine behind instruct, rescore and eval, on random nets with 2-6
     # non-word variables of 2-4 values and 1-2 word leaves, all of them in
@@ -131,12 +146,13 @@ def test_criterion_2_planted_singleton_recovery():
     )
 
 
-def test_criterion_3_non_referential_words_stay_unlinked():
+def test_criterion_3_non_referential_words_stay_unlinked(sweep):
     empty = 0
     total = 0
     per_word = {w: 0 for w in FILLER_WORDS}
     for seed in range(20):
-        corpus = build_corpus(WORLD, LEXICON, 254, 5, seed=seed).experiences
+        # a corpus's clean records do not depend on its noise profile
+        corpus = sweep[seed][0].experiences
         net = train_model(corpus)
         for word in FILLER_WORDS:
             total += 1
@@ -258,6 +274,90 @@ def test_criterion_8_impossible_requests_detected(model_clean, model_noisy):
         f"{noisy_result.detection_rate:.2f} (reported, not asserted)"
         + (f"; missed {misses}" if misses else ""),
     )
+
+
+# -- criteria 4-8 over 20 corpus seeds ---------------------------------------
+#
+# Each pinned check above runs on corpus seed 11; these sweep the same check
+# over corpus seeds 0-19, print how many pass and name each failing seed.
+# They assert the pass counts measured when the sweep was added: 20/20 for
+# criteria 4, 5, 7 and 8; criterion 6 misses at seeds 2 and 8, where the gap
+# at 300 records is 0.065 and 0.062.
+
+def report_sweep(criterion: str, passes: dict, known_misses=()) -> None:
+    failing = [seed for seed, ok in passes.items() if not ok]
+    print(
+        f"\nSWEEP {criterion} | {len(passes) - len(failing)}/{len(passes)} corpus seeds pass"
+        + (f"; failing seeds {failing}" if failing else "")
+    )
+    unexpected = [seed for seed in failing if seed not in known_misses]
+    assert not unexpected, f"{criterion}: corpus seeds {unexpected} fail"
+
+
+def test_criterion_4_ablation_direction_over_20_corpus_seeds(sweep):
+    instructions = default_instructions()
+    passes = {}
+    for seed, (corpus, clean, _) in sweep.items():
+        full = evaluate_instructions(clean, instructions)
+        base = evaluate_instructions(
+            build_baseline_network(corpus.experiences, pseudocount=0.0), instructions
+        )
+        passes[seed] = full.soft - base.soft >= 0.05 and full.hard - base.hard >= 0.05
+    report_sweep("4 ablation direction", passes)
+
+
+def test_criterion_5_noise_degradation_over_20_corpus_seeds(sweep):
+    instructions = default_instructions()
+    passes = {}
+    for seed, (_, clean, noisy) in sweep.items():
+        clean_result = evaluate_instructions(clean, instructions)
+        noisy_result = evaluate_instructions(noisy, instructions)
+        passes[seed] = (
+            noisy_result.soft < clean_result.soft
+            and clean_result.hard - noisy_result.hard < 0.15
+        )
+    report_sweep("5 noise degradation", passes)
+
+
+def test_criterion_6_learning_curve_plateau_over_20_corpus_seeds(sweep):
+    instructions = default_instructions()
+    passes = {}
+    for seed, (corpus, _, _) in sweep.items():
+        small, full = staged_learning(
+            corpus.experiences, instructions, sizes=(300, 1270), repetitions=12,
+            seed=3, pseudocount=0.0,
+        )
+        passes[seed] = (
+            abs(small.median_soft() - full.median_soft()) <= 0.05
+            and len(full.repetitions) == 1
+        )
+    report_sweep("6 learning-curve plateau", passes, known_misses=(2, 8))
+
+
+def test_criterion_7_rescoring_flip_over_20_corpus_seeds(sweep):
+    hypotheses = (
+        (tuple("tapping small sliding".split()), 0.100),
+        (tuple("tapping box slides".split()), 0.070),
+        (tuple("tapped ball rolls".split()), 0.010),
+    )
+    scaled = tuple((t, 123.0 * p) for t, p in hypotheses)
+    scene = load_scene(SCENE_FILE)
+    passes = {}
+    for seed, (_, clean, _) in sweep.items():
+        ranked = [h.tokens for h in rescore_nbest(clean, NBestList(hypotheses), scene)]
+        rescaled = [h.tokens for h in rescore_nbest(clean, NBestList(scaled), scene)]
+        passes[seed] = ranked[0] == hypotheses[1][0] and rescaled == ranked
+    report_sweep("7 rescoring flip", passes)
+
+
+def test_criterion_8_impossible_requests_over_20_corpus_seeds(sweep):
+    impossible = [i for i in default_instructions() if i.impossible]
+    passes = {}
+    for seed, (_, clean, _) in sweep.items():
+        bags = [[w for w in ins.bag if w in clean.word_set] for ins in impossible]
+        posterior = clean.state_table.posterior(bags, default_cells(clean))
+        passes[seed] = not posterior.any()
+    report_sweep("8 impossible-request detection", passes)
 
 
 def test_criterion_9_pipeline_is_byte_deterministic(tmp_path):

@@ -85,8 +85,8 @@ def test_default_world_hand_velocity_tracks_grasping():
 
 def test_default_world_color_is_isolated():
     assert WORLD.parents["Color"] == ()
-    for name in WORLD.names():
-        assert "Color" not in WORLD.parents[name]
+    for v in WORLD.variables:
+        assert "Color" not in WORLD.parents[v.name]
 
 
 # -- sampling ------------------------------------------------------------------

@@ -173,8 +173,8 @@ def test_baseline_counts_every_record(corpus):
     refit = fit_cpts(
         net.variables, net.parents, encode_columns(net.variables, records), ones(records), 1.0
     )
-    for name in net.names():
-        assert np.array_equal(net.cpts[name], refit.cpts[name])
+    for v in net.variables:
+        assert np.array_equal(net.cpts[v.name], refit.cpts[v.name])
     variables = affordance_variables()
     for word in net.word_names():
         scores = [family_score(net.variable(word), [v], records) for v in variables]

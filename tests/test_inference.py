@@ -479,7 +479,7 @@ def test_rescore_nbest_equals_reference_loop(subset_models, caplog, product_stat
                 want, reference = unknown_word_warnings(
                     caplog, lambda: reference_rescore(net, nbest, scene, aggregate)
                 )
-                assert [(r.tokens, r.object_scores, r.final_score) for r in got] == want
+                assert [(r.tokens, r.final_score) for r in got] == want
                 assert batched == reference
                 assert len(batched) == bags_with_unknown_words(net, bags)
     assert product_states and set(product_states) == {18 * 36}
@@ -560,7 +560,7 @@ def test_no_query_reads_a_stale_scene_plan(subset_models, scenes):
             for aggregate in ("max", "sum"):
                 got = rescore_nbest(net, nbest, scene, aggregate)
                 want = reference_rescore(net, nbest, scene, aggregate)
-                assert [(r.tokens, r.object_scores, r.final_score) for r in got] == want
+                assert [(r.tokens, r.final_score) for r in got] == want
 
 
 def test_an_invalid_scene_raises_on_every_call_and_is_never_kept(subset_models, monkeypatch):

@@ -98,7 +98,8 @@ def test_network_accepts_exactly_parents_declared_first(data, n_nodes):
     cpts = {n: np.full((2 ** len(ps), 2), 0.5) for n, ps in parents.items()}
     ok = all(order.index(p) < order.index(n) for n in names for p in parents[n])
     if ok:
-        assert Network([binary(n) for n in order], parents, cpts).names() == tuple(order)
+        net = Network([binary(n) for n in order], parents, cpts)
+        assert tuple(v.name for v in net.variables) == tuple(order)
     else:
         with pytest.raises(ValueError, match="is not declared before it"):
             Network([binary(n) for n in order], parents, cpts)

@@ -640,8 +640,8 @@ def test_state_level_training_matches_record_level_counts(seed, n_states, n_word
         net.variables, net.parents, encode_columns(net.variables, records), ones(records),
         pseudocount,
     )
-    for name in net.names():
-        assert np.array_equal(net.cpts[name], refit.cpts[name])
+    for v in net.variables:
+        assert np.array_equal(net.cpts[v.name], refit.cpts[v.name])
     searched = _word_layer_parents(net, corpus)
     for word in corpus.words:
         expected, ambiguous = oracle_k2_parents(
@@ -737,10 +737,10 @@ def test_word_layer_empty_vocabulary_returns_affordance_net_unchanged(clean_corp
     silent = [Experience(state=s, description=frozenset()) for s in states]
     out = learn_word_layer(aff, EncodedCorpus.encode(silent))
     assert out.word_names() == ()
-    assert out.names() == aff.names()
-    for name in aff.names():
-        assert np.array_equal(out.cpts[name], aff.cpts[name])
-        assert out.parents[name] == aff.parents[name]
+    assert tuple(v.name for v in out.variables) == tuple(v.name for v in aff.variables)
+    for v in aff.variables:
+        assert np.array_equal(out.cpts[v.name], aff.cpts[v.name])
+        assert out.parents[v.name] == aff.parents[v.name]
 
 
 def test_word_layer_sparse_words_skip_search():

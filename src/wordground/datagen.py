@@ -158,8 +158,6 @@ def action_succeeded(state: dict[str, str]) -> bool:
 
 # -- lexicon -------------------------------------------------------------------
 
-_GENERIC_MOTION = ("move", "moving", "moves")
-
 
 @dataclass(frozen=True)
 class Lexicon:
@@ -168,26 +166,12 @@ class Lexicon:
     concepts: dict[str, tuple[str, ...]]
     filler_words: dict[str, float]
 
-    def __post_init__(self) -> None:
-        for key, synonyms in self.concepts.items():
-            if not synonyms:
-                raise ValueError(f"concept {key!r} has no synonyms")
-        for word, rate in self.filler_words.items():
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError(f"filler {word!r} has emission rate {rate}")
-
     def words(self) -> list[str]:
         out: set[str] = set()
         for synonyms in self.concepts.values():
             out.update(synonyms)
         out.update(self.filler_words)
         return sorted(out)
-
-    def synonyms(self, key: str) -> tuple[str, ...]:
-        try:
-            return self.concepts[key]
-        except KeyError:
-            raise ValueError(f"lexicon does not cover concept {key!r}") from None
 
 
 def default_lexicon() -> Lexicon:
@@ -210,7 +194,7 @@ def default_lexicon() -> Lexicon:
         "outcome=slides": ("slide", "slides", "sliding"),
         "outcome=rises": ("rise", "rises", "rising"),
         "outcome=falls": ("fall", "falls", "falling"),
-        "motion": _GENERIC_MOTION,
+        "motion": ("move", "moving", "moves"),
         "conjunction=success": ("and",),
         "conjunction=failure": ("but",),
     }
@@ -257,37 +241,33 @@ def generate_description(
         "conjunction=success" if action_succeeded(state) else "conjunction=failure"
     )
 
-    subject = balance_state.take("subject", lexicon.synonyms("subject"))
-    action = balance_state.take(
-        f"action={state['Action']}", lexicon.synonyms(f"action={state['Action']}")
-    )
-    noun = balance_state.take(
-        f"shape={state['Shape']}", lexicon.synonyms(f"shape={state['Shape']}")
-    )
-    conj = balance_state.take(conj_key, lexicon.synonyms(conj_key))
-    effect = balance_state.take(f"outcome={outcome}", lexicon.synonyms(f"outcome={outcome}"))
+    concepts = lexicon.concepts
+    subject = balance_state.take("subject", concepts["subject"])
+    action_key = f"action={state['Action']}"
+    action = balance_state.take(action_key, concepts[action_key])
+    shape_key = f"shape={state['Shape']}"
+    noun = balance_state.take(shape_key, concepts[shape_key])
+    conj = balance_state.take(conj_key, concepts[conj_key])
+    effect = balance_state.take(f"outcome={outcome}", concepts[f"outcome={outcome}"])
 
     tokens = [subject]
-    if "has" in lexicon.filler_words and rng.random() < lexicon.filler_words["has"]:
+    if rng.random() < lexicon.filler_words["has"]:
         tokens.append("has")
     if action.endswith("ing"):
         tokens.append("is")
-    if "just" in lexicon.filler_words and rng.random() < lexicon.filler_words["just"]:
+    if rng.random() < lexicon.filler_words["just"]:
         tokens.append("just")
     tokens.extend([action, "the"])
     if rng.random() < _COLOR_RATE:
         color_key = f"color={state['Color']}"
-        tokens.append(balance_state.take(color_key, lexicon.synonyms(color_key)))
+        tokens.append(balance_state.take(color_key, concepts[color_key]))
     size_key = f"size={state['Size']}"
-    if size_key in lexicon.concepts and rng.random() < _SIZE_RATE:
-        tokens.append(balance_state.take(size_key, lexicon.synonyms(size_key)))
+    # there is no word for a medium size
+    if size_key in concepts and rng.random() < _SIZE_RATE:
+        tokens.append(balance_state.take(size_key, concepts[size_key]))
     tokens.extend([noun, conj, "the", noun, "is", effect])
-    if (
-        outcome != "still"
-        and "motion" in lexicon.concepts
-        and rng.random() < _MOTION_RATE
-    ):
-        tokens.append(balance_state.take("motion", lexicon.synonyms("motion")))
+    if outcome != "still" and rng.random() < _MOTION_RATE:
+        tokens.append(balance_state.take("motion", concepts["motion"]))
     return tokens
 
 

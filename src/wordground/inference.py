@@ -10,11 +10,12 @@ summed onto the action and object cells. Words whose parents include
 effect variables are handled automatically, because effects are part of
 the table and are summed out under the state model. A scene is checked and
 prepared once per network, as the engine's one plan (`StateTable.plan`):
-its (action, object) pairs and the `CellSelection` of its distinct cells,
-each the sum of its effect states, with their prior. A query on the scene
-of the last one then only checks its bags and scores them in one
-`CellSelection.joint` call: the one instruction of `select_action_object`,
-or every hypothesis of an N-best list in `rescore_nbest`.
+its (action, object) pairs and the `CellSelection` of their cells, each the
+sum of its effect states, with its prior; the engine scores objects that
+share their features once. A query on the scene of the last one then only
+checks its bags and scores them in one `CellSelection.joint` call: the one
+instruction of `select_action_object`, or every hypothesis of an N-best
+list in `rescore_nbest`.
 
 Impossibility is a result state, not an error: a query whose every
 configuration has probability zero returns an all-zero result. A request
@@ -109,12 +110,12 @@ def known_words(network: Network, bag: Iterable[str]) -> list[str]:
 
 def _plan_scene(
     network: Network, scene: Sequence[SceneObject]
-) -> tuple[tuple[tuple[str, str], ...], CellSelection, list[int] | None]:
+) -> tuple[tuple[tuple[str, str], ...], CellSelection]:
     """Check the scene and prepare it for queries on the network: its
     (action, object id) pairs, action-major in action value order then
-    scene order; the selection of its distinct (action, object) cells, each
-    the sum of its effect states; and each pair's column in that selection,
-    or None when no two pairs share a cell."""
+    scene order, and the selection of each pair's (action, object) cell,
+    the sum of its effect states. Pairs that share a cell are scored once
+    (`StateTable.cells_at`)."""
     if not scene:
         raise ValueError("scene must contain at least one object")
     ids = [obj.id for obj in scene]
@@ -143,13 +144,7 @@ def _plan_scene(
     pairs = tuple((action, obj_id) for action in action_var.values for obj_id in ids)
     shape = [v.cardinality for v in cell_vars]
     flat = np.ravel_multi_index([at[c] for c in cells], shape).tolist()
-    # each distinct cell is scored once, in the column of its first pair
-    column: dict[int, int] = {}
-    for cell in flat:
-        column.setdefault(cell, len(column))
-    selection = network.state_table.cells_at(cells, list(column))
-    columns = [column[cell] for cell in flat] if len(column) < len(flat) else None
-    return pairs, selection, columns
+    return pairs, network.state_table.cells_at(cells, flat)
 
 
 def _scene_scorer(
@@ -163,12 +158,11 @@ def _scene_scorer(
     model. The scene is checked and prepared once per network
     (`StateTable.plan`, keyed by each object's id and features), so a query
     on the scene of the last one pays only for its words; an invalid scene
-    raises on every call. Objects that share features are scored once, and
-    no scene costs more than the whole table. A bag with words but no known
-    word raises `UnknownWordsError`.
+    raises on every call. A bag with words but no known word raises
+    `UnknownWordsError`.
     """
     key = tuple((obj.id, tuple(obj.features.items())) for obj in scene)
-    pairs, selection, columns = network.state_table.plan(key, lambda: _plan_scene(network, scene))
+    pairs, selection = network.state_table.plan(key, lambda: _plan_scene(network, scene))
     bags = [set(bag) for bag in bags]
     for bag in bags:
         if bag and network.word_set.isdisjoint(bag):
@@ -176,8 +170,6 @@ def _scene_scorer(
     joint = selection.joint([known_words(network, bag) for bag in bags])
     scores = np.zeros(joint.shape)
     np.divide(joint, selection.prior, out=scores, where=selection.prior > 0)
-    if columns is not None:  # some objects share their features
-        scores = scores[:, columns]
     return pairs, scores
 
 

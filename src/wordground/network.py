@@ -6,8 +6,10 @@ into which each CPT enters as one gather through its family's cached
 configuration index over the state grid (`StateTable`, the one engine
 behind every query, scoring a batch of bags of heard words per call, onto
 whole cells with `joint` or onto chosen cells through a `CellSelection`
-from `cells_at`, which gathers those cells' states and prior once and then
-multiplies and sums only those states per query), and the JSON model file.
+from `cells_at`, which gathers the states and prior of each distinct chosen
+configuration once, so that no selection holds more states than the table,
+and then multiplies and sums only those states per query), and the JSON
+model file.
 Learning a network from data (counting, CPT fitting and the K2 score) is
 `structure`'s.
 
@@ -236,16 +238,12 @@ def _grid_index(axes: tuple[tuple[str, int], ...], family: tuple[str, ...]) -> n
     return index
 
 
-@functools.lru_cache(maxsize=64)
 def _cell_states(axes: tuple[tuple[str, int], ...], cells: tuple[str, ...]) -> np.ndarray:
     """The states of the grid over `axes` grouped by their configuration of
     `cells`, shape (cell configurations, other states): row k holds, in grid
-    order, the states whose `_grid_index` over `cells` is k. Cached; the
-    array is read-only."""
+    order, the states whose `_grid_index` over `cells` is k."""
     order = np.argsort(_grid_index(axes, cells), kind="stable")
-    states = order.reshape(math.prod(dict(axes)[c] for c in cells), -1)
-    states.flags.writeable = False
-    return states
+    return order.reshape(math.prod(dict(axes)[c] for c in cells), -1)
 
 
 class _WordProduct:
@@ -290,8 +288,9 @@ class StateTable(_WordProduct):
     are leaves, so every word not in the bag sums out to one. Summing the
     product onto the query cells gives their exact joint with the bag:
     `joint` over every state, summed onto every configuration of the cells,
-    or a `CellSelection` (`cells_at`) over only the states of chosen
-    configurations (`_cell_states`), each summed in grid order. For cells
+    or a `CellSelection` (`cells_at`) over only the states of the chosen
+    configurations (`_cell_states`), each distinct one gathered and summed
+    once, in grid order, and answered at each of its requests. For cells
     that are the table's leading variables in any order, a configuration's
     states are contiguous, and the two agree bitwise. A cell that is not a
     non-word variable, or is named twice, is refused by name.
@@ -353,13 +352,14 @@ class StateTable(_WordProduct):
 
     def cells_at(self, cells: Sequence[str], at: Sequence[int]) -> CellSelection:
         """The configurations of `cells` at the flat indices `at` (row-major
-        in cell order), prepared for `CellSelection.joint`."""
+        in cell order, repeats allowed), prepared for `CellSelection.joint`."""
         cells = self._cells(cells)
         states = _cell_states(self._axes, cells)
         bad = [k for k in at if not 0 <= k < len(states)]
         if bad:
             raise ValueError(f"cell index {bad[0]} is outside [0, {len(states)})")
-        return CellSelection(self, states[at])
+        distinct, inverse = np.unique(np.asarray(at, dtype=np.intp), return_inverse=True)
+        return CellSelection(self, states[distinct], inverse)
 
     def posterior(self, bags: Sequence[Iterable[str]], cells: Sequence[str]) -> np.ndarray:
         """`joint` with each row normalised over the cells; a row whose bag
@@ -372,23 +372,26 @@ class StateTable(_WordProduct):
 class CellSelection(_WordProduct):
     """Chosen configurations of some cells of one `StateTable`, prepared
     once for many queries (`StateTable.cells_at`). It keeps the states of
-    each configuration in grid order, `p_x` over them, and each
-    configuration's `prior`, the sum of its states' `p_x`. Each word
-    family's index over the states is gathered on its first use and kept,
-    so a query pays only for its words. It keeps the table's read-only
-    parts but not the table, so the table may keep the selection in its
-    plan without a reference cycle."""
+    each distinct configuration in grid order, `p_x` over them, and each
+    requested configuration's `prior`, the sum of its states' `p_x`. A
+    configuration requested more than once is scored once and answered at
+    each of its requests, so a selection never holds more states than the
+    table. Each word family's index over the states is gathered on its first
+    use and kept, so a query pays only for its words. It keeps the table's
+    read-only parts but not the table, so the table may keep the selection
+    in its plan without a reference cycle."""
 
-    def __init__(self, table: StateTable, states: np.ndarray):
+    def __init__(self, table: StateTable, states: np.ndarray, rows: np.ndarray):
         self.word_set = table.word_set
         self.cpts = table.cpts
         self.parents = table.parents
         self._axes = table._axes
         self._states = states.ravel()
         self._shape = states.shape
+        self._rows = rows  # each requested configuration's row of `states`
         self.p_x = table.p_x[self._states]
         self.p_x.flags.writeable = False
-        self.prior = self.p_x.reshape(self._shape).sum(axis=-1)
+        self.prior = self.p_x.reshape(self._shape).sum(axis=-1)[rows]
         self.prior.flags.writeable = False
         self._gathered: dict[tuple[str, ...], np.ndarray] = {}
 
@@ -399,10 +402,12 @@ class CellSelection(_WordProduct):
         return index
 
     def joint(self, bags: Sequence[Iterable[str]]) -> np.ndarray:
-        """`StateTable.joint` at the chosen configurations, shape (bags,
-        configurations): only their states enter the product, each
-        configuration's summed in grid order."""
-        return self._product(bags).reshape((len(bags),) + self._shape).sum(axis=-1)
+        """`StateTable.joint` at the requested configurations, shape (bags,
+        requests): only the distinct configurations' states enter the
+        product, each configuration's summed in grid order."""
+        summed = self._product(bags).reshape((len(bags),) + self._shape).sum(axis=-1)
+        # `take` copies in C order, faster than `[:, rows]`'s Fortran-order copy
+        return summed.take(self._rows, axis=1)
 
 
 # -- model file -------------------------------------------------------------

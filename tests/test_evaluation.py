@@ -1,5 +1,7 @@
+import importlib
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 from functools import partial
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wordground
 from wordground import evaluation
 from wordground.datagen import build_corpus, default_lexicon, default_world
 from wordground.evaluation import (
@@ -23,7 +26,15 @@ from wordground.evaluation import (
     staged_learning,
 )
 from wordground.grounding import bag_of_words
-from wordground.inference import CANONICAL_CELL_ORDER, default_cells, known_words
+from wordground.inference import (
+    CANONICAL_CELL_ORDER,
+    NBestList,
+    default_cells,
+    known_words,
+    load_scene,
+    rescore_nbest,
+    select_action_object,
+)
 from wordground.network import Network, StateTable, affordance_variables, word_variable
 from wordground.structure import build_baseline_network, encode_columns, fit_cpts, train_model
 
@@ -352,6 +363,28 @@ def test_staged_learning_leaves_no_module_state_grown(corpus):
     before = module_state()
     staged_learning(corpus, default_instructions(), **kwargs)
     assert module_state() == before
+
+
+def test_every_cache_is_hit_by_the_pipeline(corpus):
+    # a cache that the pipeline's own traffic never hits only costs memory:
+    # a small learning curve, then an instruction and a rescored N-best list
+    # on the shipped scene with one model
+    caches = {
+        f"{info.name}.{name}": value
+        for info in pkgutil.iter_modules(wordground.__path__)
+        for name, value in vars(importlib.import_module(f"wordground.{info.name}")).items()
+        if hasattr(value, "cache_info")
+    }
+    assert caches
+    for cache in caches.values():
+        cache.cache_clear()
+    staged_learning(corpus, default_instructions(), sizes=(60, 180), repetitions=3, seed=2)
+    model = train_model(corpus[:300])
+    scene = load_scene(Path(wordground.__file__).parent / "data" / "scene.txt")
+    select_action_object(model, bag_of_words("tap the blue box".split()), scene)
+    nbest = NBestList(((("tapping", "small", "sliding"), 0.4), (("tapping", "box", "slides"), 0.3)))
+    rescore_nbest(model, nbest, scene)
+    assert [name for name, cache in caches.items() if cache.cache_info().hits == 0] == []
 
 
 def test_default_sizes_match_protocol():

@@ -531,11 +531,13 @@ def test_joint_at_equals_joint_at_the_cells(seed, prefix, data):
     table = StateTable(net)
     axes = tuple(zip(table.names, table.shape))
     states = _cell_states(axes, tuple(cells))
-    assert not states.flags.writeable and states.shape[0] == n_cells
+    assert states.shape[0] == n_cells
     # row k: the states of configuration k, in grid order
     assert np.all(_grid_index(axes, tuple(cells))[states].T == np.arange(n_cells))
     assert np.all(np.diff(states, axis=1) > 0)
     selection = table.cells_at(cells, at)
+    # a configuration requested more than once is scored once
+    assert selection.p_x.size == len(set(at)) * states.shape[1]
     got = selection.joint(batch)
     want = table.joint(batch, cells).reshape(len(batch), -1)[:, at]
     # the prior is the joint of the empty bag, bitwise as it is summed

@@ -79,9 +79,9 @@ def _print_ranking(ranking: ActionObjectRanking, scene) -> None:
         return
     best = ranking.best
     per_object: dict[str, tuple[str, float]] = {}
+    # entries are sorted best first, so each object's first entry is its best
     for action, obj_id, p in ranking.entries:
-        if obj_id not in per_object or p > per_object[obj_id][1]:
-            per_object[obj_id] = (action, p)
+        per_object.setdefault(obj_id, (action, p))
     width = max(len(obj.id) for obj in scene)
     for obj in scene:
         action, p = per_object[obj.id]

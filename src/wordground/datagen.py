@@ -315,10 +315,8 @@ def corrupt(bag: Iterable[str], profile: NoiseProfile, seed) -> BagOfWords:
     n_insert = int(rng.poisson(profile.false_acceptance_rate))
     if n_insert > 0:
         pool = sorted(set(profile.insertion_pool) - set(kept))
-        n_insert = min(n_insert, len(pool))
-        if n_insert:
-            picks = rng.choice(len(pool), size=n_insert, replace=False)
-            kept.extend(pool[i] for i in picks)
+        picks = rng.choice(len(pool), size=min(n_insert, len(pool)), replace=False)
+        kept.extend(pool[i] for i in picks)
     return frozenset(kept)
 
 

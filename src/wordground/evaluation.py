@@ -141,14 +141,9 @@ def staged_learning(
         reps = 1 if size == len(corpus) else repetitions
         scores = []
         for rep in range(reps):
-            if size == len(corpus):
-                subset = encoded
-            else:
-                rng = np.random.default_rng(
-                    np.random.SeedSequence(entropy=seed, spawn_key=(size, rep))
-                )
-                subset = encoded.subset(rng.choice(len(corpus), size=size, replace=False))
-            net = train_model(subset, pseudocount=pseudocount)
+            seq = np.random.SeedSequence(entropy=seed, spawn_key=(size, rep))
+            rows = np.random.default_rng(seq).choice(len(corpus), size=size, replace=False)
+            net = train_model(encoded.subset(rows), pseudocount=pseudocount)
             result = evaluate_instructions(net, instructions)
             scores.append((result.soft, result.hard))
         points.append(CurvePoint(train_size=size, repetitions=tuple(scores)))

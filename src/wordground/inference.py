@@ -131,19 +131,15 @@ def _plan_scene(
         for v in cell_vars:
             if v is not action_var and v.name not in obj.features:
                 raise ValueError(f"scene object {obj.id!r} does not bind {v.name!r}")
-    # each pair's value index of each cell, pairs action-major then scene
-    # order; the cells are looked up last first, so a scene with bad values
-    # in several cells names its last cell's
-    n_actions = action_var.cardinality
-    at = {
-        v.name: np.tile([v.index_of(obj.features[v.name]) for obj in scene], n_actions)
-        for v in reversed(cell_vars)
-        if v is not action_var
-    }
-    at[action_var.name] = np.repeat(np.arange(n_actions), len(scene))
+    # each pair's value index of each cell, pairs action-major then scene order
+    index = [
+        [a if v is action_var else v.index_of(obj.features[v.name]) for v in cell_vars]
+        for a in range(action_var.cardinality)
+        for obj in scene
+    ]
     pairs = tuple((action, obj_id) for action in action_var.values for obj_id in ids)
-    shape = [v.cardinality for v in cell_vars]
-    flat = np.ravel_multi_index([at[c] for c in cells], shape).tolist()
+    cards = [v.cardinality for v in cell_vars]
+    flat = np.ravel_multi_index(np.transpose(index), cards).tolist()
     return pairs, network.state_table.cells_at(cells, flat)
 
 

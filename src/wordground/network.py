@@ -447,10 +447,10 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return obj
 
 
-def _json_object(value, what: str, keys=None) -> dict:
+def _json_object(value, what: str, keys) -> dict:
     if not isinstance(value, dict):
         raise ValueError(f"model file: {what} must be an object")
-    unknown = [] if keys is None else [k for k in value if k not in keys]
+    unknown = [k for k in value if k not in keys]
     if unknown:
         raise ValueError(f"model file: {what} has unknown key {unknown[0]!r}")
     return value

@@ -190,10 +190,9 @@ def _cpt(counts: np.ndarray, pseudocount: float) -> np.ndarray:
         )
     counts = counts.astype(float)
     totals = counts.sum(axis=-1, keepdims=True)
-    if a > 0:
-        return (counts + a) / (totals + a * counts.shape[-1])
+    # only an unobserved row at a == 0 is 0 / 0
     with np.errstate(invalid="ignore"):
-        table = counts / totals
+        table = (counts + a) / (totals + a * counts.shape[-1])
     table[np.isnan(table)] = 1.0 / counts.shape[-1]
     return table
 

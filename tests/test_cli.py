@@ -448,6 +448,22 @@ def test_instruct_rejects_malformed_model_file(trained, workdir, capsys):
     # a model that loads but has no action to choose
     texts.append(json.dumps(no_action))
     errors.append("error: the model has no action variable")
+    verb_kind = json.loads(json.dumps(model))
+    verb_kind["variables"][0]["kind"] = "verb"
+    texts.append(json.dumps(verb_kind))
+    errors.append("error: unknown variable kind 'verb' for 'Action'")
+    twice_declared = json.loads(json.dumps(model))
+    twice_declared["variables"].append(twice_declared["variables"][0])
+    texts.append(json.dumps(twice_declared))
+    errors.append("error: duplicate variable names")
+    for obj_vel_parents, error in (
+        (["Action", "Nope", "Size"], "error: unknown variable name 'Nope' in parents of 'ObjVel'"),
+        (["Action", "Action", "Size"], "error: duplicate parent in parents of 'ObjVel'"),
+    ):
+        bad_parents = json.loads(json.dumps(model))
+        bad_parents["parents"]["ObjVel"] = obj_vel_parents
+        texts.append(json.dumps(bad_parents))
+        errors.append(error)
     for text, error in zip(texts, errors):
         bad.write_text(text, encoding="utf-8")
         code = run(

@@ -198,6 +198,12 @@ def test_corrupt_zero_rates_is_identity():
         assert corrupt(bag, profile, seed) == bag
 
 
+def test_corrupt_inserts_nothing_when_the_pool_is_inside_the_bag():
+    profile = NoiseProfile(0.0, 5.0, ("a", "b"))
+    for seed in range(5):
+        assert corrupt({"a", "b"}, profile, seed) == {"a", "b"}
+
+
 def test_corrupt_total_rejection_empties_bag():
     bag = bag_of_words("the ball is rolling")
     profile = NoiseProfile(1e9, 0.0, tuple(LEXICON.words()))

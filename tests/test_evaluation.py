@@ -259,6 +259,8 @@ def test_parse_instruction_errors():
         parse_instruction_line("w|stroke,*,*,sphere", 1)
     with pytest.raises(ValueError, match="line 7"):
         parse_instruction_line("no separator", lineno=7)
+    with pytest.raises(ValueError, match="empty word bag"):
+        parse_instruction_line(".,!|*,*,*,box", 1)
 
 
 def test_load_instructions_roundtrip(tmp_path):
@@ -291,6 +293,9 @@ def test_staged_learning_full_size_single_repetition(corpus):
     )
     assert len(points) == 1
     assert len(points[0].repetitions) == 1
+    # the one full-size model is the model of the whole corpus
+    result = evaluate_instructions(train_model(corpus), instructions)
+    assert points[0].repetitions[0] == (result.soft, result.hard)
 
 
 def test_staged_learning_smoke_deterministic(corpus):

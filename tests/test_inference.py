@@ -572,6 +572,11 @@ def test_an_invalid_scene_raises_on_every_call_and_is_never_kept(subset_models, 
         ([first, SceneObject(first.id, first.features)], "duplicate scene object id"),
         ([SceneObject("ball", {"Color": "blue", "Size": "small"})], "does not bind 'Shape'"),
         ([SceneObject("ball", {**first.features, "Color": "purple"})], "'purple' is not one of"),
+        # bad values in two cells: the first one in cell order is named
+        (
+            [SceneObject("ball", {**first.features, "Color": "purple", "Shape": "cone"})],
+            "'purple' is not one of",
+        ),
     ]
     bag = bag_of_words("tap the ball")
     nbest = NBestList(((("tap", "the", "ball"), 1.0),))

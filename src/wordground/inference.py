@@ -12,10 +12,13 @@ the table and are summed out under the state model. A scene is checked and
 prepared once per network, as the engine's one plan (`StateTable.plan`):
 its (action, object) pairs and the `CellSelection` of their cells, each the
 sum of its effect states, with its prior; the engine scores objects that
-share their features once. A query on the scene of the last one then only
-checks its bags and scores them in one `CellSelection.joint` call: the one
-instruction of `select_action_object`, or every hypothesis of an N-best
-list in `rescore_nbest`.
+share their features once. The selection also keeps each heard word's
+factor over its states from the word's first query on that scene. A query
+on the scene of the last one then only checks its bags and scores them in
+one `CellSelection.joint` call, which multiplies the kept factors and
+gathers only those of words new to the scene: the one instruction of
+`select_action_object`, or every hypothesis of an N-best list in
+`rescore_nbest`.
 
 Impossibility is a result state, not an error: a query whose every
 configuration has probability zero returns an all-zero result. A request
@@ -72,6 +75,12 @@ class NBestList:
         if not self.hypotheses:
             raise ValueError("N-best list must be nonempty")
         for tokens, p in self.hypotheses:
+            # a string would be scored by its words but reported by its letters
+            if isinstance(tokens, str):
+                raise ValueError(
+                    f"N-best hypothesis {tokens!r} is a string: give its tokens,"
+                    " as bag_of_words splits them"
+                )
             if not 0 < p < np.inf:
                 raise ValueError(f"acoustic probability must be finite and positive, got {p}")
             # an empty bag scores 1 for every pair, so it would outrank
@@ -154,11 +163,15 @@ def _scene_scorer(
     model. The scene is checked and prepared once per network
     (`StateTable.plan`, keyed by each object's id and features), so a query
     on the scene of the last one pays only for its words; an invalid scene
-    raises on every call. A bag with words but no known word raises
+    raises on every call. A bag that is a string, not words, raises
+    `ValueError`; a bag with words but no known word raises
     `UnknownWordsError`.
     """
     key = tuple((obj.id, tuple(obj.features.items())) for obj in scene)
     pairs, selection = network.state_table.plan(key, lambda: _plan_scene(network, scene))
+    for bag in bags:
+        if isinstance(bag, str):
+            raise ValueError(f"bag {bag!r} is a string, not words: pass bag_of_words({bag!r})")
     bags = [set(bag) for bag in bags]
     for bag in bags:
         if bag and network.word_set.isdisjoint(bag):

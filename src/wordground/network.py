@@ -8,8 +8,9 @@ behind every query, scoring a batch of bags of heard words per call, onto
 whole cells with `joint` or onto chosen cells through a `CellSelection`
 from `cells_at`, which gathers the states and prior of each distinct chosen
 configuration once, so that no selection holds more states than the table,
-and then multiplies and sums only those states per query), and the JSON
-model file.
+keeps each heard word's factor over those states from the word's first
+query on, and then multiplies and sums only those states per query), and
+the JSON model file.
 Learning a network from data (counting, CPT fitting and the K2 score) is
 `structure`'s.
 
@@ -18,10 +19,10 @@ Networks are immutable after construction: fitting builds a new network,
 query operations are read-only. So each network builds its engine once, on
 its first query, and keeps it (`Network.state_table`), together with one
 prepared plan of its caller's (`StateTable.plan`, a scene's selection for
-`inference`). The engine holds no reference back to the network, nor a
-selection to the engine, so a network is freed as soon as its last
-reference goes. A model file with a key given twice, or one the format does
-not define, does not load.
+`inference`, with its kept word factors; the table keeps none). The engine
+holds no reference back to the network, nor a selection to the engine, so
+a network is freed as soon as its last reference goes. A model file with a
+key given twice, or one the format does not define, does not load.
 """
 
 from __future__ import annotations
@@ -252,25 +253,32 @@ class _WordProduct:
     (`StateTable`, every state) and of its cell selections (`CellSelection`,
     the states of chosen cells). Each sets `p_x`, the network's `word_set`,
     `cpts` and `parents`, and `_index(family)`, the family's configuration
-    index of each of its states."""
+    index of each of its states. `_factor(word)` gathers a word's factor on
+    every call here; a selection keeps what it gathered."""
+
+    def _factor(self, word: str) -> np.ndarray:
+        """The word's `PRESENT` CPT column gathered over the states."""
+        column = self.cpts[word][:, WORD_VALUES.index(PRESENT)]
+        return column[self._index(self.parents[word])]
 
     def _product(self, bags: Sequence[Iterable[str]]) -> np.ndarray:
         """`p_x` times each bag's word factors, shape (bags, states). Each
         row multiplies in its words' factors in sorted word order, so it
         does not depend on the order of a bag, on repeated words or on the
-        other rows."""
+        other rows. A bag with a word that is not a word of the network is
+        refused before any factor is made."""
         mass = np.empty((len(bags), self.p_x.size))
         mass[:] = self.p_x
         rows_of: dict[str, list[np.ndarray]] = {}
         for row, bag in zip(mass, bags):
             for word in set(bag):
                 rows_of.setdefault(word, []).append(row)
-        # words in sorted order, each gathered once for all the rows it binds
+        if not self.word_set.issuperset(rows_of):
+            word = min(rows_of.keys() - self.word_set)
+            raise ValueError(f"{word!r} is not a word of the network")
+        # words in sorted order, each factor made once for all the rows it binds
         for word, rows in sorted(rows_of.items()):
-            if word not in self.word_set:
-                raise ValueError(f"{word!r} is not a word of the network")
-            column = self.cpts[word][:, WORD_VALUES.index(PRESENT)]
-            factor = column[self._index(self.parents[word])]
+            factor = self._factor(word)
             for row in rows:
                 np.multiply(row, factor, out=row)
         return mass
@@ -376,10 +384,11 @@ class CellSelection(_WordProduct):
     requested configuration's `prior`, the sum of its states' `p_x`. A
     configuration requested more than once is scored once and answered at
     each of its requests, so a selection never holds more states than the
-    table. Each word family's index over the states is gathered on its first
-    use and kept, so a query pays only for its words. It keeps the table's
-    read-only parts but not the table, so the table may keep the selection
-    in its plan without a reference cycle."""
+    table. Each heard word's factor over the states, one read-only array per
+    word of the network at most, is gathered on the word's first query and
+    kept, so a query multiplies and gathers only new words' factors. It
+    keeps the table's read-only parts but not the table, so the table may
+    keep the selection in its plan without a reference cycle."""
 
     def __init__(self, table: StateTable, states: np.ndarray, rows: np.ndarray):
         self.word_set = table.word_set
@@ -393,13 +402,17 @@ class CellSelection(_WordProduct):
         self.p_x.flags.writeable = False
         self.prior = self.p_x.reshape(self._shape).sum(axis=-1)[rows]
         self.prior.flags.writeable = False
-        self._gathered: dict[tuple[str, ...], np.ndarray] = {}
+        self._factors: dict[str, np.ndarray] = {}
 
     def _index(self, family: tuple[str, ...]) -> np.ndarray:
-        index = self._gathered.get(family)
-        if index is None:
-            index = self._gathered[family] = _grid_index(self._axes, family)[self._states]
-        return index
+        return _grid_index(self._axes, family)[self._states]
+
+    def _factor(self, word: str) -> np.ndarray:
+        factor = self._factors.get(word)
+        if factor is None:
+            factor = self._factors[word] = super()._factor(word)
+            factor.flags.writeable = False
+        return factor
 
     def joint(self, bags: Sequence[Iterable[str]]) -> np.ndarray:
         """`StateTable.joint` at the requested configurations, shape (bags,

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from wordground import inference
-from wordground import network as network_module
 from wordground.datagen import build_corpus, default_lexicon, default_world
 from wordground.evaluation import default_instructions, evaluate_instructions, parse_instruction_line
 from wordground.grounding import bag_of_words
@@ -258,6 +257,24 @@ def test_nbest_rejects_hypothesis_without_words(tokens):
         NBestList(hypotheses=((tokens, 0.3), (("tap", "the", "ball"), 0.5)))
 
 
+def test_nbest_refuses_a_string_hypothesis():
+    # a string would be scored by its words but reported by its letters
+    with pytest.raises(ValueError, match="bag_of_words"):
+        NBestList(hypotheses=(("tap the ball", 0.5),))
+
+
+def test_scene_scoring_refuses_a_string_bag():
+    net = toy_net()
+    with pytest.raises(ValueError, match="bag_of_words"):
+        select_action_object(net, "ball", [SPHERE, BOX])
+    with pytest.raises(ValueError, match="bag_of_words"):
+        inference._scene_scorer(net, [SPHERE, BOX], [{"ball"}, "moving"])
+    # the refusal keeps nothing the next query reads
+    assert select_action_object(net, {"ball"}, [SPHERE, BOX]) == select_action_object(
+        toy_net(), {"ball"}, [SPHERE, BOX]
+    )
+
+
 @pytest.mark.parametrize("p", [float("nan"), float("inf")])
 def test_nbest_rejects_non_finite_probabilities(p):
     with pytest.raises(ValueError, match="acoustic probability"):
@@ -495,20 +512,21 @@ def fresh_copy(net):
 
 def test_three_queries_on_one_scene_prepare_it_once(subset_models, monkeypatch):
     net = fresh_copy(subset_models[0][3])
-    net.state_table  # the engine's own build gathers every family once
-    cells_calls, families = [], []
-    cells, grid_index = inference.default_cells, network_module._grid_index
+    cells_calls, reads = [], Counter()
+    cells = inference.default_cells
 
     def counted_cells(network):
         cells_calls.append(network)
         return cells(network)
 
-    def counted_index(axes, family):
-        families.append(family)
-        return grid_index(axes, family)
+    class CountedCpts(dict):
+        def __getitem__(self, name):
+            reads[name] += 1
+            return super().__getitem__(name)
 
     monkeypatch.setattr(inference, "default_cells", counted_cells)
-    monkeypatch.setattr(network_module, "_grid_index", counted_index)
+    # a query reads the engine's CPTs only to make a word's factor
+    monkeypatch.setattr(net.state_table, "cpts", CountedCpts(net.cpts))
     scene = load_scene(SCENE_FILE)
     bags = [bag_of_words("grasp the ball"), bag_of_words("tap the ball")]
     hypotheses = ((("grasp", "the", "ball"), 0.6), (("touch", "the", "box"), 0.4))
@@ -517,9 +535,71 @@ def test_three_queries_on_one_scene_prepare_it_once(subset_models, monkeypatch):
     rescore_nbest(net, NBestList(hypotheses), scene)
     assert len(cells_calls) == 1
     heard = {w for bag in bags + [set(t) for t, _ in hypotheses] for w in bag if w in net.word_set}
-    word_families = {net.parents[w] for w in heard}
-    gathers = Counter(f for f in families if f in word_families)
-    assert set(gathers) == word_families and set(gathers.values()) == {1}
+    # "the" and "ball" are heard in all three queries, yet made once
+    assert {"the", "ball"} <= heard
+    assert reads == Counter(dict.fromkeys(heard, 1))
+
+
+def kept_selection(net):
+    """The cell selection of the scene plan the network's engine keeps."""
+    return net.state_table._plan[1][1]
+
+
+def test_a_ranking_is_the_same_with_the_word_factors_kept_or_not(subset_models):
+    models, descriptions = subset_models
+    bags = [ins.bag for ins in default_instructions()] + descriptions[:10]
+    for net in models:
+        for scene in scenes():
+            # each bag first on its own copy, with no factor kept yet
+            cold = [select_action_object(fresh_copy(net), bag, scene) for bag in bags]
+            warm = fresh_copy(net)
+            for bag in bags:
+                select_action_object(warm, bag, scene)
+            # now each bag comes after all the others
+            assert [select_action_object(warm, bag, scene) for bag in bags] == cold
+
+
+def test_a_refused_non_word_keeps_no_factor(subset_models):
+    net = fresh_copy(subset_models[0][3])
+    select_action_object(net, bag_of_words("tap the ball"), load_scene(SCENE_FILE))
+    selection = kept_selection(net)
+    before = dict(selection._factors)
+    # "box" is a word not heard yet, and sorts before the refused one
+    assert "box" in net.word_set and "box" not in before
+    for bags in ([["xyzzy"]], [["ball", "xyzzy"]], [["box"], ["box", "xyzzy"]]):
+        with pytest.raises(ValueError, match="'xyzzy' is not a word of the network"):
+            selection.joint(bags)
+        assert selection._factors.keys() == before.keys()
+        assert all(selection._factors[w] is f for w, f in before.items())
+
+
+def test_the_shipped_instructions_keep_one_read_only_factor_per_known_word(subset_models):
+    net = fresh_copy(subset_models[0][3])
+    scene = load_scene(SCENE_FILE)
+    instructions = default_instructions()
+    assert len(instructions) == 54
+    for ins in instructions:
+        select_action_object(net, ins.bag, scene)
+    factors = kept_selection(net)._factors
+    assert set(factors) == {w for ins in instructions for w in ins.bag if w in net.word_set}
+    assert {f.shape for f in factors.values()} == {(18 * 36,)}
+    for factor in factors.values():
+        assert not factor.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            factor[0] = 0.0
+
+
+def test_evaluate_instructions_keeps_nothing_on_the_engine(subset_models):
+    net = fresh_copy(subset_models[0][3])
+    table = net.state_table
+
+    def sizes():
+        return {k: len(v) if hasattr(v, "__len__") else None for k, v in vars(table).items()}
+
+    before = sizes()
+    for _ in range(2):
+        evaluate_instructions(net, default_instructions())
+        assert sizes() == before
 
 
 def same_ids_new_features(shipped):

@@ -2,23 +2,15 @@
 detection, and N-best rescoring.
 
 All three queries run on the network's one exact-inference engine,
-`StateTable`, built once per network and cached on it
-(`Network.state_table`), whose one query form is a bag of heard words: every
-configuration of the non-word variables is weighted by the state model and
-by the presence probability of every known word in the utterance, then
-summed onto the action and object cells. Words whose parents include
-effect variables are handled automatically, because effects are part of
-the table and are summed out under the state model. A scene is checked and
-prepared once per network, as the engine's one plan (`StateTable.plan`):
-its (action, object) pairs and the `CellSelection` of their cells, each the
-sum of its effect states, with its prior; the engine scores objects that
-share their features once. The selection also keeps each heard word's
-factor over its states from the word's first query on that scene. A query
-on the scene of the last one then only checks its bags and scores them in
-one `CellSelection.joint` call, which multiplies the kept factors and
-gathers only those of words new to the scene: the one instruction of
-`select_action_object`, or every hypothesis of an N-best list in
-`rescore_nbest`.
+`StateTable`, which each network builds once and keeps
+(`Network.state_table`). A query is a bag of heard words. The engine
+weighs every configuration of the non-word variables by the state model
+and by the presence probability of each known word of the bag. It then
+sums the weights onto the action and object cells. Effects are part of the
+table and are summed out, so words whose parents include effect variables
+need no special case. A scene is checked and prepared once per network
+(`_plan_scene`), so a query on the scene of the last one pays only for its
+words.
 
 Impossibility is a result state, not an error: a query whose every
 configuration has probability zero returns an all-zero result. A request

@@ -1,18 +1,14 @@
 """Discrete Bayesian network core.
 
-Representation of named discrete variables and a DAG of conditional
-probability tables, exact inference on a dense table of the non-word states
-into which each CPT enters as one gather through its family's cached
-configuration index over the state grid (`StateTable`, the one engine
-behind every query, scoring a batch of bags of heard words per call, onto
-whole cells with `joint` or onto chosen cells through a `CellSelection`
-from `cells_at`, which gathers the states and prior of each distinct chosen
-configuration once, so that no selection holds more states than the table,
-keeps each heard word's factor over those states from the word's first
-query on, and then multiplies and sums only those states per query), and
-the JSON model file.
-Learning a network from data (counting, CPT fitting and the K2 score) is
-`structure`'s.
+This module holds named discrete variables, a DAG of conditional
+probability tables over them, the one exact-inference engine and the JSON
+model file. Learning a network from data (counting, CPT fitting and the K2
+score) is `structure`'s.
+
+The engine, `StateTable`, is a dense table of the non-word states. Every
+query scores a batch of bags of heard words. `StateTable.joint` sums each
+bag's product onto whole cells. A `CellSelection` (`StateTable.cells_at`)
+sums it onto chosen cell configurations only.
 
 Networks are immutable after construction: fitting builds a new network,
 `parents` and `cpts` are read-only mappings of read-only arrays, and all
@@ -500,12 +496,14 @@ def _json_table(value, name: str) -> np.ndarray:
 
 
 def network_from_json(text: str) -> Network:
-    """Network from a model file's text. Raises ValueError for a missing,
-    repeated or undefined key, a field of the wrong JSON type (a CPT entry
-    that is not a number among them), a variable listed before one of its
-    parents, a pseudocount that is not a finite number >= 0, a CPT row
-    with non-finite or negative entries or a sum more than 1e-9 away from 1,
-    or nesting too deep to parse."""
+    """Network from a model file's text.
+
+    Raises ValueError for a missing, repeated or undefined key, or for
+    nesting too deep to parse. It also raises for a field of the wrong JSON
+    type, a CPT entry that is not a number among them, and for a variable
+    listed before one of its parents. The pseudocount must be a finite
+    number >= 0. Each CPT row must hold finite, non-negative entries whose
+    sum is within 1e-9 of 1."""
     try:
         obj = json.loads(text, object_pairs_hook=_unique_keys)
     except RecursionError:

@@ -31,13 +31,9 @@ word layer holds exactly the corpus's own words, in sorted order.
 
 The affordance fit (`fit_cpts`) counts each family with one weighted
 `bincount` over the states. One search (`_k2_search`) serves a batch of
-targets at once. At each greedy step the targets still searching are
-grouped by their current parent set, and every candidate of every group is
-counted in one sparse pass (`_count_families`, the batched counting pass
-behind every score and the word CPT fit, which counts every word in one
-such pass): one weighted `bincount` gives the row totals and one over the
-targets' nonzero values the counts of values 1..r-1 (value 0 is the rest of
-the row total).
+targets at once. Each of its steps counts every candidate of every target
+in one sparse pass (`_count_families`). The word CPT fit counts every word
+in one such pass.
 The score's log-gamma terms come from a table built with `math.lgamma` once
 per (alpha, r, records) and cached (`_score_terms`). Each score adds its
 terms one after another in ascending order (`_observed_scores`): an
@@ -409,9 +405,11 @@ def _k2_search(
     the targets' values in the states (`_entries`) and `candidates` the
     parents to draw from in tie-break order. Each step adds, per target,
     the first candidate with the highest score if that score is strictly
-    above the current one, up to `MAX_PARENTS`. Returns per target its
-    parents, in candidate order, and its score after each step, starting
-    with no parents.
+    above the current one, up to `MAX_PARENTS`. At each step the targets
+    still searching are grouped by their current parent set, and every
+    candidate of every group is counted in one `_count_families` pass.
+    Returns per target its parents, in candidate order, and its score after
+    each step, starting with no parents.
     """
     terms = _score_terms(K2_ALPHA, r, int(weights.sum()))
     # coding 0 keeps the current parent set; coding 1 + i adds candidate i

@@ -16,7 +16,8 @@ import wordground
 
 from wordground.cli import main
 from wordground.datagen import build_corpus, default_lexicon, default_world
-from wordground.grounding import save_corpus
+from wordground.evaluation import default_instructions
+from wordground.grounding import load_corpus, save_corpus
 from wordground.network import StateTable, load_network
 
 
@@ -72,6 +73,21 @@ def test_train_writes_model_and_report(workdir, capsys):
     assert "green" in net.word_names()
     report = (workdir / "model.json.report.txt").read_text()
     assert "green <- Color" in report
+    # descriptions that start with a capital and end in '.' read as the same
+    # records, and so train the same model and report
+    clean, capitalised = out / "corpus_clean.txt", workdir / "capitalised.txt"
+    records = (line.rsplit("|", 1) for line in clean.read_text().splitlines())
+    capitalised.write_text(
+        "".join(f"{head}|{words[0].upper()}{words[1:]}.\n" for head, words in records),
+        encoding="utf-8",
+    )
+    assert load_corpus(capitalised) == load_corpus(clean)
+    written = []
+    for corpus in (clean, capitalised):
+        model = workdir / f"{corpus.stem}.json"
+        assert run("train", "--corpus", str(corpus), "--model", str(model), "--alpha", "0") == 0
+        written.append((model.read_bytes(), Path(f"{model}.report.txt").read_bytes()))
+    assert written[0] == written[1]
 
 
 def test_train_rejects_malformed_corpus(workdir, capsys):
@@ -232,7 +248,7 @@ def test_repl_reports_request_with_no_known_word_and_reads_on(trained, capsys, m
 
 def test_repl_session_equals_one_shot_instructs(trained, capsys, monkeypatch):
     root, _, model_path, scene_path = trained
-    lines = ["rises yellow", "tap the blue box", "grasp the ball"]
+    lines = [ins.text for ins in default_instructions()]
     files = ("--model", str(model_path), "--scene", str(scene_path))
     one_shot = []
     for line in lines:
@@ -295,6 +311,8 @@ def test_rescore_selects_contextual_winner(trained, capsys):
     assert code == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("1.") and "tapping box slides" in lines[0]
+    # no hypothesis of the three is impossible on this scene
+    assert len(lines) == 3 and all(" final=0 " not in line for line in lines)
 
 
 def test_eval_writes_learning_curve(trained, capsys):
@@ -404,18 +422,20 @@ def test_instruct_rejects_scene_value_outside_the_domain(trained, workdir, capsy
 
 def test_instruct_rejects_model_with_invalid_cpt(trained, workdir, capsys):
     root, _, model_path, scene_path = trained
-    model = json.loads(model_path.read_text(encoding="utf-8"))
-    model["cpts"]["Action"] = [[float("nan"), -0.5, 2.0]]
-    bad = workdir / "bad.json"
-    bad.write_text(json.dumps(model), encoding="utf-8")
-    code = run(
-        "instruct", "--model", str(bad), "--scene", str(scene_path),
-        "--words", "tap the ball",
-    )
-    assert code == 2
-    captured = capsys.readouterr()
-    assert "Action" in captured.err
-    assert "IMPOSSIBLE" not in captured.out
+    # entries that are no probabilities, and a row that sums to 1 + 1e-8
+    for name, row in (("Action", [float("nan"), -0.5, 2.0]), ("Shape", [0.25, 0.75000001])):
+        model = json.loads(model_path.read_text(encoding="utf-8"))
+        model["cpts"][name] = [row]
+        bad = workdir / "bad.json"
+        bad.write_text(json.dumps(model), encoding="utf-8")
+        code = run(
+            "instruct", "--model", str(bad), "--scene", str(scene_path),
+            "--words", "tap the ball",
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert name in captured.err
+        assert "IMPOSSIBLE" not in captured.out
 
 
 def test_instruct_rejects_malformed_model_file(trained, workdir, capsys):

@@ -1,3 +1,4 @@
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -165,6 +166,26 @@ def test_select_invariant_to_zero_probability_objects():
     for got, expected in zip(filtered, without.entries):
         assert got[0] == expected[0] and got[1] == expected[1]
         assert abs(got[2] - expected[2]) < 1e-12
+
+
+def test_a_scene_object_with_prior_zero_scores_zero():
+    # this net never makes a box, so a box pair's score is 0 / 0: it must
+    # read 0.0, with no invalid-value warning, and leave the spheres' scores
+    net = toy_net({"Shape": [[1.0, 0.0]]})
+    scene = [SPHERE, BOX]
+    nbest = NBestList(((("ball",), 0.5), (("moving",), 0.3), (("ball", "moving"), 0.2)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for bag in (["ball"], ["moving"], []):
+            ranking = select_action_object(net, bag, scene)
+            assert (ranking.entries, ranking.impossible) == reference_select(net, bag, scene)
+            assert [p for _, obj, p in ranking.entries if obj == "b"] == [0.0, 0.0]
+        for aggregate in ("max", "sum"):
+            got = rescore_nbest(net, nbest, scene, aggregate)
+            assert [(r.tokens, r.final_score) for r in got] == reference_rescore(
+                net, nbest, scene, aggregate
+            )
+            assert got == rescore_nbest(net, nbest, [SPHERE], aggregate)
 
 
 def test_select_rejects_underspecified_scene_object():

@@ -60,21 +60,22 @@ VALUES = {v.name: v.values for v in affordance_variables()}
 _SHARED_VALUES = {name: {value: value for value in values} for name, values in VALUES.items()}
 
 
-def format_experience(experience: Experience) -> str:
+def format_experience(experience: Experience, words: dict[str, str] | None = None) -> str:
     """One corpus line. Raises ValueError for a state without exactly the
     domain's fields, for a word with a ',', and for a line that UTF-8
     cannot encode or that `parse_experience` would not read back as the
-    same record."""
+    same record. The read-back check uses `words` as its token map, which
+    a writer of many lines shares."""
     state = experience.state
     missing = [f"no {name} value" for name in VALUES if name not in state]
     unknown = [f"unknown field {name!r}" for name in state if name not in VALUES]
     if missing or unknown:
         raise ValueError(f"cannot write record {state!r}: {'; '.join(missing + unknown)}")
-    words = " ".join(sorted(experience.description))
-    line = "|".join([",".join(state[name] for name in group) for group in FILE_FIELDS] + [words])
+    text = " ".join(sorted(experience.description))
+    line = "|".join([",".join(state[name] for name in group) for group in FILE_FIELDS] + [text])
     try:
         line.encode("utf-8")
-        readable = "," not in words and parse_experience(line, 0) == experience
+        readable = "," not in text and parse_experience(line, 0, words) == experience
     except ValueError:
         readable = False
     if not readable:
@@ -86,13 +87,11 @@ def format_experience(experience: Experience) -> str:
     return line
 
 
-def parse_experience(line: str, lineno: int) -> Experience:
-    return _read_experience(line, lineno, {})
-
-
-def _read_experience(line: str, lineno: int, words: dict[str, str]) -> Experience:
-    """`parse_experience`, with `words` mapping each token read so far to
-    its word: a token seen before reads as the same string object."""
+def parse_experience(line: str, lineno: int, words: dict[str, str] | None = None) -> Experience:
+    """The record of one corpus line. `words` maps each token read so far
+    to its word, so that the reader of a file keeps one string per word."""
+    if words is None:
+        words = {}
     where = f" at line {lineno}"
     fields = line.rstrip("\n").split("|")
     if len(fields) != 4:
@@ -126,8 +125,10 @@ def _read_experience(line: str, lineno: int, words: dict[str, str]) -> Experienc
 
 
 def save_corpus(experiences: Sequence[Experience], path) -> None:
-    """Write one line per experience; nothing is written if any is refused."""
-    text = "".join(format_experience(exp) + "\n" for exp in experiences)
+    """Write one line per experience; nothing is written if any is refused.
+    The lines are read back with one token map, as `load_corpus` reads."""
+    words: dict[str, str] = {}
+    text = "".join(format_experience(exp, words) + "\n" for exp in experiences)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
 
@@ -144,4 +145,4 @@ def nonblank_lines(path) -> Iterator[tuple[int, str]]:
 
 def load_corpus(path) -> list[Experience]:
     words: dict[str, str] = {}
-    return [_read_experience(line, lineno, words) for lineno, line in nonblank_lines(path)]
+    return [parse_experience(line, lineno, words) for lineno, line in nonblank_lines(path)]

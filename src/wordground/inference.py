@@ -10,7 +10,9 @@ sums the weights onto the action and object cells. Effects are part of the
 table and are summed out, so words whose parents include effect variables
 need no special case. A scene is checked and prepared once per network
 (`_plan_scene`), so a query on the scene of the last one pays only for its
-words.
+words. The plan also keeps the pair scores of up to 512 known-word bags
+(`_KEPT_BAGS`), so a request it has answered is a lookup. They are
+dropped with the plan.
 
 Impossibility is a result state, not an error: a query whose every
 configuration has probability zero returns an all-zero result. A request
@@ -20,17 +22,24 @@ with words but none the model knows is an error: it would score 1 anywhere.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .grounding import VALUES, bag_of_words, nonblank_lines
+from .grounding import VALUES, BagOfWords, bag_of_words, nonblank_lines
 # StateTable is named here too, as the engine of these queries: the
 # benchmark's tracer counts its builds through `inference.StateTable`.
 from .network import FILE_FIELDS, CellSelection, Network, StateTable  # noqa: F401
 
 logger = logging.getLogger(__name__)
+
+# The most known-word bags whose pair scores a scene plan keeps; one more
+# clears them all. A request stream that repeats itself asks far fewer: the
+# benchmark's `repeated` workload asks about 90. A kept bag of the shipped
+# scene's 18 pairs takes about 0.7 KB, so a full memo stays under 0.5 MB.
+_KEPT_BAGS = 512
 
 # Preferred cell-tuple order for the default domain; matches the
 # `action,color,size,shape` order used by the scene and instruction files.
@@ -62,10 +71,13 @@ class NBestList:
     probabilities."""
 
     hypotheses: tuple[tuple[tuple[str, ...], float], ...]
+    # each hypothesis's bag of words, made once here where it is checked
+    bags: tuple[BagOfWords, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.hypotheses:
             raise ValueError("N-best list must be nonempty")
+        bags = []
         for tokens, p in self.hypotheses:
             # a string would be scored by its words but reported by its letters
             if isinstance(tokens, str):
@@ -77,8 +89,10 @@ class NBestList:
                 raise ValueError(f"acoustic probability must be finite and positive, got {p}")
             # an empty bag scores 1 for every pair, so it would outrank
             # every hypothesis with words
-            if not bag_of_words(tokens):
+            bags.append(bag_of_words(tokens))
+            if not bags[-1]:
                 raise ValueError(f"N-best hypothesis {tokens!r} has no words")
+        object.__setattr__(self, "bags", tuple(bags))
 
 
 class UnknownWordsError(ValueError):
@@ -111,12 +125,14 @@ def known_words(network: Network, bag: Iterable[str]) -> list[str]:
 
 def _plan_scene(
     network: Network, scene: Sequence[SceneObject]
-) -> tuple[tuple[tuple[str, str], ...], CellSelection]:
-    """Check the scene and prepare it for queries on the network: its
-    (action, object id) pairs, action-major in action value order then
-    scene order, and the selection of each pair's (action, object) cell,
-    the sum of its effect states. Pairs that share a cell are scored once
-    (`StateTable.cells_at`)."""
+) -> tuple[tuple[tuple[str, str], ...], CellSelection, dict[tuple[str, ...], tuple[float, ...]]]:
+    """Check the scene and prepare it for queries on the network.
+
+    Returns its (action, object id) pairs, action-major in action value
+    order then scene order, and the selection of each pair's (action,
+    object) cell, the sum of its effect states. Pairs that share a cell are
+    scored once (`StateTable.cells_at`). The third part is an empty dict
+    for the pair scores of each known-word bag."""
     if not scene:
         raise ValueError("scene must contain at least one object")
     ids = [obj.id for obj in scene]
@@ -141,26 +157,31 @@ def _plan_scene(
     pairs = tuple((action, obj_id) for action in action_var.values for obj_id in ids)
     cards = [v.cardinality for v in cell_vars]
     flat = np.ravel_multi_index(np.transpose(index), cards).tolist()
-    return pairs, network.state_table.cells_at(cells, flat)
+    return pairs, network.state_table.cells_at(cells, flat), {}
 
 
 def _scene_scorer(
     network: Network, scene: Sequence[SceneObject], bags: Sequence[Iterable[str]]
-) -> tuple[tuple[tuple[str, str], ...], np.ndarray]:
+) -> tuple[tuple[tuple[str, str], ...], list[tuple[float, ...]]]:
     """Score the scene's (action, object) pairs for each bag.
 
     Returns the pairs as (action, object id), action-major in action value
-    order then scene order, and p(bag | action, object) of every bag and
-    pair, shape (bags, pairs), with the effects summed out under the state
-    model. The scene is checked and prepared once per network
-    (`StateTable.plan`, keyed by each object's id and features), so a query
-    on the scene of the last one pays only for its words; an invalid scene
-    raises on every call. A bag that is a string, not words, raises
-    `ValueError`; a bag with words but no known word raises
-    `UnknownWordsError`.
+    order then scene order, and p(bag | action, object) of every pair, one
+    tuple per bag, with the effects summed out under the state model.
+
+    The scene is checked and prepared once per network (`StateTable.plan`,
+    keyed by each object's id and features). An invalid scene raises on
+    every call. The plan also keeps each known-word bag's pair scores as
+    floats, so a bag it has answered is a lookup. It keeps at most
+    `_KEPT_BAGS` (512) bags, cleared when more, and drops them with the
+    plan.
+
+    A bag that is a string, not words, raises `ValueError`; a bag with
+    words but no known word raises `UnknownWordsError`. A refused call
+    keeps nothing.
     """
     key = tuple((obj.id, tuple(obj.features.items())) for obj in scene)
-    pairs, selection = network.state_table.plan(key, lambda: _plan_scene(network, scene))
+    pairs, selection, kept = network.state_table.plan(key, lambda: _plan_scene(network, scene))
     for bag in bags:
         if isinstance(bag, str):
             raise ValueError(f"bag {bag!r} is a string, not words: pass bag_of_words({bag!r})")
@@ -168,10 +189,25 @@ def _scene_scorer(
     for bag in bags:
         if bag and network.word_set.isdisjoint(bag):
             raise UnknownWordsError(f"the model knows none of the words: {', '.join(sorted(bag))}")
-    joint = selection.joint([known_words(network, bag) for bag in bags])
-    scores = np.zeros(joint.shape)
-    np.divide(joint, selection.prior, out=scores, where=selection.prior > 0)
-    return pairs, scores
+    # the engine input of a bag keys its scores; it also logs the bag's
+    # unknown words, on a kept bag too
+    keys = [tuple(known_words(network, bag)) for bag in bags]
+    # Each distinct bag not kept yet is multiplied once, in one batch. A row
+    # of the product does not depend on the other rows, so a kept row
+    # equals a new one. Only a batch of several bags needs the dedupe.
+    new = [k for k in keys if k not in kept]
+    if new:
+        if len(new) > 1:
+            new = list(dict.fromkeys(new))
+        joint = selection.joint(new)
+        scores = np.zeros(joint.shape)
+        np.divide(joint, selection.prior, out=scores, where=selection.prior > 0)
+        kept.update(zip(new, map(tuple, scores.tolist())))
+    rows = [kept[k] for k in keys]
+    # cleared only once this call's rows are read
+    if len(kept) > _KEPT_BAGS:
+        kept.clear()
+    return pairs, rows
 
 
 def select_action_object(
@@ -187,12 +223,13 @@ def select_action_object(
     action order then object order.
     """
     pairs, scores = _scene_scorer(network, scene, [bag])
-    raw = [(action, obj_id, s) for (action, obj_id), s in zip(pairs, scores[0].tolist())]
-    total = sum(s for _, _, s in raw)
+    row = scores[0]
+    total = sum(row)
     if total > 0:
-        raw = [(a, o, s / total) for a, o, s in raw]
-    # A stable sort keeps equal scores in pair order.
-    entries = sorted(raw, key=lambda e: -e[2])
+        row = [s / total for s in row]
+    raw = [(action, obj_id, s) for (action, obj_id), s in zip(pairs, row)]
+    # A stable sort keeps equal scores in pair order, reversed or not.
+    entries = sorted(raw, key=itemgetter(2), reverse=True)
     return ActionObjectRanking(entries=tuple(entries), impossible=total == 0.0)
 
 
@@ -213,7 +250,7 @@ def rescore_nbest(
 
     Each hypothesis scores, per scene object, the probability of its words
     given the object (effects summed out, actions aggregated by `max` by
-    default, or `sum`); the final score is the acoustic probability times
+    default, or `sum`). The final score is the acoustic probability times
     the sum of the per-object scores, objects in scene order. Sorted best
     first; uniform scaling of the acoustic probabilities cannot change the
     order.
@@ -221,8 +258,7 @@ def rescore_nbest(
     if action_aggregate not in ("max", "sum"):
         raise ValueError("action_aggregate must be 'max' or 'sum'")
     aggregate = max if action_aggregate == "max" else sum
-    bags = [bag_of_words(tokens) for tokens, _ in nbest.hypotheses]
-    _, pair_scores = _scene_scorer(network, scene, bags)
+    _, pair_scores = _scene_scorer(network, scene, nbest.bags)
     n = len(scene)
     # the pairs are action-major, so scores[j::n] are object j's actions
     results = [
@@ -231,7 +267,7 @@ def rescore_nbest(
             acoustic_probability=acoustic,
             final_score=acoustic * sum(aggregate(scores[j::n]) for j in range(n)),
         )
-        for (tokens, acoustic), scores in zip(nbest.hypotheses, pair_scores.tolist())
+        for (tokens, acoustic), scores in zip(nbest.hypotheses, pair_scores)
     ]
     results.sort(key=lambda r: -r.final_score)
     return results

@@ -221,6 +221,17 @@ def test_experience_line_roundtrip(tmp_path):
     assert load_corpus(path) == [exp, exp]
 
 
+def test_save_corpus_refuses_a_record_after_one_that_reads_back_and_writes_nothing(tmp_path):
+    # the writer reads every record back with one token map: "Ball" must not
+    # pass as the "ball" of the record before it
+    good = Experience(state=dict(FULL_STATE), description=frozenset({"ball"}))
+    bad = Experience(state=dict(FULL_STATE), description=frozenset({"Ball"}))
+    path = tmp_path / "corpus.txt"
+    with pytest.raises(ValueError, match="cannot write record"):
+        save_corpus([good, bad], path)
+    assert not path.exists()
+
+
 def test_parse_experience_reports_line_numbers():
     with pytest.raises(ValueError, match="line 3"):
         parse_experience("only|two|fields", lineno=3)

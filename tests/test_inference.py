@@ -1,3 +1,4 @@
+import itertools
 import warnings
 from collections import Counter
 from pathlib import Path
@@ -13,7 +14,9 @@ from wordground.inference import (
     NBestList,
     SceneObject,
     StateTable,
+    UnknownWordsError,
     default_cells,
+    known_words,
     load_nbest,
     load_scene,
     parse_nbest_line,
@@ -21,7 +24,7 @@ from wordground.inference import (
     rescore_nbest,
     select_action_object,
 )
-from wordground.network import Network, Variable, _WordProduct, word_variable
+from wordground.network import CellSelection, Network, Variable, _WordProduct, word_variable
 from wordground.structure import EncodedCorpus, train_model
 
 from oracles import (
@@ -566,18 +569,33 @@ def kept_selection(net):
     return net.state_table._plan[1][1]
 
 
-def test_a_ranking_is_the_same_with_the_word_factors_kept_or_not(subset_models):
+def kept_scores(net):
+    """The pair scores by known-word bag of the scene plan the network's
+    engine keeps."""
+    return net.state_table._plan[1][2]
+
+
+def test_a_ranking_is_the_same_with_the_word_factors_kept_or_not(subset_models, caplog):
     models, descriptions = subset_models
+    # the last bag has a word no model knows: a kept bag still logs it
     bags = [ins.bag for ins in default_instructions()] + descriptions[:10]
+    bags.append(descriptions[0] | {"xyzzy"})
+    nbests = [
+        NBestList(tuple((tuple(sorted(bag)), 0.25) for bag in bags[k : k + 3]))
+        for k in range(0, len(bags), 3)
+    ]
+    queries = [lambda net, scene, bag=bag: select_action_object(net, bag, scene) for bag in bags]
+    queries += [lambda net, scene, nbest=nbest: rescore_nbest(net, nbest, scene) for nbest in nbests]
     for net in models:
         for scene in scenes():
-            # each bag first on its own copy, with no factor kept yet
-            cold = [select_action_object(fresh_copy(net), bag, scene) for bag in bags]
+            # each query first on its own copy, with nothing kept yet
+            cold = [unknown_word_warnings(caplog, lambda: query(fresh_copy(net), scene)) for query in queries]
             warm = fresh_copy(net)
-            for bag in bags:
-                select_action_object(warm, bag, scene)
-            # now each bag comes after all the others
-            assert [select_action_object(warm, bag, scene) for bag in bags] == cold
+            for query in queries:
+                query(warm, scene)
+            # now each query comes after all the others, with the same warnings
+            assert [unknown_word_warnings(caplog, lambda: query(warm, scene)) for query in queries] == cold
+    assert any(messages for _, messages in cold)
 
 
 def test_a_refused_non_word_keeps_no_factor(subset_models):
@@ -608,6 +626,90 @@ def test_the_shipped_instructions_keep_one_read_only_factor_per_known_word(subse
         assert not factor.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             factor[0] = 0.0
+
+
+def test_each_distinct_bag_of_a_scene_is_multiplied_once(subset_models, monkeypatch):
+    net = fresh_copy(subset_models[0][3])
+    scene = load_scene(SCENE_FILE)
+    multiplied = Counter()
+    joint = CellSelection.joint
+
+    def counted(self, bags):
+        multiplied.update(tuple(bag) for bag in bags)
+        return joint(self, bags)
+
+    monkeypatch.setattr(CellSelection, "joint", counted)
+    instructions = default_instructions()
+    for _ in range(2):
+        for ins in instructions:
+            select_action_object(net, ins.bag, scene)
+    # two hypotheses with one bag, which no instruction has
+    nbest = NBestList(((("the", "box", "rolls"), 0.6), (("rolls", "the", "Box."), 0.4)))
+    rescore_nbest(net, nbest, scene)
+    heard = {tuple(known_words(net, ins.bag)) for ins in instructions}
+    hypothesis = tuple(known_words(net, nbest.bags[0]))
+    assert hypothesis == ("box", "rolls", "the") and hypothesis not in heard
+    assert multiplied == Counter(dict.fromkeys(heard | {hypothesis}, 1))
+
+
+def test_a_batch_past_the_bound_answers_its_kept_and_new_bags(subset_models, monkeypatch):
+    net = fresh_copy(subset_models[0][3])
+    scene = load_scene(SCENE_FILE)
+    monkeypatch.setattr(inference, "_KEPT_BAGS", 3)
+    kept = [("tap", "the", "ball"), ("grasp", "the", "box")]
+    # two kept bags and three new ones: five, past the bound of three
+    nbest = NBestList(
+        tuple((tokens, 0.2) for tokens in kept + [("touch", "the", "ball"), ("the", "box", "rolls"), ("big",)])
+    )
+    for aggregate in ("max", "sum"):
+        for tokens in kept:
+            select_action_object(net, bag_of_words(tokens), scene)
+        assert set(kept_scores(net)) == {tuple(sorted(tokens)) for tokens in kept}
+        got = rescore_nbest(net, nbest, scene, aggregate)
+        assert got == rescore_nbest(fresh_copy(net), nbest, scene, aggregate)
+        assert len(kept_scores(net)) <= 3
+
+
+def test_a_scene_plan_keeps_at_most_the_bound_and_no_refused_bag(subset_models):
+    net = fresh_copy(subset_models[0][3])
+    scene = load_scene(SCENE_FILE)
+    refused = [
+        ([{"ball"}, "tap the ball"], ValueError),
+        ([{"ball"}, {"xyzzy"}], UnknownWordsError),
+    ]
+    for bags, error in refused:
+        with pytest.raises(error):
+            inference._scene_scorer(net, scene, bags)
+    assert kept_scores(net) == {}
+    words = sorted(net.word_set)
+    bags = list(itertools.islice(itertools.chain(*(itertools.combinations(words, k) for k in (2, 3))), 1100))
+    assert len(set(bags)) == 1100
+    sizes = []
+    for bag in bags:
+        select_action_object(net, bag, scene)
+        sizes.append(len(kept_scores(net)))
+    assert max(sizes) == inference._KEPT_BAGS == 512
+    before = dict(kept_scores(net))
+    assert before and ("ball",) not in before
+    for bags, error in refused:
+        with pytest.raises(error):
+            inference._scene_scorer(net, scene, bags)
+        assert kept_scores(net).keys() == before.keys()
+        assert all(kept_scores(net)[k] is row for k, row in before.items())
+
+
+def test_an_nbest_list_makes_each_hypothesis_bag_once(monkeypatch):
+    made = []
+
+    def counted(tokens):
+        made.append(tokens)
+        return bag_of_words(tokens)
+
+    monkeypatch.setattr(inference, "bag_of_words", counted)
+    nbest = NBestList(((("Ball",), 0.6), (("moving", "ball."), 0.4)))
+    assert nbest.bags == (frozenset({"ball"}), frozenset({"moving", "ball"}))
+    rescore_nbest(toy_net(), nbest, [SPHERE, BOX])
+    assert len(made) == 2
 
 
 def test_evaluate_instructions_keeps_nothing_on_the_engine(subset_models):

@@ -10,9 +10,11 @@ sums the weights onto the action and object cells. Effects are part of the
 table and are summed out, so words whose parents include effect variables
 need no special case. A scene is checked and prepared once per network
 (`_plan_scene`), so a query on the scene of the last one pays only for its
-words. The plan also keeps the pair scores of up to 512 known-word bags
-(`_KEPT_BAGS`), so a request it has answered is a lookup. They are
-dropped with the plan.
+words. The plan also keeps, for each known-word bag, its pair scores and
+its finished answer: a ranking, or a rescoring context per aggregate. So a
+recurring request is one lookup. It keeps at most 128 bags (`_KEPT_BAGS`),
+which a stream that repeats itself does not reach, in under 0.5 MB. All
+are dropped with the plan.
 
 Impossibility is a result state, not an error: a query whose every
 configuration has probability zero returns an all-zero result. A request
@@ -23,8 +25,8 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from operator import itemgetter
-from typing import Iterable, Sequence
+from operator import attrgetter, itemgetter
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -35,11 +37,16 @@ from .network import FILE_FIELDS, CellSelection, Network, StateTable  # noqa: F4
 
 logger = logging.getLogger(__name__)
 
-# The most known-word bags whose pair scores a scene plan keeps; one more
-# clears them all. A request stream that repeats itself asks far fewer: the
-# benchmark's `repeated` workload asks about 90. A kept bag of the shipped
-# scene's 18 pairs takes about 0.7 KB, so a full memo stays under 0.5 MB.
-_KEPT_BAGS = 512
+# The most known-word bags whose pair scores and answers a scene plan
+# keeps; one more clears them all. A request stream that repeats itself asks
+# far fewer: the benchmark's `repeated` workload asks about 90. On the
+# shipped scene a kept bag's scores, ranking and two contexts take about
+# 3 KB, so a full plan holds under 0.4 MB.
+_KEPT_BAGS = 128
+
+# What a scene plan is kept with, for each object: a changed scene no
+# longer matches it (`StateTable.plan`).
+_ID_FEATURES = attrgetter("id", "features")
 
 # Preferred cell-tuple order for the default domain; matches the
 # `action,color,size,shape` order used by the scene and instruction files.
@@ -115,24 +122,46 @@ def known_words(network: Network, bag: Iterable[str]) -> list[str]:
     """The bag's known words, sorted: the engine input of a bag. Unknown
     words are skipped with one warning, since instructions may contain
     words outside the training vocabulary."""
-    words = sorted(set(bag))
-    known = network.word_set
-    unknown = [w for w in words if w not in known]
-    if unknown:
-        logger.warning("skipping unknown words: %s", ", ".join(unknown))
-    return [w for w in words if w in known]
+    words = frozenset(bag)
+    known = network.word_set.intersection(words)
+    _warn_unknown(words, known)
+    return sorted(known)
 
 
-def _plan_scene(
-    network: Network, scene: Sequence[SceneObject]
-) -> tuple[tuple[tuple[str, str], ...], CellSelection, dict[tuple[str, ...], tuple[float, ...]]]:
+def _warn_unknown(words: frozenset[str], known: frozenset[str]) -> None:
+    """Log the words of a bag that are not among its known words, if any."""
+    if len(known) < len(words):
+        logger.warning("skipping unknown words: %s", ", ".join(sorted(words - known)))
+
+
+class _ScenePlan(NamedTuple):
+    """A scene prepared for queries on one network (`_plan_scene`), and the
+    answers its queries found, by known-word bag. The three dicts are
+    cleared together (`_forget_past_bound`)."""
+
+    # the action and the object id of each pair, as two columns,
+    # action-major in action value order then scene order
+    pairs: tuple[tuple[str, ...], tuple[str, ...]]
+    # the (action, object) cell of each pair, with its prior
+    selection: CellSelection
+    # p(bag | action, object) of each pair, a read-only row
+    scores: dict[frozenset[str], np.ndarray]
+    # the answer of `select_action_object`
+    rankings: dict[frozenset[str], ActionObjectRanking]
+    # the per-object context sum of `rescore_nbest`, by (bag, aggregate)
+    contexts: dict[tuple[frozenset[str], str], float]
+    # each pair's prior, with 0 as infinity: a pair of prior 0 has a joint
+    # of exactly 0, which divides to 0 with no warning
+    divisor: np.ndarray
+
+
+def _plan_scene(network: Network, scene: Sequence[SceneObject]) -> _ScenePlan:
     """Check the scene and prepare it for queries on the network.
 
-    Returns its (action, object id) pairs, action-major in action value
-    order then scene order, and the selection of each pair's (action,
-    object) cell, the sum of its effect states. Pairs that share a cell are
-    scored once (`StateTable.cells_at`). The third part is an empty dict
-    for the pair scores of each known-word bag."""
+    The plan holds the scene's (action, object id) pairs and the selection
+    of each pair's (action, object) cell, the sum of its effect states.
+    Pairs that share a cell are scored once (`StateTable.cells_at`). Its
+    answers start empty."""
     if not scene:
         raise ValueError("scene must contain at least one object")
     ids = [obj.id for obj in scene]
@@ -154,60 +183,71 @@ def _plan_scene(
         for a in range(action_var.cardinality)
         for obj in scene
     ]
-    pairs = tuple((action, obj_id) for action in action_var.values for obj_id in ids)
+    actions = tuple(action for action in action_var.values for _ in ids)
     cards = [v.cardinality for v in cell_vars]
     flat = np.ravel_multi_index(np.transpose(index), cards).tolist()
-    return pairs, network.state_table.cells_at(cells, flat), {}
+    selection = network.state_table.cells_at(cells, flat)
+    divisor = np.where(selection.prior > 0, selection.prior, np.inf)
+    return _ScenePlan((actions, tuple(ids) * action_var.cardinality), selection, {}, {}, {}, divisor)
 
 
 def _scene_scorer(
     network: Network, scene: Sequence[SceneObject], bags: Sequence[Iterable[str]]
-) -> tuple[tuple[tuple[str, str], ...], list[tuple[float, ...]]]:
-    """Score the scene's (action, object) pairs for each bag.
+) -> tuple[_ScenePlan, list[frozenset[str]]]:
+    """The scene's plan on the network, and the key of each bag: the set
+    of its known words.
 
-    Returns the pairs as (action, object id), action-major in action value
-    order then scene order, and p(bag | action, object) of every pair, one
-    tuple per bag, with the effects summed out under the state model.
-
-    The scene is checked and prepared once per network (`StateTable.plan`,
-    keyed by each object's id and features). An invalid scene raises on
-    every call. The plan also keeps each known-word bag's pair scores as
-    floats, so a bag it has answered is a lookup. It keeps at most
-    `_KEPT_BAGS` (512) bags, cleared when more, and drops them with the
-    plan.
+    The plan is prepared once per network (`StateTable.plan`), kept with a
+    copy of each object's id and features. So a changed scene gets a new
+    plan, and an invalid scene raises on every call. A plan keeps each
+    bag's pair scores and finished answers, for at most `_KEPT_BAGS` (128)
+    bags. They are cleared when more, and dropped with the plan.
 
     A bag that is a string, not words, raises `ValueError`; a bag with
     words but no known word raises `UnknownWordsError`. A refused call
-    keeps nothing.
+    logs and keeps nothing. Otherwise each bag's unknown words are logged,
+    on a bag with a kept answer too.
     """
-    key = tuple((obj.id, tuple(obj.features.items())) for obj in scene)
-    pairs, selection, kept = network.state_table.plan(key, lambda: _plan_scene(network, scene))
+    plan = network.state_table.plan(list(map(_ID_FEATURES, scene)), lambda: _plan_scene(network, scene))
     for bag in bags:
         if isinstance(bag, str):
             raise ValueError(f"bag {bag!r} is a string, not words: pass bag_of_words({bag!r})")
-    bags = [set(bag) for bag in bags]
-    for bag in bags:
-        if bag and network.word_set.isdisjoint(bag):
-            raise UnknownWordsError(f"the model knows none of the words: {', '.join(sorted(bag))}")
-    # the engine input of a bag keys its scores; it also logs the bag's
-    # unknown words, on a kept bag too
-    keys = [tuple(known_words(network, bag)) for bag in bags]
-    # Each distinct bag not kept yet is multiplied once, in one batch. A row
-    # of the product does not depend on the other rows, so a kept row
-    # equals a new one. Only a batch of several bags needs the dedupe.
+    words = [frozenset(bag) for bag in bags]
+    known = [network.word_set.intersection(w) for w in words]
+    for w, k in zip(words, known):
+        if w and not k:
+            raise UnknownWordsError(f"the model knows none of the words: {', '.join(sorted(w))}")
+    for w, k in zip(words, known):
+        _warn_unknown(w, k)
+    return plan, known
+
+
+def _pair_scores(plan: _ScenePlan, keys: Sequence[frozenset[str]]) -> list[np.ndarray]:
+    """p(bag | action, object) of every pair for each of the distinct
+    keys, with the effects summed out under the state model: one read-only
+    row per key.
+
+    The keys the plan has not scored yet are multiplied in one batch. A row
+    of the product does not depend on the other rows, so a kept row equals
+    a new one."""
+    kept = plan.scores
     new = [k for k in keys if k not in kept]
     if new:
-        if len(new) > 1:
-            new = list(dict.fromkeys(new))
-        joint = selection.joint(new)
-        scores = np.zeros(joint.shape)
-        np.divide(joint, selection.prior, out=scores, where=selection.prior > 0)
-        kept.update(zip(new, map(tuple, scores.tolist())))
-    rows = [kept[k] for k in keys]
-    # cleared only once this call's rows are read
-    if len(kept) > _KEPT_BAGS:
-        kept.clear()
-    return pairs, rows
+        scores = np.divide(plan.selection.joint(new), plan.divisor)
+        scores.flags.writeable = False
+        kept.update(zip(new, scores))
+    return [kept[k] for k in keys]
+
+
+def _forget_past_bound(plan: _ScenePlan) -> None:
+    """Clear the plan's kept scores and answers once it has scored more
+    than `_KEPT_BAGS` bags. A call's answers are read before this runs. An
+    answer is kept only for a bag whose scores are kept, so there are at
+    most as many rankings, and twice as many contexts."""
+    if len(plan.scores) > _KEPT_BAGS:
+        plan.scores.clear()
+        plan.rankings.clear()
+        plan.contexts.clear()
 
 
 def select_action_object(
@@ -221,16 +261,24 @@ def select_action_object(
     the object's features (effects summed out under the state model), under
     a non-informative prior over the grid. Ties break deterministically by
     action order then object order.
+
+    The scene's plan keeps the ranking of each known-word bag, for at most
+    `_KEPT_BAGS` (128) bags, so a recurring request is one lookup. The
+    ranking is immutable, so every request of the bag gets the same one.
     """
-    pairs, scores = _scene_scorer(network, scene, [bag])
-    row = scores[0]
-    total = sum(row)
-    if total > 0:
-        row = [s / total for s in row]
-    raw = [(action, obj_id, s) for (action, obj_id), s in zip(pairs, row)]
-    # A stable sort keeps equal scores in pair order, reversed or not.
-    entries = sorted(raw, key=itemgetter(2), reverse=True)
-    return ActionObjectRanking(entries=tuple(entries), impossible=total == 0.0)
+    plan, (key,) = _scene_scorer(network, scene, [bag])
+    ranking = plan.rankings.get(key)
+    if ranking is None:
+        (row,) = _pair_scores(plan, [key])
+        row = row.tolist()
+        total = sum(row)
+        if total > 0:
+            row = [s / total for s in row]
+        # A stable sort keeps equal scores in pair order, reversed or not.
+        entries = sorted(zip(*plan.pairs, row), key=itemgetter(2), reverse=True)
+        ranking = plan.rankings[key] = ActionObjectRanking(entries=tuple(entries), impossible=total == 0.0)
+        _forget_past_bound(plan)
+    return ranking
 
 
 @dataclass(frozen=True)
@@ -254,21 +302,37 @@ def rescore_nbest(
     the sum of the per-object scores, objects in scene order. Sorted best
     first; uniform scaling of the acoustic probabilities cannot change the
     order.
+
+    The scene's plan keeps each known-word bag's sum of per-object scores
+    under each aggregate, for at most `_KEPT_BAGS` (128) bags. A recurring
+    hypothesis is then one lookup. The bags new to the plan are multiplied
+    in one batch, and a bag repeated in the list only once.
     """
     if action_aggregate not in ("max", "sum"):
         raise ValueError("action_aggregate must be 'max' or 'sum'")
-    aggregate = max if action_aggregate == "max" else sum
-    _, pair_scores = _scene_scorer(network, scene, nbest.bags)
-    n = len(scene)
-    # the pairs are action-major, so scores[j::n] are object j's actions
+    aggregate = np.maximum if action_aggregate == "max" else np.add
+    plan, keys = _scene_scorer(network, scene, nbest.bags)
+    # each hypothesis's context, kept under its bag and the aggregate
+    slots = [(k, action_aggregate) for k in keys]
+    contexts = plan.contexts
+    new = [slot for slot in slots if slot not in contexts]
+    if new:
+        if len(new) > 1:
+            new = list(dict.fromkeys(new))
+        # axes bag, action, object: the pairs are action-major
+        scores = np.array(_pair_scores(plan, [k for k, _ in new])).reshape(len(new), -1, len(scene))
+        # each object's actions taken in action order, as `max` or `sum` would
+        per_object = aggregate.accumulate(scores, axis=1)[:, -1].tolist()
+        contexts.update(zip(new, map(sum, per_object)))
     results = [
         RescoredHypothesis(
             tokens=tuple(tokens),
             acoustic_probability=acoustic,
-            final_score=acoustic * sum(aggregate(scores[j::n]) for j in range(n)),
+            final_score=acoustic * contexts[slot],
         )
-        for (tokens, acoustic), scores in zip(nbest.hypotheses, pair_scores)
+        for (tokens, acoustic), slot in zip(nbest.hypotheses, slots)
     ]
+    _forget_past_bound(plan)
     results.sort(key=lambda r: -r.final_score)
     return results
 

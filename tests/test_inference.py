@@ -575,6 +575,13 @@ def kept_scores(net):
     return net.state_table._plan[1][2]
 
 
+def kept_dicts(net):
+    """The pair scores, rankings and contexts by bag of the scene plan the
+    network's engine keeps."""
+    plan = net.state_table._plan[1]
+    return [plan.scores, plan.rankings, plan.contexts]
+
+
 def test_a_ranking_is_the_same_with_the_word_factors_kept_or_not(subset_models, caplog):
     models, descriptions = subset_models
     # the last bag has a word no model knows: a kept bag still logs it
@@ -585,7 +592,11 @@ def test_a_ranking_is_the_same_with_the_word_factors_kept_or_not(subset_models, 
         for k in range(0, len(bags), 3)
     ]
     queries = [lambda net, scene, bag=bag: select_action_object(net, bag, scene) for bag in bags]
-    queries += [lambda net, scene, nbest=nbest: rescore_nbest(net, nbest, scene) for nbest in nbests]
+    queries += [
+        lambda net, scene, nbest=nbest, aggregate=aggregate: rescore_nbest(net, nbest, scene, aggregate)
+        for nbest in nbests
+        for aggregate in ("max", "sum")
+    ]
     for net in models:
         for scene in scenes():
             # each query first on its own copy, with nothing kept yet
@@ -635,7 +646,7 @@ def test_each_distinct_bag_of_a_scene_is_multiplied_once(subset_models, monkeypa
     joint = CellSelection.joint
 
     def counted(self, bags):
-        multiplied.update(tuple(bag) for bag in bags)
+        multiplied.update(bags)
         return joint(self, bags)
 
     monkeypatch.setattr(CellSelection, "joint", counted)
@@ -646,9 +657,9 @@ def test_each_distinct_bag_of_a_scene_is_multiplied_once(subset_models, monkeypa
     # two hypotheses with one bag, which no instruction has
     nbest = NBestList(((("the", "box", "rolls"), 0.6), (("rolls", "the", "Box."), 0.4)))
     rescore_nbest(net, nbest, scene)
-    heard = {tuple(known_words(net, ins.bag)) for ins in instructions}
-    hypothesis = tuple(known_words(net, nbest.bags[0]))
-    assert hypothesis == ("box", "rolls", "the") and hypothesis not in heard
+    heard = {frozenset(known_words(net, ins.bag)) for ins in instructions}
+    hypothesis = frozenset(known_words(net, nbest.bags[0]))
+    assert hypothesis == {"box", "rolls", "the"} and hypothesis not in heard
     assert multiplied == Counter(dict.fromkeys(heard | {hypothesis}, 1))
 
 
@@ -664,7 +675,7 @@ def test_a_batch_past_the_bound_answers_its_kept_and_new_bags(subset_models, mon
     for aggregate in ("max", "sum"):
         for tokens in kept:
             select_action_object(net, bag_of_words(tokens), scene)
-        assert set(kept_scores(net)) == {tuple(sorted(tokens)) for tokens in kept}
+        assert set(kept_scores(net)) == {frozenset(tokens) for tokens in kept}
         got = rescore_nbest(net, nbest, scene, aggregate)
         assert got == rescore_nbest(fresh_copy(net), nbest, scene, aggregate)
         assert len(kept_scores(net)) <= 3
@@ -673,29 +684,74 @@ def test_a_batch_past_the_bound_answers_its_kept_and_new_bags(subset_models, mon
 def test_a_scene_plan_keeps_at_most_the_bound_and_no_refused_bag(subset_models):
     net = fresh_copy(subset_models[0][3])
     scene = load_scene(SCENE_FILE)
-    refused = [
-        ([{"ball"}, "tap the ball"], ValueError),
-        ([{"ball"}, {"xyzzy"}], UnknownWordsError),
-    ]
-    for bags, error in refused:
-        with pytest.raises(error):
-            inference._scene_scorer(net, scene, bags)
-    assert kept_scores(net) == {}
+
+    def refuse():
+        for bags, error in [([{"ball"}, "tap the ball"], ValueError), ([{"ball"}, {"xyzzy"}], UnknownWordsError)]:
+            with pytest.raises(error):
+                inference._scene_scorer(net, scene, bags)
+        with pytest.raises(ValueError, match="is a string"):
+            select_action_object(net, "tap the ball", scene)
+        with pytest.raises(UnknownWordsError):
+            select_action_object(net, {"xyzzy"}, scene)
+        for aggregate in ("max", "sum"):
+            with pytest.raises(UnknownWordsError):
+                rescore_nbest(net, NBestList(((("ball",), 0.5), (("xyzzy",), 0.5))), scene, aggregate)
+
+    refuse()
+    assert kept_dicts(net) == [{}, {}, {}]
     words = sorted(net.word_set)
     bags = list(itertools.islice(itertools.chain(*(itertools.combinations(words, k) for k in (2, 3))), 1100))
     assert len(set(bags)) == 1100
     sizes = []
-    for bag in bags:
+    for i, bag in enumerate(bags):
         select_action_object(net, bag, scene)
-        sizes.append(len(kept_scores(net)))
-    assert max(sizes) == inference._KEPT_BAGS == 512
-    before = dict(kept_scores(net))
-    assert before and ("ball",) not in before
-    for bags, error in refused:
-        with pytest.raises(error):
-            inference._scene_scorer(net, scene, bags)
-        assert kept_scores(net).keys() == before.keys()
-        assert all(kept_scores(net)[k] is row for k, row in before.items())
+        if i % 4 == 0:
+            for aggregate in ("max", "sum"):
+                rescore_nbest(net, NBestList(((bag, 0.5), (bags[i - 1], 0.5))), scene, aggregate)
+        sizes.append(tuple(map(len, kept_dicts(net))))
+    assert max(scores for scores, _, _ in sizes) == inference._KEPT_BAGS == 128
+    # an answer is kept only beside its bag's scores, one per aggregate
+    assert all(rankings <= scores and contexts <= 2 * scores for scores, rankings, contexts in sizes)
+    before = [dict(kept) for kept in kept_dicts(net)]
+    assert all(before) and frozenset({"ball"}) not in before[0]
+    refuse()
+    for kept, was in zip(kept_dicts(net), before):
+        assert kept.keys() == was.keys()
+        assert all(kept[k] is answer for k, answer in was.items())
+
+
+def test_each_distinct_bag_of_a_scene_is_ranked_once(subset_models, monkeypatch):
+    net = fresh_copy(subset_models[0][3])
+    scene = load_scene(SCENE_FILE)
+    ranked = []
+    ranking = inference.ActionObjectRanking
+
+    def counted(**fields):
+        ranked.append(fields)
+        return ranking(**fields)
+
+    monkeypatch.setattr(inference, "ActionObjectRanking", counted)
+    instructions = default_instructions()
+    first = [select_action_object(net, ins.bag, scene) for ins in instructions]
+    again = [select_action_object(net, ins.bag, scene) for ins in instructions]
+    distinct = {frozenset(known_words(net, ins.bag)) for ins in instructions}
+    assert len(instructions) == 54 and len(ranked) == len(distinct)
+    assert all(a is b for a, b in zip(first, again))
+
+
+def test_a_warm_plan_rescores_under_each_aggregate_as_a_new_plan_does(subset_models):
+    models, _ = subset_models
+    scene = load_scene(SCENE_FILE)
+    # the first bag twice in one list
+    texts = ["tap the ball", "grasp the big box", "the ball rolls", "touch the green box", "the ball, tap"]
+    nbest = NBestList(tuple((tuple(text.split()), 0.1 * (k + 1)) for k, text in enumerate(texts)))
+    differs = 0
+    for net in models:
+        warm = fresh_copy(net)
+        got = [rescore_nbest(warm, nbest, scene, aggregate) for aggregate in ("max", "sum", "max")]
+        assert got == [rescore_nbest(fresh_copy(net), nbest, scene, a) for a in ("max", "sum", "max")]
+        differs += [r.final_score for r in got[0]] != [r.final_score for r in got[1]]
+    assert differs == len(models)
 
 
 def test_an_nbest_list_makes_each_hypothesis_bag_once(monkeypatch):

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -43,10 +43,6 @@ logger = logging.getLogger(__name__)
 # shipped scene a kept bag's scores, ranking and two contexts take about
 # 3 KB, so a full plan holds under 0.4 MB.
 _KEPT_BAGS = 128
-
-# What a scene plan is kept with, for each object: a changed scene no
-# longer matches it (`StateTable.plan`).
-_ID_FEATURES = attrgetter("id", "features")
 
 # Preferred cell-tuple order for the default domain; matches the
 # `action,color,size,shape` order used by the scene and instruction files.
@@ -122,16 +118,16 @@ def known_words(network: Network, bag: Iterable[str]) -> list[str]:
     """The bag's known words, sorted: the engine input of a bag. Unknown
     words are skipped with one warning, since instructions may contain
     words outside the training vocabulary."""
-    words = frozenset(bag)
+    return sorted(_known_set(network, frozenset(bag)))
+
+
+def _known_set(network: Network, words: frozenset[str]) -> frozenset[str]:
+    """The known words of a bag's words, logging its unknown ones, if any,
+    with one warning."""
     known = network.word_set.intersection(words)
-    _warn_unknown(words, known)
-    return sorted(known)
-
-
-def _warn_unknown(words: frozenset[str], known: frozenset[str]) -> None:
-    """Log the words of a bag that are not among its known words, if any."""
     if len(known) < len(words):
         logger.warning("skipping unknown words: %s", ", ".join(sorted(words - known)))
+    return known
 
 
 class _ScenePlan(NamedTuple):
@@ -197,29 +193,27 @@ def _scene_scorer(
     """The scene's plan on the network, and the key of each bag: the set
     of its known words.
 
-    The plan is prepared once per network (`StateTable.plan`), kept with a
-    copy of each object's id and features. So a changed scene gets a new
-    plan, and an invalid scene raises on every call. A plan keeps each
-    bag's pair scores and finished answers, for at most `_KEPT_BAGS` (128)
-    bags. They are cleared when more, and dropped with the plan.
+    The plan is prepared once per network (`StateTable.plan`), keyed by
+    each object's id and features. So a changed scene gets a new plan, and
+    an invalid scene raises on every call. A plan keeps each bag's pair
+    scores and finished answers, for at most `_KEPT_BAGS` (128) bags. They
+    are cleared when more, and dropped with the plan.
 
     A bag that is a string, not words, raises `ValueError`; a bag with
     words but no known word raises `UnknownWordsError`. A refused call
     logs and keeps nothing. Otherwise each bag's unknown words are logged,
     on a bag with a kept answer too.
     """
-    plan = network.state_table.plan(list(map(_ID_FEATURES, scene)), lambda: _plan_scene(network, scene))
+    key = tuple([(obj.id, tuple(obj.features.items())) for obj in scene])
+    plan = network.state_table.plan(key, lambda: _plan_scene(network, scene))
     for bag in bags:
         if isinstance(bag, str):
             raise ValueError(f"bag {bag!r} is a string, not words: pass bag_of_words({bag!r})")
     words = [frozenset(bag) for bag in bags]
-    known = [network.word_set.intersection(w) for w in words]
-    for w, k in zip(words, known):
-        if w and not k:
+    for w in words:
+        if w and network.word_set.isdisjoint(w):
             raise UnknownWordsError(f"the model knows none of the words: {', '.join(sorted(w))}")
-    for w, k in zip(words, known):
-        _warn_unknown(w, k)
-    return plan, known
+    return plan, [_known_set(network, w) for w in words]
 
 
 def _pair_scores(plan: _ScenePlan, keys: Sequence[frozenset[str]]) -> list[np.ndarray]:
@@ -310,7 +304,7 @@ def rescore_nbest(
     """
     if action_aggregate not in ("max", "sum"):
         raise ValueError("action_aggregate must be 'max' or 'sum'")
-    aggregate = np.maximum if action_aggregate == "max" else np.add
+    aggregate = max if action_aggregate == "max" else sum
     plan, keys = _scene_scorer(network, scene, nbest.bags)
     # each hypothesis's context, kept under its bag and the aggregate
     slots = [(k, action_aggregate) for k in keys]
@@ -319,11 +313,11 @@ def rescore_nbest(
     if new:
         if len(new) > 1:
             new = list(dict.fromkeys(new))
-        # axes bag, action, object: the pairs are action-major
-        scores = np.array(_pair_scores(plan, [k for k, _ in new])).reshape(len(new), -1, len(scene))
-        # each object's actions taken in action order, as `max` or `sum` would
-        per_object = aggregate.accumulate(scores, axis=1)[:, -1].tolist()
-        contexts.update(zip(new, map(sum, per_object)))
+        n = len(scene)
+        for slot, row in zip(new, _pair_scores(plan, [k for k, _ in new])):
+            row = row.tolist()
+            # the pairs are action-major, so row[j::n] are object j's actions
+            contexts[slot] = sum(aggregate(row[j::n]) for j in range(n))
     results = [
         RescoredHypothesis(
             tokens=tuple(tokens),

@@ -23,7 +23,6 @@ key given twice, or one the format does not define, does not load.
 
 from __future__ import annotations
 
-import copy
 import functools
 import json
 import math
@@ -338,11 +337,10 @@ class StateTable(_WordProduct):
 
     def plan(self, key: object, build: Callable[[], _T]) -> _T:
         """The table's one plan: what `build()` returned for the last `key`,
-        built again only when the key differs (`!=`) from it. The key is
-        kept as a deep copy, so a key that its caller changes in place later
-        no longer matches. A `build` that raises leaves the plan as it was."""
+        built again only when the key differs (`!=`) from it. A `build` that
+        raises leaves the plan as it was."""
         if self._plan is None or self._plan[0] != key:
-            self._plan = (copy.deepcopy(key), build())
+            self._plan = (key, build())
         return self._plan[1]
 
     def joint(self, bags: Sequence[Iterable[str]], cells: Sequence[str]) -> np.ndarray:
